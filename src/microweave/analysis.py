@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from microweave.matchers import PARAM_BODY, PARAM_PATH, Endpoint, RemoteCall
-from microweave.weave import (
-    CommEdge,
-    SystemIr,
-    _method_factor,
-    path_score,
-    split_host,
-)
+from microweave.weave import CommEdge, SystemIr
 
 SEV_ERROR = "error"
 SEV_WARNING = "warning"
@@ -91,185 +85,102 @@ class CouplingReport:
 class CheckSettings:
     disabled_rules: frozenset[str] = frozenset()
     severity_overrides: dict[str, str] = field(default_factory=dict)
-    #: same threshold the matcher uses for comm edges
-    path_threshold: float = 0.8
 
     def severity(self, rule_id: str) -> str:
         return self.severity_overrides.get(rule_id, DEFAULT_SEVERITIES[rule_id])
 
 
-def _call_key(service: str, call: RemoteCall):
-    return (
-        service,
-        call.span.file,
-        call.span.line_start,
-        call.http_method,
-        call.url_template,
-        call.caller_component,
-        call.caller_method,
+def _emits(*rule_ids: str):
+    """Tag a check with the rules it can emit; run_checks skips a check
+    whose every rule is disabled."""
+
+    def tag(check):
+        check.rule_ids = frozenset(rule_ids)
+        return check
+
+    return tag
+
+
+def _call_subject(call: RemoteCall) -> Subject:
+    return Subject(
+        service=call.caller_service,
+        ref=f"{call.caller_component}.{call.caller_method}",
+        file=call.span.file,
+        line=call.span.line_start,
     )
 
 
-def _edge_call_key(edge: CommEdge):
-    return (
-        edge.call.service,
-        edge.call.file,
-        edge.call.line,
-        edge.call.http_method,
-        edge.call.url_template,
-        edge.call.component,
-        edge.call.method,
+def _endpoint_subject(endpoint: Endpoint) -> Subject:
+    return Subject(
+        service=endpoint.service,
+        ref=f"{endpoint.owner}.{endpoint.handler.name}",
+        file=endpoint.span.file,
+        line=endpoint.span.line_start,
     )
 
 
-def _endpoint_candidates(
-    call: RemoteCall, endpoints: list[Endpoint], inventory: dict
-) -> list[Endpoint]:
-    host, _path = split_host(call.url_template)
-    if host is None:
-        return endpoints
-    target = inventory.get(host)
-    if target is None:
-        return endpoints
-    return [ep for ep in endpoints if ep.service == target]
-
-
-def _best_path_score(call: RemoteCall, endpoint: Endpoint) -> float:
-    _host, call_path = split_host(call.url_template)
-    best = 0.0
-    for template in endpoint.url_templates:
-        _ep_host, ep_path = split_host(template)
-        best = max(best, path_score(call_path, ep_path))
-    return best
-
-
+@_emits(RULE_DANGLING_CALL, RULE_SIGNATURE_MISMATCH)
 def _check_calls(system: SystemIr, settings: CheckSettings, findings: list[Finding]):
-    """E01 and the method-mismatch arm of E02.
+    """E01 and the method-mismatch arm of E02 over the calls weave left
+    without an edge.
 
-    A call with zero edges is E02 when some candidate endpoint's path
-    matches at or above the threshold and only the HTTP method blocked it;
-    it is E01 only when no such near-miss exists.
+    A call is E02 when weave found an endpoint whose path matches at or
+    above the threshold and only the HTTP method blocked it; it is E01
+    only when no such near-miss exists.
     """
-    matched = {_edge_call_key(edge) for edge in system.comm_edges}
-    all_endpoints = [ep for ir in system.services for ep in ir.endpoints]
-    inventory = system.metadata.get("inventory", {})
-
-    for ir in system.services:
-        for call in ir.remote_calls:
-            if _call_key(ir.service_name, call) in matched:
-                continue
-            near_misses = []
-            for endpoint in _endpoint_candidates(call, all_endpoints, inventory):
-                if _method_factor(call.http_method, endpoint.http_method) is not None:
-                    continue
-                score = _best_path_score(call, endpoint)
-                if score >= settings.path_threshold:
-                    near_misses.append((-score, endpoint.service, endpoint.span.file,
-                                        endpoint.span.line_start, endpoint))
-            site = Subject(
-                service=ir.service_name,
-                ref=f"{call.caller_component}.{call.caller_method}",
-                file=call.span.file,
-                line=call.span.line_start,
-            )
-            if near_misses:
-                near_misses.sort(key=lambda row: row[:4])
-                endpoint = near_misses[0][4]
-                findings.append(
-                    Finding(
-                        rule_id=RULE_SIGNATURE_MISMATCH,
-                        severity=settings.severity(RULE_SIGNATURE_MISMATCH),
-                        message=(
-                            f"{call.http_method} {call.url_template} matches the "
-                            f"path of {endpoint.service} "
-                            f"{' '.join(endpoint.url_templates)} but that endpoint "
-                            f"only accepts {endpoint.http_method}"
-                        ),
-                        subjects=(
-                            site,
-                            Subject(
-                                service=endpoint.service,
-                                ref=f"{endpoint.owner}.{endpoint.handler.name}",
-                                file=endpoint.span.file,
-                                line=endpoint.span.line_start,
-                            ),
-                        ),
-                    )
-                )
-            else:
-                findings.append(
-                    Finding(
-                        rule_id=RULE_DANGLING_CALL,
-                        severity=settings.severity(RULE_DANGLING_CALL),
-                        message=(
-                            f"{call.http_method} {call.url_template} from "
-                            f"{call.caller_component}.{call.caller_method} matches "
-                            f"no endpoint of any analyzed service"
-                        ),
-                        subjects=(site,),
-                    )
-                )
-
-
-def _endpoint_by_ref(system: SystemIr, edge: CommEdge) -> Endpoint | None:
-    for ir in system.services:
-        if ir.service_name != edge.to_service:
-            continue
-        for endpoint in ir.endpoints:
-            if (
-                endpoint.span.file == edge.endpoint.file
-                and endpoint.span.line_start == edge.endpoint.line
-                and endpoint.http_method == edge.endpoint.http_method
-                and endpoint.handler.name == edge.endpoint.handler
-            ):
-                return endpoint
-    return None
-
-
-def _check_arg_counts(system: SystemIr, settings: CheckSettings, findings: list[Finding]):
-    """Arg-count arm of E02 over matched edges."""
-    for edge in system.comm_edges:
-        endpoint = _endpoint_by_ref(system, edge)
-        if endpoint is None:
-            continue
-        expected = sum(1 for _n, kind, _t in endpoint.params if kind in (PARAM_PATH, PARAM_BODY))
-        call_key = _edge_call_key(edge)
-        arg_count = None
-        for ir in system.services:
-            for call in ir.remote_calls:
-                if _call_key(ir.service_name, call) == call_key:
-                    arg_count = call.arg_count
-        if arg_count is None:
-            continue
-        if abs(arg_count - expected) > ARG_COUNT_TOLERANCE:
+    for call, endpoint in system.unmatched_calls:
+        if endpoint is not None:
             findings.append(
                 Finding(
                     rule_id=RULE_SIGNATURE_MISMATCH,
                     severity=settings.severity(RULE_SIGNATURE_MISMATCH),
                     message=(
-                        f"call {edge.call.component}.{edge.call.method} passes "
-                        f"{arg_count} argument(s) but endpoint "
-                        f"{edge.endpoint.owner}.{edge.endpoint.handler} declares "
-                        f"{expected} path/body parameter(s)"
+                        f"{call.http_method} {call.url_template} matches the "
+                        f"path of {endpoint.service} "
+                        f"{' '.join(endpoint.url_templates)} but that endpoint "
+                        f"only accepts {endpoint.http_method}"
                     ),
-                    subjects=(
-                        Subject(
-                            service=edge.from_service,
-                            ref=f"{edge.call.component}.{edge.call.method}",
-                            file=edge.call.file,
-                            line=edge.call.line,
-                        ),
-                        Subject(
-                            service=edge.to_service,
-                            ref=f"{edge.endpoint.owner}.{edge.endpoint.handler}",
-                            file=edge.endpoint.file,
-                            line=edge.endpoint.line,
-                        ),
+                    subjects=(_call_subject(call), _endpoint_subject(endpoint)),
+                )
+            )
+        else:
+            findings.append(
+                Finding(
+                    rule_id=RULE_DANGLING_CALL,
+                    severity=settings.severity(RULE_DANGLING_CALL),
+                    message=(
+                        f"{call.http_method} {call.url_template} from "
+                        f"{call.caller_component}.{call.caller_method} matches "
+                        f"no endpoint of any analyzed service"
                     ),
+                    subjects=(_call_subject(call),),
                 )
             )
 
 
+@_emits(RULE_SIGNATURE_MISMATCH)
+def _check_arg_counts(system: SystemIr, settings: CheckSettings, findings: list[Finding]):
+    """Arg-count arm of E02 over matched edges."""
+    for edge in system.comm_edges:
+        call, endpoint = edge.call, edge.endpoint
+        expected = sum(1 for _n, kind, _t in endpoint.params if kind in (PARAM_PATH, PARAM_BODY))
+        if abs(call.arg_count - expected) > ARG_COUNT_TOLERANCE:
+            findings.append(
+                Finding(
+                    rule_id=RULE_SIGNATURE_MISMATCH,
+                    severity=settings.severity(RULE_SIGNATURE_MISMATCH),
+                    message=(
+                        f"call {call.caller_component}.{call.caller_method} passes "
+                        f"{call.arg_count} argument(s) but endpoint "
+                        f"{endpoint.owner}.{endpoint.handler.name} declares "
+                        f"{expected} path/body parameter(s)"
+                    ),
+                    subjects=(_call_subject(call), _endpoint_subject(endpoint)),
+                )
+            )
+
+
+@_emits(RULE_ENTITY_DRIFT)
 def _check_entity_drift(system: SystemIr, settings: CheckSettings, findings: list[Finding]):
     fields_by_entity: dict[tuple[str, str], list[str]] = {}
     for model in system.context_map.bounded_contexts:
@@ -324,17 +235,18 @@ def _check_entity_drift(system: SystemIr, settings: CheckSettings, findings: lis
         )
 
 
+@_emits(RULE_AMBIGUOUS_EDGE)
 def _check_ambiguous_edges(system: SystemIr, settings: CheckSettings, findings: list[Finding]):
-    groups: dict[tuple, list[CommEdge]] = {}
+    """One W02 per call whose best score ties between several endpoints."""
+    groups: dict[int, list[CommEdge]] = {}
     for edge in system.comm_edges:
         if edge.ambiguous:
-            groups.setdefault(_edge_call_key(edge), []).append(edge)
-    for key in sorted(groups):
-        edges = groups[key]
-        first = edges[0]
+            groups.setdefault(id(edge.call), []).append(edge)
+    for edges in groups.values():
+        call = edges[0].call
         targets = ", ".join(
             f"{e.to_service} {e.matched_url_template} "
-            f"({e.endpoint.owner}.{e.endpoint.handler})"
+            f"({e.endpoint.owner}.{e.endpoint.handler.name})"
             for e in edges
         )
         findings.append(
@@ -342,45 +254,23 @@ def _check_ambiguous_edges(system: SystemIr, settings: CheckSettings, findings: 
                 rule_id=RULE_AMBIGUOUS_EDGE,
                 severity=settings.severity(RULE_AMBIGUOUS_EDGE),
                 message=(
-                    f"{first.call.http_method} {first.call.url_template} from "
-                    f"{first.call.component}.{first.call.method} ties between "
+                    f"{call.http_method} {call.url_template} from "
+                    f"{call.caller_component}.{call.caller_method} ties between "
                     f"{len(edges)} endpoints: {targets}"
                 ),
-                subjects=(
-                    Subject(
-                        service=first.from_service,
-                        ref=f"{first.call.component}.{first.call.method}",
-                        file=first.call.file,
-                        line=first.call.line,
-                    ),
-                ),
+                subjects=(_call_subject(call),),
             )
         )
 
 
+@_emits(RULE_UNREACHABLE_ENDPOINT)
 def _check_unreachable_endpoints(
     system: SystemIr, settings: CheckSettings, findings: list[Finding]
 ):
-    reached = {
-        (
-            edge.to_service,
-            edge.endpoint.file,
-            edge.endpoint.line,
-            edge.endpoint.http_method,
-            edge.endpoint.handler,
-        )
-        for edge in system.comm_edges
-    }
+    reached = {id(edge.endpoint) for edge in system.comm_edges}
     for ir in system.services:
         for endpoint in ir.endpoints:
-            key = (
-                ir.service_name,
-                endpoint.span.file,
-                endpoint.span.line_start,
-                endpoint.http_method,
-                endpoint.handler.name,
-            )
-            if key in reached:
+            if id(endpoint) in reached:
                 continue
             findings.append(
                 Finding(
@@ -392,18 +282,12 @@ def _check_unreachable_endpoints(
                         f"({endpoint.owner}.{endpoint.handler.name}) receives no "
                         f"call from any analyzed service"
                     ),
-                    subjects=(
-                        Subject(
-                            service=ir.service_name,
-                            ref=f"{endpoint.owner}.{endpoint.handler.name}",
-                            file=endpoint.span.file,
-                            line=endpoint.span.line_start,
-                        ),
-                    ),
+                    subjects=(_endpoint_subject(endpoint),),
                 )
             )
 
 
+@_emits(RULE_TOPOLOGY_MISMATCH)
 def _check_topology(system: SystemIr, settings: CheckSettings, findings: list[Finding]):
     """W04 both ways, only when topology data exists."""
     if not system.topology_edges:
@@ -479,6 +363,7 @@ def detect_cycles(edges: set[tuple[str, str]]) -> list[tuple[str, ...]]:
     return sorted(cycles)
 
 
+@_emits(RULE_CYCLIC_DEPENDENCY)
 def _check_cycles(system: SystemIr, settings: CheckSettings, findings: list[Finding]):
     edges = {
         (e.from_service, e.to_service)
@@ -509,16 +394,19 @@ _CHECKS = (
 
 
 def run_checks(system: SystemIr, settings: CheckSettings | None = None) -> list[Finding]:
-    """Evaluate the whole catalog and return findings sorted by
-    (rule_id, subjects).
+    """Evaluate the enabled part of the catalog and return findings sorted
+    by (rule_id, subjects).
 
-    E01 and the method arm of E02 share one pass (_check_calls) because
-    E02 takes precedence on the same call site.
+    A check runs unless every rule it emits is disabled.  E01 and the
+    method arm of E02 share one pass (_check_calls) because E02 takes
+    precedence on the same call site, so a disabled rule of a check that
+    still runs is filtered out afterwards.
     """
     settings = settings or CheckSettings()
     findings: list[Finding] = []
     for check in _CHECKS:
-        check(system, settings, findings)
+        if not check.rule_ids <= settings.disabled_rules:
+            check(system, settings, findings)
     findings = [f for f in findings if f.rule_id not in settings.disabled_rules]
     findings.sort(key=Finding.sort_key)
     return findings

@@ -72,6 +72,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"analyze: i/o failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except Exception as exc:  # an internal fault must not read as "warnings only"
+        detail = " ".join(str(exc).splitlines())
+        print(f"analyze: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

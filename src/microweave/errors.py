@@ -28,8 +28,9 @@ class TermNotFound(MicroweaveError):
 
 
 class ConfigError(MicroweaveError):
-    """Invalid run configuration; ``field`` names the offending entry."""
+    """Invalid run configuration; ``field`` names the offending entry, which
+    the message itself also names."""
 
     def __init__(self, message: str, field: str = ""):
-        super().__init__(f"{field}: {message}" if field else message)
+        super().__init__(message)
         self.field = field

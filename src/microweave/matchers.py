@@ -155,8 +155,7 @@ class PlainType:
 
 @dataclass
 class MatcherOutput:
-    """run_matchers result: iterable as the (components, endpoints,
-    remote_calls, event_ops) quadruple, with extras attached."""
+    """run_matchers result: the lifted elements of one service."""
 
     components: list[Component] = field(default_factory=list)
     endpoints: list[Endpoint] = field(default_factory=list)
@@ -165,9 +164,6 @@ class MatcherOutput:
     local_calls: list[LocalCall] = field(default_factory=list)
     plain_types: list[PlainType] = field(default_factory=list)
     warnings: list[tuple[str, int, str]] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter((self.components, self.endpoints, self.remote_calls, self.event_ops))
 
 
 def classify(type_node: LaastNode, ruleset: list[MatcherRule]) -> MatcherRule | None:
@@ -274,9 +270,7 @@ def _method_sig(method_node: LaastNode) -> MethodSig:
     )
 
 
-def _method_mappings(
-    method_node: LaastNode, convention: str
-) -> list[tuple[str, list[str]]]:
+def _method_mappings(method_node: LaastNode) -> list[tuple[str, list[str]]]:
     """(http method, method-level paths) pairs for one handler method."""
     mappings: list[tuple[str, list[str]]] = []
     annotations = [c for c in method_node.children if c.kind == NodeKind.ANNOTATION]
@@ -293,7 +287,6 @@ def _method_mappings(
             path_ann = next((a for a in annotations if a.name == "Path"), None)
             paths = _mapping_paths(path_ann.attributes) if path_ann else [""]
             mappings.append((ann.name, paths))
-    del convention
     return mappings
 
 
@@ -396,7 +389,7 @@ def _lift_endpoints(
     convention: str,
     span: SourceSpan,
 ) -> None:
-    mappings = _method_mappings(method_node, convention)
+    mappings = _method_mappings(method_node)
     if not mappings:
         return
     handler = _method_sig(method_node)

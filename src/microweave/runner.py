@@ -19,7 +19,6 @@ from pathlib import Path
 
 from microweave.analysis import (
     CheckSettings,
-    DEFAULT_SEVERITIES,
     RULE_IDS,
     SEV_ERROR,
     SEV_INFO,
@@ -399,7 +398,6 @@ def run(
     settings = CheckSettings(
         disabled_rules=config.disabled_rules,
         severity_overrides=config.severity_overrides,
-        path_threshold=config.path_threshold,
     )
     findings = run_checks(system, settings)
     metrics = coupling_metrics(system)

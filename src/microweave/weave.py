@@ -77,36 +77,21 @@ class ContextMap:
 
 
 @dataclass(frozen=True)
-class CallRef:
-    service: str
-    component: str
-    method: str
-    http_method: str
-    url_template: str
-    file: str
-    line: int
-
-
-@dataclass(frozen=True)
-class EndpointRef:
-    service: str
-    owner: str
-    handler: str
-    http_method: str
-    file: str
-    line: int
-
-
-@dataclass(frozen=True)
 class CommEdge:
-    from_service: str
-    to_service: str
-    call: CallRef
-    endpoint: EndpointRef
+    call: RemoteCall
+    endpoint: Endpoint
     matched_url_template: str
     score: float
     confidence: float
     ambiguous: bool
+
+    @property
+    def from_service(self) -> str:
+        return self.call.caller_service
+
+    @property
+    def to_service(self) -> str:
+        return self.endpoint.service
 
 
 @dataclass
@@ -119,6 +104,9 @@ class SystemIr:
     #: (from service, to service, origin), analyzed services only
     topology_edges: list[tuple[str, str, str]]
     metadata: dict = field(default_factory=dict)
+    #: (call, method near-miss endpoint or None) for each call without an
+    #: edge; read by the checks, never serialized
+    unmatched_calls: list[tuple[RemoteCall, Endpoint | None]] = field(default_factory=list)
 
 
 def canonical_type(declared_type: str) -> str:
@@ -264,6 +252,38 @@ def _method_factor(call_method: str, endpoint_method: str) -> float | None:
     return None
 
 
+def _candidates(
+    call: RemoteCall, endpoints: list[Endpoint], inventory: Inventory
+) -> tuple[str, list[Endpoint], float]:
+    """The call's path, the endpoints it may reach, and its host penalty.
+
+    A resolvable host restricts candidates to that service; an unresolvable
+    one widens to all services at half confidence; a relative URL widens
+    at full confidence.
+    """
+    host, path = split_host(call.url_template)
+    if host is None:
+        return path, endpoints, 1.0
+    target = inventory.get(host)
+    if target is None:
+        return path, endpoints, 0.5
+    return path, [ep for ep in endpoints if ep.service == target], 1.0
+
+
+def _best_template(path: str, endpoint: Endpoint) -> tuple[float, str | None]:
+    """The endpoint's best path score against ``path`` and the first
+    template that reaches it (None when every template scores 0)."""
+    best = 0.0
+    best_template = None
+    for template in endpoint.url_templates:
+        _host, ep_path = split_host(template)
+        score = path_score(path, ep_path)
+        if score > best:
+            best = score
+            best_template = template
+    return best, best_template
+
+
 def match_call_to_endpoints(
     call: RemoteCall,
     endpoints: list[Endpoint],
@@ -272,39 +292,20 @@ def match_call_to_endpoints(
 ) -> list[CommEdge]:
     """Match one remote call against the endpoint inventory.
 
-    A resolvable host restricts candidates to that service; an unresolvable
-    one widens to all services at half confidence.  Each endpoint scores by
-    its best URL template; every endpoint tied at the best overall score
-    gets an edge, splitting confidence k ways.
+    Each candidate endpoint scores by its best URL template times its
+    method factor; every endpoint tied at the best overall score gets an
+    edge, splitting the host penalty k ways as confidence.
     """
-    host, path = split_host(call.url_template)
-    host_penalty = 1.0
-    if host is None:
-        candidates = endpoints
-    else:
-        target = inventory.get(host)
-        if target is None:
-            candidates = endpoints
-            host_penalty = 0.5
-        else:
-            candidates = [ep for ep in endpoints if ep.service == target]
-
+    path, candidates, host_penalty = _candidates(call, endpoints, inventory)
     scored: list[tuple[float, Endpoint, str]] = []
     for endpoint in candidates:
         factor = _method_factor(call.http_method, endpoint.http_method)
         if factor is None:
             continue
-        best_template = None
-        best = 0.0
-        for template in endpoint.url_templates:
-            _host, ep_path = split_host(template)
-            score = path_score(path, ep_path)
-            if score > best:
-                best = score
-                best_template = template
+        best, template = _best_template(path, endpoint)
         total = best * factor
-        if total > 0.0 and best_template is not None:
-            scored.append((total, endpoint, best_template))
+        if total > 0.0 and template is not None:
+            scored.append((total, endpoint, template))
 
     if not scored:
         return []
@@ -312,33 +313,14 @@ def match_call_to_endpoints(
     if top < config.path_threshold:
         return []
     ties = [(endpoint, template) for score, endpoint, template in scored if score == top]
-    confidence = host_penalty / len(ties)
-    ambiguous = len(ties) > 1
     edges = [
         CommEdge(
-            from_service=call.caller_service,
-            to_service=endpoint.service,
-            call=CallRef(
-                service=call.caller_service,
-                component=call.caller_component,
-                method=call.caller_method,
-                http_method=call.http_method,
-                url_template=call.url_template,
-                file=call.span.file,
-                line=call.span.line_start,
-            ),
-            endpoint=EndpointRef(
-                service=endpoint.service,
-                owner=endpoint.owner,
-                handler=endpoint.handler.name,
-                http_method=endpoint.http_method,
-                file=endpoint.span.file,
-                line=endpoint.span.line_start,
-            ),
+            call=call,
+            endpoint=endpoint,
             matched_url_template=template,
             score=top,
-            confidence=confidence,
-            ambiguous=ambiguous,
+            confidence=host_penalty / len(ties),
+            ambiguous=len(ties) > 1,
         )
         for endpoint, template in ties
     ]
@@ -346,14 +328,39 @@ def match_call_to_endpoints(
     return edges
 
 
+def _method_near_miss(
+    call: RemoteCall,
+    endpoints: list[Endpoint],
+    inventory: Inventory,
+    config: WeaveConfig,
+) -> Endpoint | None:
+    """The candidate whose path matches at or above the threshold but whose
+    HTTP method blocks the call: best path score first, then service, file
+    and line."""
+    path, candidates, _penalty = _candidates(call, endpoints, inventory)
+    near_misses = []
+    for endpoint in candidates:
+        if _method_factor(call.http_method, endpoint.http_method) is not None:
+            continue
+        score, _template = _best_template(path, endpoint)
+        if score >= config.path_threshold:
+            near_misses.append(
+                ((-score, endpoint.service, endpoint.span.file, endpoint.span.line_start),
+                 endpoint)
+            )
+    if not near_misses:
+        return None
+    return min(near_misses, key=lambda row: row[0])[1]
+
+
 def _edge_key(edge: CommEdge):
     return (
         edge.from_service,
         edge.to_service,
-        edge.call.file,
-        edge.call.line,
-        edge.endpoint.file,
-        edge.endpoint.line,
+        edge.call.span.file,
+        edge.call.span.line_start,
+        edge.endpoint.span.file,
+        edge.endpoint.span.line_start,
         edge.matched_url_template,
     )
 
@@ -420,11 +427,15 @@ def weave(
 
     all_endpoints = [ep for ir in ordered for ep in ir.endpoints]
     comm_edges: list[CommEdge] = []
+    unmatched_calls: list[tuple[RemoteCall, Endpoint | None]] = []
     for ir in ordered:
         for call in ir.remote_calls:
-            comm_edges.extend(
-                match_call_to_endpoints(call, all_endpoints, inventory, config)
-            )
+            edges = match_call_to_endpoints(call, all_endpoints, inventory, config)
+            if edges:
+                comm_edges.extend(edges)
+            else:
+                near_miss = _method_near_miss(call, all_endpoints, inventory, config)
+                unmatched_calls.append((call, near_miss))
     comm_edges.sort(key=_edge_key)
 
     event_edges, event_warnings = match_events(ordered)
@@ -457,6 +468,7 @@ def weave(
         event_edges=event_edges,
         topology_edges=topology_edges,
         metadata=metadata,
+        unmatched_calls=unmatched_calls,
     )
 
 
@@ -508,25 +520,26 @@ def context_map_to_json_obj(context_map: ContextMap) -> dict:
 
 
 def comm_edge_to_json_obj(edge: CommEdge) -> dict:
+    call, endpoint = edge.call, edge.endpoint
     return {
         "from_service": edge.from_service,
         "to_service": edge.to_service,
         "call": {
-            "service": edge.call.service,
-            "component": edge.call.component,
-            "method": edge.call.method,
-            "http_method": edge.call.http_method,
-            "url_template": edge.call.url_template,
-            "file": edge.call.file,
-            "line": edge.call.line,
+            "service": call.caller_service,
+            "component": call.caller_component,
+            "method": call.caller_method,
+            "http_method": call.http_method,
+            "url_template": call.url_template,
+            "file": call.span.file,
+            "line": call.span.line_start,
         },
         "endpoint": {
-            "service": edge.endpoint.service,
-            "owner": edge.endpoint.owner,
-            "handler": edge.endpoint.handler,
-            "http_method": edge.endpoint.http_method,
-            "file": edge.endpoint.file,
-            "line": edge.endpoint.line,
+            "service": endpoint.service,
+            "owner": endpoint.owner,
+            "handler": endpoint.handler.name,
+            "http_method": endpoint.http_method,
+            "file": endpoint.span.file,
+            "line": endpoint.span.line_start,
         },
         "matched_url_template": edge.matched_url_template,
         "score": edge.score,

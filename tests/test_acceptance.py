@@ -16,7 +16,7 @@ import time
 import pytest
 
 from conftest import GOLDEN_DIR, copy_shop, overlay_variant
-from microweave.analysis import detect_cycles, coupling_metrics
+from microweave.analysis import coupling_metrics, detect_cycles, run_checks
 from microweave.cli import main
 from microweave.ir import (
     Component,
@@ -247,7 +247,10 @@ def _oracle_path_score(call_path: str, ep_path: str) -> float:
     return (strong + 0.5 * weak) / max(len(a), len(b))
 
 
-def _oracle_match(call, endpoints, inventory, threshold):
+def _oracle_candidates(call, endpoints, inventory):
+    """(call path, candidate endpoints, host penalty) by the host rule:
+    a known host narrows to its service, an unknown one widens at half
+    confidence, a relative URL widens at full confidence."""
     host = None
     path = call.url_template
     if path.startswith("http://") or path.startswith("https://"):
@@ -256,41 +259,71 @@ def _oracle_match(call, endpoints, inventory, threshold):
         hostport = rest if slash < 0 else rest[:slash]
         host = hostport.split(":")[0]
         path = "/" if slash < 0 else rest[slash:]
-    penalty = 1.0
     if host is None:
-        candidates = list(endpoints)
-    elif host in inventory:
-        candidates = [ep for ep in endpoints if ep.service == inventory[host]]
-    else:
-        candidates = list(endpoints)
-        penalty = 0.5
+        return path, list(endpoints), 1.0
+    if host in inventory:
+        return path, [ep for ep in endpoints if ep.service == inventory[host]], 1.0
+    return path, list(endpoints), 0.5
 
+
+def _oracle_method_factor(call_method, endpoint_method):
+    if call_method == endpoint_method:
+        return 1.0
+    if call_method == "UNKNOWN" or endpoint_method == "ANY":
+        return 0.9
+    return None
+
+
+def _oracle_best_template(path, ep):
+    best, best_template = 0.0, None
+    for template in ep.url_templates:
+        score = _oracle_path_score(path, template)
+        if score > best:
+            best, best_template = score, template
+    return best, best_template
+
+
+def _oracle_ties(call, endpoints, inventory, threshold):
+    """([(endpoint, template)] tied at the best score, best score, penalty)."""
+    path, candidates, penalty = _oracle_candidates(call, endpoints, inventory)
     scored = []
     for ep in candidates:
-        if call.http_method == ep.http_method:
-            factor = 1.0
-        elif call.http_method == "UNKNOWN" or ep.http_method == "ANY":
-            factor = 0.9
-        else:
+        factor = _oracle_method_factor(call.http_method, ep.http_method)
+        if factor is None:
             continue
-        best, best_template = 0.0, None
-        for template in ep.url_templates:
-            score = _oracle_path_score(path, template)
-            if score > best:
-                best, best_template = score, template
+        best, best_template = _oracle_best_template(path, ep)
         total = best * factor
         if total > 0.0 and best_template is not None:
             scored.append((total, ep, best_template))
     if not scored:
-        return [], penalty
+        return [], 0.0, penalty
     top = max(total for total, _, _ in scored)
     if top < threshold:
-        return [], penalty
-    ties = [(ep, template) for total, ep, template in scored if total == top]
+        return [], top, penalty
+    return [(ep, template) for total, ep, template in scored if total == top], top, penalty
+
+
+def _oracle_match(call, endpoints, inventory, threshold):
+    ties, top, penalty = _oracle_ties(call, endpoints, inventory, threshold)
     return [
         (ep.service, template, top, penalty / len(ties), len(ties) > 1)
         for ep, template in ties
     ], penalty
+
+
+def _oracle_near_miss(call, endpoints, inventory, threshold):
+    """The candidate blocked only by its HTTP method whose path scores at or
+    above the threshold: best score first, then service, file, line."""
+    path, candidates, _penalty = _oracle_candidates(call, endpoints, inventory)
+    best = None
+    for ep in candidates:
+        if _oracle_method_factor(call.http_method, ep.http_method) is not None:
+            continue
+        score, _template = _oracle_best_template(path, ep)
+        key = (-score, ep.service, ep.span.file, ep.span.line_start)
+        if score >= threshold and (best is None or key < best[0]):
+            best = (key, ep)
+    return None if best is None else best[1]
 
 
 def _random_matching_instance(rng: random.Random):
@@ -383,6 +416,128 @@ def test_criterion_4_endpoint_matching_oracle(capsys):
                     ok = False
     with capsys.disabled():
         _verdict(4, "endpoint-matching-vs-brute-force", ok)
+
+
+def _random_system(rng: random.Random):
+    """Up to 6 services with random endpoints and calls.  Calls use known,
+    unknown and missing hosts, UNKNOWN and ANY methods, and template
+    segments that tie; several calls may share one source line."""
+    services = [f"svc{i}" for i in range(rng.randint(2, 6))]
+    endpoints = {name: [] for name in services}
+    calls = {name: [] for name in services}
+    for i in range(rng.randint(1, 16)):
+        service = rng.choice(services)
+        templates = [
+            "/" + "/".join(rng.choice(_ORACLE_SEGMENTS) for _ in range(rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 2))
+        ]
+        endpoints[service].append(
+            Endpoint(
+                owner=f"Ctl{i}",
+                service=service,
+                http_method=rng.choice(_ORACLE_METHODS + ("ANY",)),
+                url_templates=templates,
+                params=[
+                    (f"p{k}", rng.choice(("path", "body", "query")), "long")
+                    for k in range(rng.randint(0, 3))
+                ],
+                handler=MethodSig(f"h{i}", [], "void", []),
+                span=SourceSpan(f"src/Ctl{i}.java", i + 1, i + 2),
+            )
+        )
+    for i in range(rng.randint(1, 16)):
+        service = rng.choice(services)
+        path = "/" + "/".join(
+            rng.choice(_ORACLE_SEGMENTS[:-2] + ("{*}",)) for _ in range(rng.randint(0, 3))
+        )
+        style = rng.random()
+        if style < 0.5:
+            url = f"http://{rng.choice(services)}{path}"
+        elif style < 0.7:
+            url = f"http://outsider-{i}.example.com{path}"
+        else:
+            url = path
+        line = rng.randint(1, 6)
+        calls[service].append(
+            RemoteCall(
+                caller_service=service,
+                caller_component="Client",
+                caller_method=f"m{line}",
+                http_method=rng.choice(_ORACLE_METHODS + ("UNKNOWN",)),
+                url_template=url,
+                arg_count=rng.randint(0, 4),
+                span=SourceSpan("src/Client.java", line, line),
+            )
+        )
+    return [
+        ServiceIr(service_name=name, endpoints=endpoints[name], remote_calls=calls[name])
+        for name in services
+    ]
+
+
+def _call_subject(call):
+    return (call.caller_service, f"{call.caller_component}.{call.caller_method}",
+            call.span.file, call.span.line_start)
+
+
+def _endpoint_subject(ep):
+    return (ep.service, f"{ep.owner}.{ep.handler.name}", ep.span.file, ep.span.line_start)
+
+
+def _oracle_call_findings(irs, threshold):
+    """(rule id, subjects) of every E01, E02, W02 and W03 finding, and the
+    kinds of finding seen, recomputed from the raw calls and endpoints."""
+    inventory = {ir.service_name: ir.service_name for ir in irs}
+    endpoints = [ep for ir in sorted(irs, key=lambda ir: ir.service_name) for ep in ir.endpoints]
+    findings, kinds, reached = [], set(), set()
+    for ir in irs:
+        for call in ir.remote_calls:
+            site = _call_subject(call)
+            ties, _top, _penalty = _oracle_ties(call, endpoints, inventory, threshold)
+            if not ties:
+                near = _oracle_near_miss(call, endpoints, inventory, threshold)
+                if near is None:
+                    findings.append(("E01", (site,)))
+                    kinds.add("E01")
+                else:
+                    findings.append(("E02", (site, _endpoint_subject(near))))
+                    kinds.add("E02 method")
+                continue
+            if len(ties) > 1:
+                findings.append(("W02", (site,)))
+                kinds.add("W02")
+            for ep, _template in ties:
+                reached.add(id(ep))
+                declared = sum(1 for _n, kind, _t in ep.params if kind in ("path", "body"))
+                if abs(call.arg_count - declared) > 1:
+                    findings.append(("E02", (site, _endpoint_subject(ep))))
+                    kinds.add("E02 args")
+    for ep in endpoints:
+        if id(ep) not in reached:
+            findings.append(("W03", (_endpoint_subject(ep),)))
+            kinds.add("W03")
+    return sorted(findings), kinds
+
+
+def test_call_checks_match_brute_force_oracle():
+    """E01/E02/W02/W03 read weave's match decisions; recomputing those
+    decisions from scratch must give the same finding subjects."""
+    rng = random.Random(2022)
+    config = WeaveConfig()
+    kinds_seen = set()
+    for _ in range(300):
+        irs = _random_system(rng)
+        system = weave(irs, config=config)
+        assert system.metadata["inventory"] == {ir.service_name: ir.service_name for ir in irs}
+        got = sorted(
+            (f.rule_id, tuple((s.service, s.ref, s.file, s.line) for s in f.subjects))
+            for f in run_checks(system)
+            if f.rule_id in ("E01", "E02", "W02", "W03")
+        )
+        want, kinds = _oracle_call_findings(irs, config.path_threshold)
+        assert got == want
+        kinds_seen |= kinds
+    assert kinds_seen == {"E01", "E02 method", "E02 args", "W02", "W03"}
 
 
 def _brute_force_cycles(nodes, edges):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
+
 from microweave.analysis import (
     CheckSettings,
     RULE_AMBIGUOUS_EDGE,
@@ -358,8 +360,8 @@ services:
     assert all(f.rule_id != RULE_TOPOLOGY_MISMATCH for f in run_checks(system))
 
 
-def test_cycle_finding_names_route():
-    system = weave(
+def _two_cycle():
+    return weave(
         [
             ServiceIr(
                 service_name="a",
@@ -377,7 +379,10 @@ def test_cycle_finding_names_route():
             ),
         ]
     )
-    findings = [f for f in run_checks(system) if f.rule_id == RULE_CYCLIC_DEPENDENCY]
+
+
+def test_cycle_finding_names_route():
+    findings = [f for f in run_checks(_two_cycle()) if f.rule_id == RULE_CYCLIC_DEPENDENCY]
     assert len(findings) == 1
     assert "a -> b -> a" in findings[0].message
     assert [s.service for s in findings[0].subjects] == ["a", "b"]
@@ -502,3 +507,42 @@ def test_findings_sorted_by_rule_then_subject():
     assert _rules(findings) == [RULE_DANGLING_CALL, RULE_DANGLING_CALL]
     assert findings[0].subjects[0].line == 3
     assert findings[1].subjects[0].line == 9
+
+
+def test_disabled_rule_skips_its_check(monkeypatch):
+    import microweave.analysis as analysis
+
+    def refuse(_edges):
+        raise AssertionError("detect_cycles ran although S01 is disabled")
+
+    monkeypatch.setattr(analysis, "detect_cycles", refuse)
+    system = _two_cycle()
+    settings = CheckSettings(disabled_rules=frozenset({RULE_CYCLIC_DEPENDENCY}))
+    assert run_checks(system, settings) == []
+    with pytest.raises(AssertionError, match="S01 is disabled"):
+        run_checks(system)
+
+
+def test_check_with_one_enabled_rule_still_runs():
+    system = weave(
+        [
+            ServiceIr(
+                service_name="a",
+                remote_calls=[
+                    _call("a", "POST", "http://b/api/x", line=3),
+                    _call("a", "GET", "http://b/api/z", line=9),
+                ],
+            ),
+            ServiceIr(service_name="b", endpoints=[_endpoint("b", "GET", "/api/x")]),
+        ]
+    )
+    only_e02 = CheckSettings(
+        disabled_rules=frozenset({RULE_DANGLING_CALL, RULE_UNREACHABLE_ENDPOINT})
+    )
+    assert _rules(run_checks(system, only_e02)) == [RULE_SIGNATURE_MISMATCH]
+    only_e01 = CheckSettings(
+        disabled_rules=frozenset({RULE_SIGNATURE_MISMATCH, RULE_UNREACHABLE_ENDPOINT})
+    )
+    findings = run_checks(system, only_e01)
+    assert _rules(findings) == [RULE_DANGLING_CALL]
+    assert findings[0].subjects[0].line == 9

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from microweave import __version__
 from microweave.cli import main
 
@@ -61,10 +63,27 @@ def test_fixing_the_dangling_call_downgrades_exit(shop, capsys):
     assert rules == ["W01"]
 
 
+def _write_project(tmp_path, services, conventions=None):
+    """Write each service's files under tmp_path/<name> plus a config that
+    lists them; returns the config path."""
+    conventions = conventions or {}
+    entries = []
+    for name, files in services.items():
+        for rel, text in files.items():
+            path = tmp_path / name / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        entry = {"name": name, "root_dir": name}
+        if name in conventions:
+            entry["convention"] = conventions[name]
+        entries.append(entry)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"services": entries}), encoding="utf-8")
+    return config
+
+
 def test_clean_pair_exits_zero(tmp_path, capsys):
-    for name, files in {
-        "alpha": {
-            "src/Client.java": """
+    client = """
 @Service
 public class SyncService {
     private final RestTemplate restTemplate;
@@ -74,9 +93,7 @@ public class SyncService {
     }
 }
 """
-        },
-        "beta": {
-            "src/Ctl.java": """
+    controller = """
 @RestController
 @RequestMapping("/api/items")
 public class ItemController {
@@ -86,23 +103,8 @@ public class ItemController {
     }
 }
 """
-        },
-    }.items():
-        for rel, text in files.items():
-            path = tmp_path / name / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8")
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "services": [
-                    {"name": "alpha", "root_dir": "alpha"},
-                    {"name": "beta", "root_dir": "beta"},
-                ]
-            }
-        ),
-        encoding="utf-8",
+    config = _write_project(
+        tmp_path, {"alpha": {"src/Client.java": client}, "beta": {"src/Ctl.java": controller}}
     )
     code = _run("--config", str(config))
     capsys.readouterr()
@@ -222,3 +224,106 @@ def test_progress_goes_to_stderr(shop, capsys):
     captured = capsys.readouterr()
     assert "[analyze]" in captured.err
     assert captured.out == ""
+
+
+_TWO_CALLS_ONE_LINE = """
+@Service
+public class SyncService {
+    private final RestTemplate restTemplate;
+
+    public void pull() {
+        restTemplate.getForObject("http://b/api/x/1", String.class); restTemplate.getForObject("http://b/api/x/1", String.class);
+    }
+}
+"""
+
+_TIED_CONTROLLERS = {
+    "src/One.java": """
+@RestController
+@RequestMapping("/api/x")
+public class One {
+    @GetMapping("/{id}")
+    public String get(@PathVariable("id") long id) {
+        return "";
+    }
+}
+""",
+    "src/Two.java": """
+@RestController
+@RequestMapping("/api/x")
+public class Two {
+    @GetMapping("/{key}")
+    public String get(@PathVariable("key") long key) {
+        return "";
+    }
+}
+""",
+}
+
+
+def test_two_identical_calls_on_one_line_get_one_w02_each(tmp_path, capsys):
+    config = _write_project(
+        tmp_path, {"a": {"src/Sync.java": _TWO_CALLS_ONE_LINE}, "b": _TIED_CONTROLLERS}
+    )
+    code = _run("--config", str(config))
+    capsys.readouterr()
+    assert code == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_bytes())
+    w02 = [f for f in report["findings"] if f["rule_id"] == "W02"]
+    assert len(w02) == 2
+    for finding in w02:
+        assert "ties between 2 endpoints" in finding["message"]
+        assert finding["message"].count("(One.get)") == 1
+        assert finding["message"].count("(Two.get)") == 1
+        assert [s["line"] for s in finding["subjects"]] == [7]
+    system = json.loads((tmp_path / "out" / "system.json").read_bytes())
+    assert len(system["comm_edges"]) == 4
+
+
+def test_internal_fault_exits_3_with_one_line(tmp_path, capsys):
+    from microweave.frontend import SourceTree, extract
+    from microweave.laast import save_laast
+
+    source = tmp_path / "source"
+    (source / "src").mkdir(parents=True)
+    (source / "src" / "Sync.java").write_text(_TWO_CALLS_ONE_LINE, encoding="utf-8")
+    tree, _report = extract(SourceTree(service_name="a", root_dir=source))
+    document = save_laast(tree.children[0]).decode("utf-8")
+    assert document.count('"arg_count":"2"') == 2
+    config = _write_project(
+        tmp_path,
+        {"a": {"src/sync.laast.json": document.replace('"arg_count":"2"', '"arg_count":"two"')}},
+        conventions={"a": "LaastPassthrough"},
+    )
+    code = _run("--config", str(config))
+    captured = capsys.readouterr()
+    assert code == 3
+    errors = [line for line in captured.err.splitlines() if not line.startswith("[analyze]")]
+    assert len(errors) == 1
+    assert errors[0].startswith("analyze: internal error: ValueError: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "patch, argv, message",
+    [
+        ({"services": [{"name": "users", "root_dir": 5}]}, (),
+         "services[0].root_dir must be a non-empty string"),
+        ({"thresholds": {"tau": 2}}, (), "thresholds.tau must be within [0, 1]"),
+        ({"checks": {"disable": ["E01", "W99"]}}, (), "checks.disable[1]: unknown rule id 'W99'"),
+        ({"ruleset": [{"component_role": "wizard", "annotation_names": ["X"]}]}, (),
+         "ruleset: rule 0: unknown role 'wizard'"),
+        ({}, ("--services", "billing"), "--services names unknown service 'billing'"),
+        ({}, ("--jobs", "0"), "--jobs must be a positive integer"),
+        ({}, ("--format", "pdf"), "--format: unknown output family 'pdf'"),
+    ],
+    ids=["root_dir", "tau", "disable", "ruleset", "services", "jobs", "format"],
+)
+def test_configuration_error_line_names_field_once(shop, capsys, patch, argv, message):
+    config = json.loads((shop / "config.json").read_text(encoding="utf-8"))
+    config.update(patch)
+    (shop / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    code = _run("--config", str(shop / "config.json"), *argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"analyze: configuration error: {message}\n"

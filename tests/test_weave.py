@@ -237,7 +237,7 @@ def test_match_call_tie_splits_confidence_and_flags_ambiguous():
     assert len(edges) == 2
     assert all(e.ambiguous for e in edges)
     assert all(e.confidence == pytest.approx(0.5) for e in edges)
-    assert edges[0].endpoint.file == "src/A.java"
+    assert edges[0].endpoint.span.file == "src/A.java"
 
 
 def test_match_call_picks_best_template_per_endpoint():
