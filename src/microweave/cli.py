@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit status contract: 0 no findings, 1 findings but no errors, 2 error
-findings present, 3 tool failure (bad configuration, unreadable inputs,
-or an internal fault).
+findings present, 3 tool failure (bad configuration or usage, unreadable
+inputs, or an internal fault).
 """
 
 from __future__ import annotations
@@ -20,8 +20,14 @@ EXIT_ERRORS = 2
 EXIT_FAILURE = 3
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # argparse would exit 2, which the contract reserves for error findings.
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="analyze",
         description=(
             "Static analysis for microservice codebases: extracts per-service "
@@ -31,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="path to the JSON run configuration")
     parser.add_argument("--out", help="output directory (overrides the config)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for extraction (default: CPU count)")
     parser.add_argument("--services",
                         help="comma-separated subset of services to analyze")
     parser.add_argument("--format", dest="formats", default=",".join(OUTPUT_FORMATS),
@@ -43,12 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if not args.config:
             raise ConfigError("--config is required", field="--config")
-        if args.jobs is not None and args.jobs < 1:
-            raise ConfigError("--jobs must be a positive integer", field="--jobs")
         formats = {f.strip() for f in args.formats.split(",") if f.strip()}
         unknown = sorted(formats - set(OUTPUT_FORMATS))
         if unknown:
@@ -62,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
             services_filter = [s.strip() for s in args.services.split(",") if s.strip()]
         config = load_config(args.config, services_filter=services_filter,
                              output_override=args.out)
-        return run(config, jobs=args.jobs, formats=formats)
+        return run(config, formats=formats)
     except ConfigError as exc:
         print(f"analyze: configuration error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

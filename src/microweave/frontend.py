@@ -15,7 +15,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from microweave.errors import MicroweaveError
-from microweave.laast import LaastNode, NodeKind, SourceSpan, load_laast, walk
+from microweave.laast import (
+    CALL_KIND_ATTR,
+    CALL_KIND_EVENT_PUBLISH,
+    CALL_KIND_LOCAL,
+    CALL_KIND_REMOTE,
+    LaastNode,
+    NodeKind,
+    SourceSpan,
+    load_laast,
+    walk,
+)
 
 SPRING_LIKE = "SpringLike"
 JAXRS_LIKE = "JaxRsLike"
@@ -24,12 +34,6 @@ CONVENTIONS = (SPRING_LIKE, JAXRS_LIKE, LAAST_PASSTHROUGH)
 
 DEFAULT_INCLUDE_GLOBS = ("**/*.java",)
 PASSTHROUGH_INCLUDE_GLOBS = ("**/*.laast.json",)
-
-#: Call-node attribute telling later stages what a Call represents.
-CALL_KIND_ATTR = "call_kind"
-CALL_KIND_REMOTE = "remote"
-CALL_KIND_EVENT_PUBLISH = "event_publish"
-CALL_KIND_LOCAL = "local"
 
 #: Single-segment wildcard standing in for a URL fragment that is not a
 #: string literal in the source.
@@ -48,80 +52,33 @@ class SourceTree:
     convention: str = SPRING_LIKE
 
 
-@dataclass
-class CallIdioms:
-    """Client-call spellings the extractor recognizes.
-
-    ``template_receivers`` maps a receiver identifier (e.g. ``restTemplate``)
-    to its method-name -> HTTP-method table, where the special value
-    ``EXCHANGE`` means the HTTP method is read from the second argument.
-    ``fluent_receivers`` are builder-style clients (``webClient.get().uri(..)``)
-    and ``target_receivers`` JAX-RS style clients (``client.target(..)``).
-    """
-
-    template_receivers: dict[str, dict[str, str]]
-    fluent_receivers: frozenset[str]
-    target_receivers: frozenset[str]
-    publish_receivers: dict[str, frozenset[str]]
-    subscribe_annotations: dict[str, str]
-
-    def all_client_receivers(self) -> frozenset[str]:
-        return frozenset(
-            set(self.template_receivers)
-            | self.fluent_receivers
-            | self.target_receivers
-            | set(self.publish_receivers)
-        )
-
-
-_REST_TEMPLATE_METHODS = {
-    "getForObject": "GET",
-    "getForEntity": "GET",
-    "postForObject": "POST",
-    "postForEntity": "POST",
-    "put": "PUT",
-    "delete": "DELETE",
-    "exchange": "EXCHANGE",
+#: Client-call spellings the extractor recognizes.  ``restTemplate`` maps
+#: each method name to its HTTP method, where ``EXCHANGE`` means the HTTP
+#: method is read from the second argument; ``webClient`` is a builder-style
+#: client (``webClient.get().uri(..)``) and ``client`` a JAX-RS style one
+#: (``client.target(..)``).
+_TEMPLATE_RECEIVERS = {
+    "restTemplate": {
+        "getForObject": "GET",
+        "getForEntity": "GET",
+        "postForObject": "POST",
+        "postForEntity": "POST",
+        "put": "PUT",
+        "delete": "DELETE",
+        "exchange": "EXCHANGE",
+    },
 }
-
-
-def default_idioms() -> CallIdioms:
-    return CallIdioms(
-        template_receivers={"restTemplate": dict(_REST_TEMPLATE_METHODS)},
-        fluent_receivers=frozenset({"webClient"}),
-        target_receivers=frozenset({"client"}),
-        publish_receivers={
-            "kafkaTemplate": frozenset({"send"}),
-            "rabbitTemplate": frozenset({"convertAndSend"}),
-        },
-        subscribe_annotations={"KafkaListener": "topics", "RabbitListener": "queues"},
-    )
-
-
-def extend_idioms(
-    base: CallIdioms,
-    rest_template_like: list[str] | tuple[str, ...] = (),
-    web_client_like: list[str] | tuple[str, ...] = (),
-    jaxrs_client_like: list[str] | tuple[str, ...] = (),
-    publishers: dict[str, list[str]] | None = None,
-    subscribe_annotations: dict[str, str] | None = None,
-) -> CallIdioms:
-    """Add extra receiver names / annotations from the run configuration."""
-    templates = dict(base.template_receivers)
-    for name in rest_template_like:
-        templates[name] = dict(_REST_TEMPLATE_METHODS)
-    publish = dict(base.publish_receivers)
-    for name, methods in (publishers or {}).items():
-        publish[name] = frozenset(methods)
-    subs = dict(base.subscribe_annotations)
-    subs.update(subscribe_annotations or {})
-    return CallIdioms(
-        template_receivers=templates,
-        fluent_receivers=base.fluent_receivers | frozenset(web_client_like),
-        target_receivers=base.target_receivers | frozenset(jaxrs_client_like),
-        publish_receivers=publish,
-        subscribe_annotations=subs,
-    )
+_FLUENT_RECEIVERS = frozenset({"webClient"})
+_TARGET_RECEIVERS = frozenset({"client"})
+_PUBLISH_RECEIVERS = {
+    "kafkaTemplate": frozenset({"send"}),
+    "rabbitTemplate": frozenset({"convertAndSend"}),
+}
+_CLIENT_RECEIVERS = frozenset(
+    {*_TEMPLATE_RECEIVERS, *_FLUENT_RECEIVERS, *_TARGET_RECEIVERS, *_PUBLISH_RECEIVERS}
+)
+#: Subscribe annotation -> the argument that names its topics.
+SUBSCRIBE_ANNOTATIONS = {"KafkaListener": "topics", "RabbitListener": "queues"}
 
 
 @dataclass
@@ -132,23 +89,6 @@ class ExtractionReport:
     files_skipped: list[tuple[str, str]] = field(default_factory=list)
     nodes_emitted: int = 0
     warnings: list[tuple[str, int, str]] = field(default_factory=list)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "files_scanned": self.files_scanned,
-            "files_skipped": [{"file": f, "reason": r} for f, r in self.files_skipped],
-            "nodes_emitted": self.nodes_emitted,
-            "warnings": [{"file": f, "line": n, "message": m} for f, n, m in self.warnings],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ExtractionReport":
-        return cls(
-            files_scanned=obj.get("files_scanned", 0),
-            files_skipped=[(s["file"], s["reason"]) for s in obj.get("files_skipped", [])],
-            nodes_emitted=obj.get("nodes_emitted", 0),
-            warnings=[(w["file"], w["line"], w["message"]) for w in obj.get("warnings", [])],
-        )
 
 
 # --------------------------------------------------------------------------
@@ -476,193 +416,160 @@ def _read_chain(text: str, start: int) -> list[tuple[str, list[str], int]]:
 _HTTP_ENUM_RE = re.compile(r"(?:[\w$]+\.)*(GET|POST|PUT|DELETE|PATCH|HEAD)")
 
 
-class _RemoteCallScanner:
-    """Finds client-idiom calls in prepared (comment-masked) text."""
+def _receiver_call_re(receivers) -> re.Pattern:
+    """``receiver.method(`` for one of ``receivers``, optionally after ``this.``."""
+    return re.compile(
+        r"(?<![\w.$])(?:this\s*\.\s*)?("
+        + "|".join(re.escape(r) for r in sorted(receivers))
+        + r")\s*\.\s*([A-Za-z_][\w$]*)\s*\("
+    )
 
-    def __init__(self, idioms: CallIdioms):
-        self.idioms = idioms
-        recv = sorted(
-            set(idioms.template_receivers)
-            | set(idioms.fluent_receivers)
-            | set(idioms.target_receivers)
-        )
-        self._head_re = (
-            re.compile(
-                r"(?<![\w.$])(?:this\s*\.\s*)?("
-                + "|".join(re.escape(r) for r in recv)
-                + r")\s*\.\s*([A-Za-z_][\w$]*)\s*\("
-            )
-            if recv
-            else None
-        )
-        pub = sorted(idioms.publish_receivers)
-        self._pub_re = (
-            re.compile(
-                r"(?<![\w.$])(?:this\s*\.\s*)?("
-                + "|".join(re.escape(r) for r in pub)
-                + r")\s*\.\s*([A-Za-z_][\w$]*)\s*\("
-            )
-            if pub
-            else None
-        )
 
-    def find_remote(self, text: str, line_of) -> tuple[list[LaastNode], list[tuple[int, str]]]:
-        """All remote calls in ``text``; warnings as ``(offset, message)``."""
-        calls: list[LaastNode] = []
-        warnings: list[tuple[int, str]] = []
-        if self._head_re is None:
-            return calls, warnings
-        for m in self._head_re.finditer(text):
-            receiver, method = m.group(1), m.group(2)
-            open_idx = m.end() - 1
-            close = _balanced_parens(text, open_idx)
-            if close is None:
+_REMOTE_HEAD_RE = _receiver_call_re({*_TEMPLATE_RECEIVERS, *_FLUENT_RECEIVERS, *_TARGET_RECEIVERS})
+_PUBLISH_HEAD_RE = _receiver_call_re(_PUBLISH_RECEIVERS)
+
+
+def _find_remote(text: str, line_of) -> tuple[list[LaastNode], list[tuple[int, str]]]:
+    """All remote calls in ``text``; warnings as ``(offset, message)``."""
+    calls: list[LaastNode] = []
+    warnings: list[tuple[int, str]] = []
+    for m in _REMOTE_HEAD_RE.finditer(text):
+        receiver, method = m.group(1), m.group(2)
+        open_idx = m.end() - 1
+        close = _balanced_parens(text, open_idx)
+        if close is None:
+            continue
+        args = _split_args(text[open_idx + 1 : close - 1])
+
+        if receiver in _TEMPLATE_RECEIVERS:
+            table = _TEMPLATE_RECEIVERS[receiver]
+            if method not in table or not args:
                 continue
-            args = _split_args(text[open_idx + 1 : close - 1])
-
-            if receiver in self.idioms.template_receivers:
-                table = self.idioms.template_receivers[receiver]
-                if method not in table or not args:
-                    continue
-                http = table[method]
-                template, clean = _url_template_from_expr(args[0])
-                if http == "EXCHANGE":
-                    http = HTTP_UNKNOWN
-                    if len(args) >= 2:
-                        enum = _HTTP_ENUM_RE.fullmatch(args[1])
-                        if enum:
-                            http = enum.group(1)
-                if not clean:
-                    warnings.append(
-                        (m.start(), f"unparseable URL expression in {receiver}.{method}(...)")
-                    )
-                calls.append(
-                    _call_node(
-                        method,
-                        {
-                            CALL_KIND_ATTR: CALL_KIND_REMOTE,
-                            "http_method": http,
-                            "url_template": template,
-                            "arg_count": str(len(args)),
-                        },
-                        SourceSpan("<input>", line_of(m.start()), line_of(close - 1)),
-                    )
-                )
-            elif receiver in self.idioms.fluent_receivers:
-                if method not in ("get", "post", "put", "delete", "patch", "head", "method"):
-                    continue
-                http = method.upper() if method != "method" else HTTP_UNKNOWN
-                if method == "method" and args:
-                    enum = _HTTP_ENUM_RE.fullmatch(args[0])
+            http = table[method]
+            template, clean = _url_template_from_expr(args[0])
+            if http == "EXCHANGE":
+                http = HTTP_UNKNOWN
+                if len(args) >= 2:
+                    enum = _HTTP_ENUM_RE.fullmatch(args[1])
                     if enum:
                         http = enum.group(1)
-                uri_args: list[str] = []
-                body_args: list[str] = []
-                end = close
-                for link, largs, link_end in _read_chain(text, close):
-                    end = link_end
-                    if link == "uri" and not uri_args:
-                        uri_args = largs
-                    elif link in ("body", "bodyValue"):
-                        body_args.extend(largs)
-                if uri_args:
-                    template, clean = _url_template_from_expr(uri_args[0])
-                else:
-                    template, clean = URL_WILDCARD, False
-                if not clean:
-                    warnings.append(
-                        (m.start(), f"unparseable URL expression in {receiver}.{method}() chain")
-                    )
-                calls.append(
-                    _call_node(
-                        method,
-                        {
-                            CALL_KIND_ATTR: CALL_KIND_REMOTE,
-                            "http_method": http,
-                            "url_template": template,
-                            "arg_count": str(len(uri_args) + len(body_args)),
-                        },
-                        SourceSpan("<input>", line_of(m.start()), line_of(end - 1)),
-                    )
+            if not clean:
+                warnings.append(
+                    (m.start(), f"unparseable URL expression in {receiver}.{method}(...)")
                 )
-            elif receiver in self.idioms.target_receivers:
-                if method != "target" or not args:
-                    continue
-                template, clean = _url_template_from_expr(args[0])
-                arg_count = len(args)
-                http = HTTP_UNKNOWN
-                end = close
-                for link, largs, link_end in _read_chain(text, close):
-                    end = link_end
-                    if link == "path" and largs:
-                        part, part_clean = _url_template_from_expr(largs[0])
-                        template = template.rstrip("/") + "/" + part.lstrip("/")
-                        clean = clean and part_clean
-                    elif link in ("get", "post", "put", "delete", "patch"):
-                        http = link.upper()
-                        arg_count += len(largs)
-                if not clean:
-                    warnings.append(
-                        (m.start(), f"unparseable URL expression in {receiver}.target(...) chain")
-                    )
-                calls.append(
-                    _call_node(
-                        "target",
-                        {
-                            CALL_KIND_ATTR: CALL_KIND_REMOTE,
-                            "http_method": http,
-                            "url_template": template,
-                            "arg_count": str(arg_count),
-                        },
-                        SourceSpan("<input>", line_of(m.start()), line_of(end - 1)),
-                    )
-                )
-        return calls, warnings
-
-    def find_publish(self, text: str, line_of) -> tuple[list[LaastNode], list[tuple[int, str]]]:
-        """Event-publish calls (broker client idioms) in ``text``."""
-        calls: list[LaastNode] = []
-        warnings: list[tuple[int, str]] = []
-        if self._pub_re is None:
-            return calls, warnings
-        for m in self._pub_re.finditer(text):
-            receiver, method = m.group(1), m.group(2)
-            if method not in self.idioms.publish_receivers[receiver]:
-                continue
-            open_idx = m.end() - 1
-            close = _balanced_parens(text, open_idx)
-            if close is None:
-                continue
-            args = _split_args(text[open_idx + 1 : close - 1])
-            topic = _unquote(args[0]) if args else None
-            if topic is None:
-                topic = URL_WILDCARD
-                warnings.append((m.start(), f"non-literal topic in {receiver}.{method}(...)"))
             calls.append(
                 _call_node(
                     method,
                     {
-                        CALL_KIND_ATTR: CALL_KIND_EVENT_PUBLISH,
-                        "topic": topic,
+                        CALL_KIND_ATTR: CALL_KIND_REMOTE,
+                        "http_method": http,
+                        "url_template": template,
                         "arg_count": str(len(args)),
                     },
                     SourceSpan("<input>", line_of(m.start()), line_of(close - 1)),
                 )
             )
-        return calls, warnings
+        elif receiver in _FLUENT_RECEIVERS:
+            if method not in ("get", "post", "put", "delete", "patch", "head", "method"):
+                continue
+            http = method.upper() if method != "method" else HTTP_UNKNOWN
+            if method == "method" and args:
+                enum = _HTTP_ENUM_RE.fullmatch(args[0])
+                if enum:
+                    http = enum.group(1)
+            uri_args: list[str] = []
+            body_args: list[str] = []
+            end = close
+            for link, largs, link_end in _read_chain(text, close):
+                end = link_end
+                if link == "uri" and not uri_args:
+                    uri_args = largs
+                elif link in ("body", "bodyValue"):
+                    body_args.extend(largs)
+            if uri_args:
+                template, clean = _url_template_from_expr(uri_args[0])
+            else:
+                template, clean = URL_WILDCARD, False
+            if not clean:
+                warnings.append(
+                    (m.start(), f"unparseable URL expression in {receiver}.{method}() chain")
+                )
+            calls.append(
+                _call_node(
+                    method,
+                    {
+                        CALL_KIND_ATTR: CALL_KIND_REMOTE,
+                        "http_method": http,
+                        "url_template": template,
+                        "arg_count": str(len(uri_args) + len(body_args)),
+                    },
+                    SourceSpan("<input>", line_of(m.start()), line_of(end - 1)),
+                )
+            )
+        elif receiver in _TARGET_RECEIVERS:
+            if method != "target" or not args:
+                continue
+            template, clean = _url_template_from_expr(args[0])
+            arg_count = len(args)
+            http = HTTP_UNKNOWN
+            end = close
+            for link, largs, link_end in _read_chain(text, close):
+                end = link_end
+                if link == "path" and largs:
+                    part, part_clean = _url_template_from_expr(largs[0])
+                    template = template.rstrip("/") + "/" + part.lstrip("/")
+                    clean = clean and part_clean
+                elif link in ("get", "post", "put", "delete", "patch"):
+                    http = link.upper()
+                    arg_count += len(largs)
+            if not clean:
+                warnings.append(
+                    (m.start(), f"unparseable URL expression in {receiver}.target(...) chain")
+                )
+            calls.append(
+                _call_node(
+                    "target",
+                    {
+                        CALL_KIND_ATTR: CALL_KIND_REMOTE,
+                        "http_method": http,
+                        "url_template": template,
+                        "arg_count": str(arg_count),
+                    },
+                    SourceSpan("<input>", line_of(m.start()), line_of(end - 1)),
+                )
+            )
+    return calls, warnings
 
 
-def recognize_remote_call(statement: str, idioms: CallIdioms | None = None) -> LaastNode | None:
-    """Recognize the first conventional remote-call idiom in a statement.
-
-    Returns a Call node carrying ``http_method``, ``url_template`` and
-    ``arg_count`` attributes, or None when the statement holds no recognized
-    client idiom (plain local calls are not remote).
-    """
-    scanner = _RemoteCallScanner(idioms or default_idioms())
-    masked = _mask_comments(statement)
-    calls, _ = scanner.find_remote(masked, lambda pos: 1 + masked.count("\n", 0, pos))
-    return calls[0] if calls else None
+def _find_publish(text: str, line_of) -> tuple[list[LaastNode], list[tuple[int, str]]]:
+    """Event-publish calls (broker client idioms) in ``text``."""
+    calls: list[LaastNode] = []
+    warnings: list[tuple[int, str]] = []
+    for m in _PUBLISH_HEAD_RE.finditer(text):
+        receiver, method = m.group(1), m.group(2)
+        if method not in _PUBLISH_RECEIVERS[receiver]:
+            continue
+        open_idx = m.end() - 1
+        close = _balanced_parens(text, open_idx)
+        if close is None:
+            continue
+        args = _split_args(text[open_idx + 1 : close - 1])
+        topic = _unquote(args[0]) if args else None
+        if topic is None:
+            topic = URL_WILDCARD
+            warnings.append((m.start(), f"non-literal topic in {receiver}.{method}(...)"))
+        calls.append(
+            _call_node(
+                method,
+                {
+                    CALL_KIND_ATTR: CALL_KIND_EVENT_PUBLISH,
+                    "topic": topic,
+                    "arg_count": str(len(args)),
+                },
+                SourceSpan("<input>", line_of(m.start()), line_of(close - 1)),
+            )
+        )
+    return calls, warnings
 
 
 # --------------------------------------------------------------------------
@@ -704,12 +611,11 @@ class _JavaLikeParser:
     sharing their line is still seen.
     """
 
-    def __init__(self, text: str, relpath: str, idioms: CallIdioms):
+    def __init__(self, text: str, relpath: str):
         self.relpath = relpath
         self.text = _mask_comments(text)
         self.struct = _mask_strings(self.text)
         self.warnings: list[tuple[str, int, str]] = []
-        self.scanner = _RemoteCallScanner(idioms)
         self._line_starts = [0]
         for i, ch in enumerate(self.text):
             if ch == "\n":
@@ -1056,22 +962,21 @@ class _JavaLikeParser:
         def line_of(pos: int) -> int:
             return self._line_of(start_off + pos)
 
-        remote, warns = self.scanner.find_remote(body_text, line_of)
+        remote, warns = _find_remote(body_text, line_of)
         for pos, msg in warns:
             self._warn(line_of(pos), msg)
-        publish, warns = self.scanner.find_publish(body_text, line_of)
+        publish, warns = _find_publish(body_text, line_of)
         for pos, msg in warns:
             self._warn(line_of(pos), msg)
         calls = list(remote) + list(publish)
 
-        client_receivers = self.scanner.idioms.all_client_receivers()
         for m in _LOCAL_CALL_RE.finditer(body_struct):
             receiver, callee = m.group(1), m.group(2)
             if receiver == "this":
                 receiver = None
             if callee in _JAVA_KEYWORDS or (receiver and receiver in _JAVA_KEYWORDS):
                 continue
-            if receiver in client_receivers:
+            if receiver in _CLIENT_RECEIVERS:
                 continue
             if body_struct[: m.start()].rstrip().endswith("new"):
                 continue
@@ -1099,7 +1004,7 @@ def _matched_files(root: Path, include_globs: tuple[str, ...]) -> list[Path]:
     return sorted(seen, key=lambda p: p.relative_to(root).as_posix())
 
 
-def extract(tree: SourceTree, idioms: CallIdioms | None = None) -> tuple[LaastNode, ExtractionReport]:
+def extract(tree: SourceTree) -> tuple[LaastNode, ExtractionReport]:
     """Extract one service tree into a language-agnostic tree.
 
     The root is a synthetic CompilationUnit named after the service, holding
@@ -1114,7 +1019,6 @@ def extract(tree: SourceTree, idioms: CallIdioms | None = None) -> tuple[LaastNo
         raise MicroweaveError(f"root_dir {root_dir} does not exist")
     if tree.convention not in CONVENTIONS:
         raise MicroweaveError(f"unknown convention {tree.convention!r}")
-    idioms = idioms or default_idioms()
     globs = tuple(tree.include_globs)
     if tree.convention == LAAST_PASSTHROUGH and globs == DEFAULT_INCLUDE_GLOBS:
         globs = PASSTHROUGH_INCLUDE_GLOBS
@@ -1143,7 +1047,7 @@ def extract(tree: SourceTree, idioms: CallIdioms | None = None) -> tuple[LaastNo
                 report.files_skipped.append((rel, f"not utf-8: {exc}"))
                 report.warnings.append((rel, 0, f"skipped: not utf-8: {exc}"))
                 continue
-            parser = _JavaLikeParser(text, rel, idioms)
+            parser = _JavaLikeParser(text, rel)
             root.children.append(parser.parse())
             report.warnings.extend(parser.warnings)
         report.files_scanned += 1

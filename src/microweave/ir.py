@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
 from microweave.errors import DuplicateServiceError, MalformedDocument, SchemaViolation
 from microweave.frontend import ExtractionReport
@@ -139,89 +140,164 @@ def derive_data_model(ir: ServiceIr) -> DataModel:
 
 # --------------------------------------------------------------------------
 # serialization
+#
+# Each record type has one field table: the JSON keys in their canonical
+# order, each with the codec of its value.  The writer and the strict reader
+# both walk these tables, so a key's name, order and type are stated once.
 
 
-def _span_obj(span: SourceSpan) -> dict:
-    return {"file": span.file, "line_start": span.line_start, "line_end": span.line_end}
+class _Codec(NamedTuple):
+    dump: Callable[[Any], Any]
+    #: ``load(obj, path)`` checks one parsed JSON value and rebuilds it;
+    #: a violation raises SchemaViolation naming ``path``.
+    load: Callable[[Any, str], Any]
 
 
-def _sig_obj(sig: MethodSig) -> dict:
-    return {
-        "name": sig.name,
-        "params": [{"name": n, "declared_type": t} for n, t in sig.params],
-        "return_type": sig.return_type,
-        "annotations": [{"name": n, "args": dict(a)} for n, a in sig.annotations],
-    }
+def _scalar(check: Callable[[Any], bool], what: str) -> _Codec:
+    def load(obj, path):
+        if not check(obj):
+            raise SchemaViolation(f"expected {what}", path=path)
+        return obj
+
+    return _Codec(lambda value: value, load)
 
 
-def _component_obj(c: Component) -> dict:
-    return {
-        "role": c.role,
-        "name": c.name,
-        "service": c.service,
-        "fields": [{"name": n, "declared_type": t} for n, t in c.fields],
-        "methods": [_sig_obj(m) for m in c.methods],
-        "annotations": [{"name": n, "args": dict(a)} for n, a in c.annotations],
-        "span": _span_obj(c.span),
-    }
+_STR = _scalar(lambda v: isinstance(v, str), "a string")
+_INT = _scalar(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
 
 
-def _endpoint_obj(e: Endpoint) -> dict:
-    return {
-        "owner": e.owner,
-        "service": e.service,
-        "http_method": e.http_method,
-        "url_templates": list(e.url_templates),
-        "params": [{"name": n, "kind": k, "declared_type": t} for n, k, t in e.params],
-        "handler": _sig_obj(e.handler),
-        "span": _span_obj(e.span),
-    }
+def _load_str_map(obj, path: str) -> dict[str, str]:
+    if not isinstance(obj, dict):
+        raise SchemaViolation("expected an object", path=path)
+    for key, value in obj.items():
+        _STR.load(value, f"{path}.{key}")
+    return dict(obj)
 
 
-def _remote_call_obj(c: RemoteCall) -> dict:
-    return {
-        "caller_service": c.caller_service,
-        "caller_component": c.caller_component,
-        "caller_method": c.caller_method,
-        "http_method": c.http_method,
-        "url_template": c.url_template,
-        "arg_count": c.arg_count,
-        "span": _span_obj(c.span),
-    }
+_STR_MAP = _Codec(dict, _load_str_map)
 
 
-def _event_op_obj(e: EventOp) -> dict:
-    return {
-        "direction": e.direction,
-        "topic": e.topic,
-        "service": e.service,
-        "component": e.component,
-        "method": e.method,
-        "span": _span_obj(e.span),
-    }
+def _array(item: _Codec) -> _Codec:
+    def load(obj, path):
+        if not isinstance(obj, list):
+            raise SchemaViolation("expected an array", path=path)
+        return [item.load(value, f"{path}[{i}]") for i, value in enumerate(obj)]
+
+    return _Codec(lambda values: [item.dump(v) for v in values], load)
+
+
+def _load_fields(fields: tuple[tuple[str, _Codec], ...], obj, path: str) -> list:
+    """The values of an object that has exactly the table's keys, read in
+    table order."""
+    if not isinstance(obj, dict):
+        raise SchemaViolation("expected an object", path=path)
+    for key, _codec in fields:
+        if key not in obj:
+            raise SchemaViolation(f"missing key {key!r}", path=path)
+    if len(obj) != len(fields):
+        known = {key for key, _codec in fields}
+        extra = next(key for key in obj if key not in known)
+        raise SchemaViolation(f"unknown key {extra!r}", path=path)
+    return [codec.load(obj[key], f"{path}.{key}") for key, codec in fields]
+
+
+def _record(cls, *fields: tuple[str, _Codec]) -> _Codec:
+    """A dataclass whose attributes are named like its JSON keys."""
+
+    def dump(value):
+        return {key: codec.dump(getattr(value, key)) for key, codec in fields}
+
+    def load(obj, path):
+        values = _load_fields(fields, obj, path)
+        return cls(**{key: v for (key, _codec), v in zip(fields, values)})
+
+    return _Codec(dump, load)
+
+
+def _row(*fields: tuple[str, _Codec]) -> _Codec:
+    """A tuple written as an object, one key per position."""
+
+    def dump(value):
+        return {key: codec.dump(v) for (key, codec), v in zip(fields, value)}
+
+    return _Codec(dump, lambda obj, path: tuple(_load_fields(fields, obj, path)))
+
+
+_SPAN = _record(SourceSpan, ("file", _STR), ("line_start", _INT), ("line_end", _INT))
+_NAME_TYPE = _row(("name", _STR), ("declared_type", _STR))
+_ANNOTATIONS = _array(_row(("name", _STR), ("args", _STR_MAP)))
+_SIG = _record(
+    MethodSig,
+    ("name", _STR),
+    ("params", _array(_NAME_TYPE)),
+    ("return_type", _STR),
+    ("annotations", _ANNOTATIONS),
+)
+_COMPONENT = _record(
+    Component,
+    ("role", _STR),
+    ("name", _STR),
+    ("service", _STR),
+    ("fields", _array(_NAME_TYPE)),
+    ("methods", _array(_SIG)),
+    ("annotations", _ANNOTATIONS),
+    ("span", _SPAN),
+)
+_ENDPOINT = _record(
+    Endpoint,
+    ("owner", _STR),
+    ("service", _STR),
+    ("http_method", _STR),
+    ("url_templates", _array(_STR)),
+    ("params", _array(_row(("name", _STR), ("kind", _STR), ("declared_type", _STR)))),
+    ("handler", _SIG),
+    ("span", _SPAN),
+)
+_REMOTE_CALL = _record(
+    RemoteCall,
+    ("caller_service", _STR),
+    ("caller_component", _STR),
+    ("caller_method", _STR),
+    ("http_method", _STR),
+    ("url_template", _STR),
+    ("arg_count", _INT),
+    ("span", _SPAN),
+)
+_EVENT_OP = _record(
+    EventOp,
+    ("direction", _STR),
+    ("topic", _STR),
+    ("service", _STR),
+    ("component", _STR),
+    ("method", _STR),
+    ("span", _SPAN),
+)
+_METHOD_REF = _row(("component", _STR), ("method", _STR))
+_PLAIN_TYPE = _record(PlainType, ("name", _STR), ("service", _STR), ("span", _SPAN))
+_WARNINGS = _array(_row(("file", _STR), ("line", _INT), ("message", _STR)))
+_REPORT = _record(
+    ExtractionReport,
+    ("files_scanned", _INT),
+    ("files_skipped", _array(_row(("file", _STR), ("reason", _STR)))),
+    ("nodes_emitted", _INT),
+    ("warnings", _WARNINGS),
+)
+_SERVICE_IR = _record(
+    ServiceIr,
+    ("service_name", _STR),
+    ("components", _array(_COMPONENT)),
+    ("endpoints", _array(_ENDPOINT)),
+    ("remote_calls", _array(_REMOTE_CALL)),
+    ("event_ops", _array(_EVENT_OP)),
+    ("internal_calls", _array(_row(("caller", _METHOD_REF), ("callee", _METHOD_REF)))),
+    ("plain_types", _array(_PLAIN_TYPE)),
+    ("extraction_report", _REPORT),
+    ("warnings", _WARNINGS),
+)
 
 
 def ir_to_json_obj(ir: ServiceIr) -> dict:
-    return {
-        "service_name": ir.service_name,
-        "components": [_component_obj(c) for c in ir.components],
-        "endpoints": [_endpoint_obj(e) for e in ir.endpoints],
-        "remote_calls": [_remote_call_obj(c) for c in ir.remote_calls],
-        "event_ops": [_event_op_obj(e) for e in ir.event_ops],
-        "internal_calls": [
-            {
-                "caller": {"component": cc, "method": cm},
-                "callee": {"component": ec, "method": em},
-            }
-            for (cc, cm), (ec, em) in ir.internal_calls
-        ],
-        "plain_types": [
-            {"name": t.name, "service": t.service, "span": _span_obj(t.span)}
-            for t in ir.plain_types
-        ],
-        "extraction_report": ir.extraction_report.to_json_obj(),
-        "warnings": [{"file": f, "line": n, "message": m} for f, n, m in ir.warnings],
-    }
+    return _SERVICE_IR.dump(ir)
 
 
 def save_service_ir(ir: ServiceIr) -> bytes:
@@ -229,96 +305,10 @@ def save_service_ir(ir: ServiceIr) -> bytes:
     return canonical_bytes(ir_to_json_obj(ir))
 
 
-class _Reader:
-    """Strict JSON unpacking that names the offending path on violation."""
-
-    def __init__(self, obj, path: str = "$"):
-        self.obj = obj
-        self.path = path
-
-    def fail(self, message: str):
-        raise SchemaViolation(message, path=self.path)
-
-    def child(self, key):
-        return _Reader(self.obj[key], f"{self.path}.{key}")
-
-    def item(self, idx):
-        return _Reader(self.obj[idx], f"{self.path}[{idx}]")
-
-    def require(self, keys: tuple[str, ...]) -> None:
-        if not isinstance(self.obj, dict):
-            self.fail("expected an object")
-        missing = [k for k in keys if k not in self.obj]
-        if missing:
-            self.fail(f"missing key {missing[0]!r}")
-        extra = [k for k in self.obj if k not in keys]
-        if extra:
-            self.fail(f"unknown key {extra[0]!r}")
-
-    def string(self, key: str) -> str:
-        value = self.obj.get(key)
-        if not isinstance(value, str):
-            _Reader(value, f"{self.path}.{key}").fail("expected a string")
-        return value
-
-    def integer(self, key: str) -> int:
-        value = self.obj.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            _Reader(value, f"{self.path}.{key}").fail("expected an integer")
-        return value
-
-    def array(self, key: str) -> "_Reader":
-        value = self.obj.get(key)
-        if not isinstance(value, list):
-            _Reader(value, f"{self.path}.{key}").fail("expected an array")
-        return _Reader(value, f"{self.path}.{key}")
-
-
-def _read_span(r: _Reader) -> SourceSpan:
-    r.require(("file", "line_start", "line_end"))
-    return SourceSpan(
-        file=r.string("file"),
-        line_start=r.integer("line_start"),
-        line_end=r.integer("line_end"),
-    )
-
-
-def _read_str_map(r: _Reader) -> dict[str, str]:
-    if not isinstance(r.obj, dict):
-        r.fail("expected an object")
-    for k, v in r.obj.items():
-        if not isinstance(v, str):
-            _Reader(v, f"{r.path}.{k}").fail("expected a string")
-    return dict(r.obj)
-
-
-def _read_annotations(r: _Reader) -> list[tuple[str, dict[str, str]]]:
-    out = []
-    for i in range(len(r.obj)):
-        item = r.item(i)
-        item.require(("name", "args"))
-        out.append((item.string("name"), _read_str_map(item.child("args"))))
-    return out
-
-
-def _read_sig(r: _Reader) -> MethodSig:
-    r.require(("name", "params", "return_type", "annotations"))
-    params = []
-    params_r = r.array("params")
-    for i in range(len(params_r.obj)):
-        item = params_r.item(i)
-        item.require(("name", "declared_type"))
-        params.append((item.string("name"), item.string("declared_type")))
-    return MethodSig(
-        name=r.string("name"),
-        params=params,
-        return_type=r.string("return_type"),
-        annotations=_read_annotations(r.array("annotations")),
-    )
-
-
 def load_service_ir(data: bytes | str) -> ServiceIr:
-    """Parse and validate `.ir.json` bytes back into a ServiceIr."""
+    """Parse and validate `.ir.json` bytes back into a ServiceIr.  Where a
+    document breaks the schema in several places, the first in key order is
+    reported."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -328,173 +318,4 @@ def load_service_ir(data: bytes | str) -> ServiceIr:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from None
-
-    root = _Reader(obj)
-    root.require(
-        (
-            "service_name",
-            "components",
-            "endpoints",
-            "remote_calls",
-            "event_ops",
-            "internal_calls",
-            "plain_types",
-            "extraction_report",
-            "warnings",
-        )
-    )
-    ir = ServiceIr(service_name=root.string("service_name"))
-
-    comps = root.array("components")
-    for i in range(len(comps.obj)):
-        r = comps.item(i)
-        r.require(("role", "name", "service", "fields", "methods", "annotations", "span"))
-        fields = []
-        fields_r = r.array("fields")
-        for j in range(len(fields_r.obj)):
-            item = fields_r.item(j)
-            item.require(("name", "declared_type"))
-            fields.append((item.string("name"), item.string("declared_type")))
-        methods_r = r.array("methods")
-        ir.components.append(
-            Component(
-                role=r.string("role"),
-                name=r.string("name"),
-                service=r.string("service"),
-                fields=fields,
-                methods=[_read_sig(methods_r.item(j)) for j in range(len(methods_r.obj))],
-                annotations=_read_annotations(r.array("annotations")),
-                span=_read_span(r.child("span")),
-            )
-        )
-
-    eps = root.array("endpoints")
-    for i in range(len(eps.obj)):
-        r = eps.item(i)
-        r.require(("owner", "service", "http_method", "url_templates", "params", "handler", "span"))
-        templates_r = r.array("url_templates")
-        templates = []
-        for j in range(len(templates_r.obj)):
-            value = templates_r.obj[j]
-            if not isinstance(value, str):
-                templates_r.item(j).fail("expected a string")
-            templates.append(value)
-        params = []
-        params_r = r.array("params")
-        for j in range(len(params_r.obj)):
-            item = params_r.item(j)
-            item.require(("name", "kind", "declared_type"))
-            params.append(
-                (item.string("name"), item.string("kind"), item.string("declared_type"))
-            )
-        ir.endpoints.append(
-            Endpoint(
-                owner=r.string("owner"),
-                service=r.string("service"),
-                http_method=r.string("http_method"),
-                url_templates=templates,
-                params=params,
-                handler=_read_sig(r.child("handler")),
-                span=_read_span(r.child("span")),
-            )
-        )
-
-    calls = root.array("remote_calls")
-    for i in range(len(calls.obj)):
-        r = calls.item(i)
-        r.require(
-            (
-                "caller_service",
-                "caller_component",
-                "caller_method",
-                "http_method",
-                "url_template",
-                "arg_count",
-                "span",
-            )
-        )
-        ir.remote_calls.append(
-            RemoteCall(
-                caller_service=r.string("caller_service"),
-                caller_component=r.string("caller_component"),
-                caller_method=r.string("caller_method"),
-                http_method=r.string("http_method"),
-                url_template=r.string("url_template"),
-                arg_count=r.integer("arg_count"),
-                span=_read_span(r.child("span")),
-            )
-        )
-
-    events = root.array("event_ops")
-    for i in range(len(events.obj)):
-        r = events.item(i)
-        r.require(("direction", "topic", "service", "component", "method", "span"))
-        ir.event_ops.append(
-            EventOp(
-                direction=r.string("direction"),
-                topic=r.string("topic"),
-                service=r.string("service"),
-                component=r.string("component"),
-                method=r.string("method"),
-                span=_read_span(r.child("span")),
-            )
-        )
-
-    internal = root.array("internal_calls")
-    for i in range(len(internal.obj)):
-        r = internal.item(i)
-        r.require(("caller", "callee"))
-        caller = r.child("caller")
-        caller.require(("component", "method"))
-        callee = r.child("callee")
-        callee.require(("component", "method"))
-        ir.internal_calls.append(
-            (
-                (caller.string("component"), caller.string("method")),
-                (callee.string("component"), callee.string("method")),
-            )
-        )
-
-    plains = root.array("plain_types")
-    for i in range(len(plains.obj)):
-        r = plains.item(i)
-        r.require(("name", "service", "span"))
-        ir.plain_types.append(
-            PlainType(
-                name=r.string("name"),
-                service=r.string("service"),
-                span=_read_span(r.child("span")),
-            )
-        )
-
-    report = root.child("extraction_report")
-    report.require(("files_scanned", "files_skipped", "nodes_emitted", "warnings"))
-    skipped = []
-    skipped_r = report.array("files_skipped")
-    for i in range(len(skipped_r.obj)):
-        item = skipped_r.item(i)
-        item.require(("file", "reason"))
-        skipped.append((item.string("file"), item.string("reason")))
-    report_warnings = []
-    rw = report.array("warnings")
-    for i in range(len(rw.obj)):
-        item = rw.item(i)
-        item.require(("file", "line", "message"))
-        report_warnings.append(
-            (item.string("file"), item.integer("line"), item.string("message"))
-        )
-    ir.extraction_report = ExtractionReport(
-        files_scanned=report.integer("files_scanned"),
-        files_skipped=skipped,
-        nodes_emitted=report.integer("nodes_emitted"),
-        warnings=report_warnings,
-    )
-
-    warns = root.array("warnings")
-    for i in range(len(warns.obj)):
-        item = warns.item(i)
-        item.require(("file", "line", "message"))
-        ir.warnings.append(
-            (item.string("file"), item.integer("line"), item.string("message"))
-        )
-    return ir
+    return _SERVICE_IR.load(obj, "$")

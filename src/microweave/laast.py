@@ -44,6 +44,12 @@ LEAF_KINDS = frozenset({NodeKind.LITERAL, NodeKind.TYPE_REF})
 
 _KIND_BY_VALUE = {k.value: k for k in NodeKind}
 
+#: Call-node attribute telling later stages what a Call represents.
+CALL_KIND_ATTR = "call_kind"
+CALL_KIND_REMOTE = "remote"
+CALL_KIND_EVENT_PUBLISH = "event_publish"
+CALL_KIND_LOCAL = "local"
+
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -141,6 +147,10 @@ def _validate_node(obj: object, path: str) -> LaastNode:
             if not isinstance(value, str):
                 raise _fail(f"attribute {key!r} must map to a string", path)
             attributes[key] = value
+    if kind == NodeKind.CALL and attributes.get(CALL_KIND_ATTR) == CALL_KIND_REMOTE:
+        arg_count = attributes.get("arg_count", "0")
+        if not (arg_count.isascii() and arg_count.isdigit()):
+            raise _fail("attribute 'arg_count' of a remote call must be a decimal integer", path)
 
     span = _validate_span(obj["span"], path) if "span" in obj else None
 
@@ -155,30 +165,6 @@ def _validate_node(obj: object, path: str) -> LaastNode:
             children.append(_validate_node(child, f"{path}.children[{i}]"))
 
     return LaastNode(kind=kind, name=name, attributes=attributes, children=children, span=span)
-
-
-def validate_tree(root: LaastNode, path: str = "$") -> None:
-    """Check all node invariants on an in-memory tree.
-
-    Raises :class:`SchemaViolation` naming the offending path.  Loading
-    always validates; call this directly when a tree is built by hand.
-    """
-    if not isinstance(root.kind, NodeKind):
-        raise _fail(f"unknown node kind {root.kind!r}", path)
-    if root.name is not None and not isinstance(root.name, str):
-        raise _fail("'name' must be a string when present", path)
-    for key, value in root.attributes.items():
-        if not isinstance(key, str) or not isinstance(value, str):
-            raise _fail(f"attribute {key!r} must map string to string", path)
-    if root.span is not None:
-        _validate_span(
-            {"file": root.span.file, "line_start": root.span.line_start, "line_end": root.span.line_end},
-            path,
-        )
-    if root.kind in LEAF_KINDS and root.children:
-        raise _fail(f"leaf kind {root.kind.value} must not have children", path)
-    for i, child in enumerate(root.children):
-        validate_tree(child, f"{path}.children[{i}]")
 
 
 def load_laast(document: bytes | str) -> LaastNode:
@@ -246,9 +232,3 @@ def walk(root: LaastNode, visitor: Callable[[LaastNode, tuple[LaastNode, ...]], 
             stack.append((child, child_path))
     return count
 
-
-def iter_nodes(root: LaastNode):
-    """Yield ``(node, ancestor_path)`` pairs in pre-order."""
-    out: list[tuple[LaastNode, tuple[LaastNode, ...]]] = []
-    walk(root, lambda n, p: out.append((n, p)))
-    return iter(out)

@@ -13,18 +13,16 @@ import re
 from dataclasses import dataclass, field
 
 from microweave.errors import MicroweaveError
-from microweave.frontend import (
+from microweave.frontend import JAXRS_LIKE, SPRING_LIKE, SUBSCRIBE_ANNOTATIONS, URL_WILDCARD
+from microweave.laast import (
     CALL_KIND_ATTR,
     CALL_KIND_EVENT_PUBLISH,
     CALL_KIND_LOCAL,
     CALL_KIND_REMOTE,
-    JAXRS_LIKE,
-    SPRING_LIKE,
-    URL_WILDCARD,
-    CallIdioms,
-    default_idioms,
+    LaastNode,
+    NodeKind,
+    SourceSpan,
 )
-from microweave.laast import LaastNode, NodeKind, SourceSpan
 
 ROLE_ENTITY = "Entity"
 ROLE_REPOSITORY = "Repository"
@@ -310,7 +308,6 @@ def run_matchers(
     ruleset: list[MatcherRule],
     service: str,
     convention: str = SPRING_LIKE,
-    idioms: CallIdioms | None = None,
 ) -> MatcherOutput:
     """Classify every TypeDecl and lift endpoints, remote calls, and event
     operations from the classified components.
@@ -319,7 +316,6 @@ def run_matchers(
     variables, missing topics) become warnings on the output, never errors.
     """
     validate_ruleset(ruleset)
-    idioms = idioms or default_idioms()
     out = MatcherOutput()
 
     type_nodes: list[LaastNode] = []
@@ -359,7 +355,7 @@ def run_matchers(
             m_span = method_node.span or span
             if component.role == ROLE_CONTROLLER:
                 _lift_endpoints(out, component, method_node, prefixes, convention, m_span)
-            _lift_calls(out, component, method_node, idioms)
+            _lift_calls(out, component, method_node)
         out.warnings.extend(_unbound_variable_warnings(out.endpoints, component))
 
     out.components.sort(key=lambda c: (c.span.file, c.span.line_start, c.name))
@@ -409,14 +405,12 @@ def _lift_endpoints(
         )
 
 
-def _lift_calls(
-    out: MatcherOutput, component: Component, method_node: LaastNode, idioms: CallIdioms
-) -> None:
+def _lift_calls(out: MatcherOutput, component: Component, method_node: LaastNode) -> None:
     method_name = method_node.name or ""
     for ann in method_node.children:
         if ann.kind != NodeKind.ANNOTATION:
             continue
-        topic_key = idioms.subscribe_annotations.get(ann.name or "")
+        topic_key = SUBSCRIBE_ANNOTATIONS.get(ann.name or "")
         if topic_key is None:
             continue
         raw = ann.attributes.get(topic_key, ann.attributes.get("value", ""))

@@ -2,18 +2,15 @@
 
 The run configuration is a UTF-8 JSON file.  Relative paths resolve
 against the config file's directory.  ``run`` executes extraction and
-matching per service (in a worker pool), weaves the system model,
-analyzes it, and writes every output atomically into the output
-directory.
+matching per service, weaves the system model, analyzes it, and writes
+every output atomically into the output directory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,10 +75,27 @@ class RunConfig:
     digest: str = ""
 
 
+_CONFIG_KEYS = (
+    "services", "root", "taxonomy_path", "compose_paths", "thresholds", "ruleset", "checks",
+    "output_dir",
+)
+_SERVICE_KEYS = ("name", "root_dir", "include_globs", "convention")
+_THRESHOLD_KEYS = ("tau", "tau_f", "theta")
+_CHECK_KEYS = ("disable", "severity")
+_RULE_KEYS = ("role", "annotations", "suffixes", "priority")
+
+
 def _require_type(value, types, field_name: str, what: str):
     if not isinstance(value, types):
         raise ConfigError(f"{field_name} must be {what}", field=field_name)
     return value
+
+
+def _reject_unknown_keys(raw: dict, known: tuple[str, ...], prefix: str) -> None:
+    """``prefix`` is the enclosing field with its trailing dot, or empty."""
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}: unknown field", field=f"{prefix}{key}")
 
 
 def _discover_services(root: Path) -> list[dict]:
@@ -103,6 +117,7 @@ def _discover_services(root: Path) -> list[dict]:
 def _parse_service(entry, index: int, base: Path) -> ServiceSpec:
     field_name = f"services[{index}]"
     _require_type(entry, dict, field_name, "an object")
+    _reject_unknown_keys(entry, _SERVICE_KEYS, f"{field_name}.")
     name = entry.get("name")
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{field_name}.name must be a non-empty string",
@@ -147,6 +162,7 @@ def _parse_threshold(raw: dict, key: str, default: float) -> float:
 
 def _parse_checks(raw) -> tuple[frozenset[str], dict[str, str]]:
     _require_type(raw, dict, "checks", "an object")
+    _reject_unknown_keys(raw, _CHECK_KEYS, "checks.")
     disabled = raw.get("disable", [])
     _require_type(disabled, list, "checks.disable", "an array of rule ids")
     for i, rule_id in enumerate(disabled):
@@ -178,12 +194,13 @@ def _parse_ruleset(raw) -> list[MatcherRule]:
     for i, entry in enumerate(raw):
         field_name = f"ruleset[{i}]"
         _require_type(entry, dict, field_name, "an object")
+        _reject_unknown_keys(entry, _RULE_KEYS, f"{field_name}.")
         try:
             rules.append(
                 MatcherRule(
-                    component_role=entry.get("component_role", ""),
-                    annotation_names=tuple(entry.get("annotation_names", [])),
-                    name_suffixes=tuple(entry.get("name_suffixes", [])),
+                    component_role=entry.get("role", ""),
+                    annotation_names=tuple(entry.get("annotations", [])),
+                    name_suffixes=tuple(entry.get("suffixes", [])),
                     priority=int(entry.get("priority", 0)),
                 )
             )
@@ -229,6 +246,7 @@ def load_config(
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}", field="config") from None
     _require_type(raw, dict, "config", "a JSON object")
+    _reject_unknown_keys(raw, _CONFIG_KEYS, "")
     base = path.parent.resolve()
 
     raw_services = raw.get("services", "auto")
@@ -285,6 +303,7 @@ def load_config(
 
     thresholds = raw.get("thresholds", {})
     _require_type(thresholds, dict, "thresholds", "an object")
+    _reject_unknown_keys(thresholds, _THRESHOLD_KEYS, "thresholds.")
 
     disabled, overrides = _parse_checks(raw.get("checks", {}))
     ruleset = _parse_ruleset(raw["ruleset"]) if raw.get("ruleset") is not None else None
@@ -314,20 +333,7 @@ def load_config(
     )
 
 
-def _extract_one(spec: ServiceSpec):
-    tree = SourceTree(
-        service_name=spec.name,
-        root_dir=spec.root_dir,
-        include_globs=spec.include_globs,
-        convention=spec.convention,
-    )
-    root, report = extract(tree)
-    return spec, root, report
-
-
-def build_system(
-    config: RunConfig, jobs: int | None = None, log=None
-) -> tuple[SystemIr, dict[str, bytes]]:
+def build_system(config: RunConfig, log=None) -> tuple[SystemIr, dict[str, bytes]]:
     """Extract, match, and weave per ``config``; no files are written.
 
     Returns the woven system plus each service's serialized syntax tree
@@ -337,14 +343,18 @@ def build_system(
     def progress(message: str):
         print(f"[analyze] {message}", file=log)
 
-    workers = jobs or os.cpu_count() or 1
-    progress(f"extracting {len(config.services)} service(s) with {workers} worker(s)")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        extracted = list(pool.map(_extract_one, config.services))
-
+    progress(f"extracting {len(config.services)} service(s)")
     irs = []
     laast_blobs = {}
-    for spec, root, report in extracted:
+    for spec in config.services:
+        root, report = extract(
+            SourceTree(
+                service_name=spec.name,
+                root_dir=spec.root_dir,
+                include_globs=spec.include_globs,
+                convention=spec.convention,
+            )
+        )
         progress(
             f"{spec.name}: {report.files_scanned} file(s) scanned, "
             f"{len(report.warnings)} extraction warning(s)"
@@ -379,12 +389,7 @@ def build_system(
     return system, laast_blobs
 
 
-def run(
-    config: RunConfig,
-    jobs: int | None = None,
-    formats: set[str] | None = None,
-    log=None,
-) -> int:
+def run(config: RunConfig, formats: set[str] | None = None, log=None) -> int:
     """Execute the pipeline and return the exit status: 0 no findings,
     1 findings without errors, 2 errors present (3, tool failure, is
     raised as an exception and mapped by the command-line wrapper)."""
@@ -394,7 +399,7 @@ def run(
     def progress(message: str):
         print(f"[analyze] {message}", file=log)
 
-    system, laast_blobs = build_system(config, jobs=jobs, log=log)
+    system, laast_blobs = build_system(config, log=log)
     settings = CheckSettings(
         disabled_rules=config.disabled_rules,
         severity_overrides=config.severity_overrides,

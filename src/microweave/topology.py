@@ -1,9 +1,9 @@
 """Service inventory and declared dependencies from compose-style files.
 
 The parser covers the compose subset that carries topology signal: service
-keys, images, ``depends_on``, ``links``, ``environment`` URLs, published
-ports, and network aliases.  Everything else is ignored.  The resulting
-model feeds two consumers: host-token resolution for call matching, and the
+keys, images, ``depends_on``, ``links``, ``environment`` URLs, and network
+aliases.  Everything else is ignored.  The resulting model feeds two
+consumers: host-token resolution for call matching, and the
 declared-vs-inferred topology cross-check.
 """
 
@@ -30,7 +30,6 @@ class TopologyService:
     name: str
     image: str = ""
     aliases: list[str] = field(default_factory=list)
-    published_ports: list[str] = field(default_factory=list)
     env: dict[str, str] = field(default_factory=dict)
 
 
@@ -79,21 +78,6 @@ def _dependency_names(raw) -> list[str]:
 
 def _link_target(entry: str) -> str:
     return entry.split(":", 1)[0]
-
-
-def _published_ports(raw) -> list[str]:
-    ports: list[str] = []
-    if not isinstance(raw, list):
-        return ports
-    for entry in raw:
-        if isinstance(entry, dict):
-            published = entry.get("published", entry.get("target"))
-            if published is not None:
-                ports.append(_as_str(published))
-            continue
-        text = _as_str(entry)
-        ports.append(text.rsplit(":", 1)[0].split(":")[0] if ":" in text else text)
-    return ports
 
 
 def _network_aliases(raw) -> list[str]:
@@ -164,7 +148,6 @@ def parse_compose(data: bytes | str, source: str = "<compose>") -> TopologyModel
             name=_as_str(name),
             image=_as_str(body.get("image", "")),
             aliases=sorted(set(_network_aliases(body.get("networks")))),
-            published_ports=_published_ports(body.get("ports")),
             env=dict(sorted(_env_map(body.get("environment")).items())),
         )
 
@@ -199,7 +182,7 @@ def load_compose_file(path: str | Path) -> TopologyModel:
 def merge_topologies(models: list[TopologyModel]) -> TopologyModel:
     """Union several parsed compose files into one model, deterministically.
 
-    Same-named services merge their aliases/ports/env; the first file's
+    Same-named services merge their aliases and env; the first file's
     image wins, with a warning when a later file disagrees.
     """
     merged: dict[str, TopologyService] = {}
@@ -216,7 +199,6 @@ def merge_topologies(models: list[TopologyModel]) -> TopologyModel:
                     name=svc.name,
                     image=svc.image,
                     aliases=list(svc.aliases),
-                    published_ports=list(svc.published_ports),
                     env=dict(svc.env),
                 )
                 continue
@@ -229,9 +211,6 @@ def merge_topologies(models: list[TopologyModel]) -> TopologyModel:
             elif svc.image and not seen.image:
                 seen.image = svc.image
             seen.aliases = sorted(set(seen.aliases) | set(svc.aliases))
-            for port in svc.published_ports:
-                if port not in seen.published_ports:
-                    seen.published_ports.append(port)
             for key, value in svc.env.items():
                 seen.env.setdefault(key, value)
             seen.env = dict(sorted(seen.env.items()))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -63,9 +64,9 @@ def test_fixing_the_dangling_call_downgrades_exit(shop, capsys):
     assert rules == ["W01"]
 
 
-def _write_project(tmp_path, services, conventions=None):
+def _write_project(tmp_path, services, conventions=None, **config_fields):
     """Write each service's files under tmp_path/<name> plus a config that
-    lists them; returns the config path."""
+    lists them and holds ``config_fields``; returns the config path."""
     conventions = conventions or {}
     entries = []
     for name, files in services.items():
@@ -78,12 +79,11 @@ def _write_project(tmp_path, services, conventions=None):
             entry["convention"] = conventions[name]
         entries.append(entry)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"services": entries}), encoding="utf-8")
+    config.write_text(json.dumps({"services": entries, **config_fields}), encoding="utf-8")
     return config
 
 
-def test_clean_pair_exits_zero(tmp_path, capsys):
-    client = """
+_CLIENT = """
 @Service
 public class SyncService {
     private final RestTemplate restTemplate;
@@ -93,7 +93,8 @@ public class SyncService {
     }
 }
 """
-    controller = """
+
+_CONTROLLER = """
 @RestController
 @RequestMapping("/api/items")
 public class ItemController {
@@ -103,8 +104,11 @@ public class ItemController {
     }
 }
 """
+
+
+def test_clean_pair_exits_zero(tmp_path, capsys):
     config = _write_project(
-        tmp_path, {"alpha": {"src/Client.java": client}, "beta": {"src/Ctl.java": controller}}
+        tmp_path, {"alpha": {"src/Client.java": _CLIENT}, "beta": {"src/Ctl.java": _CONTROLLER}}
     )
     code = _run("--config", str(config))
     capsys.readouterr()
@@ -168,13 +172,6 @@ def test_unknown_format_is_tool_failure(shop, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "format" in captured.err
-
-
-def test_jobs_must_be_positive(shop, capsys):
-    code = _run("--config", str(shop / "config.json"), "--jobs", "0")
-    captured = capsys.readouterr()
-    assert code == 3
-    assert "--jobs" in captured.err
 
 
 def test_out_override_redirects_outputs(shop, tmp_path, capsys):
@@ -280,7 +277,7 @@ def test_two_identical_calls_on_one_line_get_one_w02_each(tmp_path, capsys):
     assert len(system["comm_edges"]) == 4
 
 
-def test_internal_fault_exits_3_with_one_line(tmp_path, capsys):
+def test_bad_arg_count_in_passthrough_document_is_skipped(tmp_path, capsys):
     from microweave.frontend import SourceTree, extract
     from microweave.laast import save_laast
 
@@ -296,12 +293,49 @@ def test_internal_fault_exits_3_with_one_line(tmp_path, capsys):
         conventions={"a": "LaastPassthrough"},
     )
     code = _run("--config", str(config))
+    capsys.readouterr()
+    assert code == 0
+    ir = json.loads((tmp_path / "out" / "a.ir.json").read_bytes())
+    assert ir["extraction_report"]["files_skipped"] == [
+        {
+            "file": "src/sync.laast.json",
+            "reason": "invalid document: $.children[0].children[2].children[0]: "
+            "attribute 'arg_count' of a remote call must be a decimal integer",
+        }
+    ]
+
+
+def test_internal_fault_exits_3_with_one_line(shop, capsys, monkeypatch):
+    import microweave.runner
+
+    def broken_weave(*_args, **_kwargs):
+        raise ValueError("woven\nwrong")
+
+    monkeypatch.setattr(microweave.runner, "weave", broken_weave)
+    code = _run("--config", str(shop / "config.json"))
     captured = capsys.readouterr()
     assert code == 3
     errors = [line for line in captured.err.splitlines() if not line.startswith("[analyze]")]
-    assert len(errors) == 1
-    assert errors[0].startswith("analyze: internal error: ValueError: ")
+    assert errors == ["analyze: internal error: ValueError: woven wrong"]
     assert "Traceback" not in captured.err
+
+
+def test_documented_example_ruleset_runs(tmp_path, capsys):
+    docs = (Path(__file__).parents[1] / "docs" / "config.md").read_text(encoding="utf-8")
+    example = next(block for block in docs.split("```json")[1:] if '"ruleset"' in block)
+    ruleset = json.loads(example.split("```")[0])["ruleset"]
+    config = _write_project(
+        tmp_path,
+        {"alpha": {"src/Client.java": _CLIENT}, "beta": {"src/Ctl.java": _CONTROLLER}},
+        ruleset=ruleset,
+    )
+    code = _run("--config", str(config))
+    capsys.readouterr()
+    assert code == 0
+    system = json.loads((tmp_path / "out" / "system.json").read_bytes())
+    roles = {c["name"]: c["role"] for s in system["services"] for c in s["components"]}
+    assert roles == {"SyncService": "Service", "ItemController": "Controller"}
+    assert len(system["comm_edges"]) == 1
 
 
 @pytest.mark.parametrize(
@@ -311,13 +345,21 @@ def test_internal_fault_exits_3_with_one_line(tmp_path, capsys):
          "services[0].root_dir must be a non-empty string"),
         ({"thresholds": {"tau": 2}}, (), "thresholds.tau must be within [0, 1]"),
         ({"checks": {"disable": ["E01", "W99"]}}, (), "checks.disable[1]: unknown rule id 'W99'"),
-        ({"ruleset": [{"component_role": "wizard", "annotation_names": ["X"]}]}, (),
+        ({"ruleset": [{"role": "wizard", "annotations": ["X"]}]}, (),
          "ruleset: rule 0: unknown role 'wizard'"),
         ({}, ("--services", "billing"), "--services names unknown service 'billing'"),
-        ({}, ("--jobs", "0"), "--jobs must be a positive integer"),
+        ({}, ("--jobs", "2"), "unrecognized arguments: --jobs 2"),
         ({}, ("--format", "pdf"), "--format: unknown output family 'pdf'"),
+        ({"thresholds": {"tua": 0.5}}, (), "thresholds.tua: unknown field"),
+        ({"services": [{"name": "users", "root_dir": "users", "extra": 1}]}, (),
+         "services[0].extra: unknown field"),
+        ({"taxonomy": "taxonomy.txt"}, (), "taxonomy: unknown field"),
+        ({"checks": {"enable": ["E01"]}}, (), "checks.enable: unknown field"),
+        ({"ruleset": [{"component_role": "Service", "suffixes": ["Service"]}]}, (),
+         "ruleset[0].component_role: unknown field"),
     ],
-    ids=["root_dir", "tau", "disable", "ruleset", "services", "jobs", "format"],
+    ids=["root_dir", "tau", "disable", "ruleset", "services", "jobs", "format",
+         "thresholds_key", "service_key", "top_level_key", "checks_key", "rule_key"],
 )
 def test_configuration_error_line_names_field_once(shop, capsys, patch, argv, message):
     config = json.loads((shop / "config.json").read_text(encoding="utf-8"))

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from microweave.errors import MicroweaveError
@@ -10,11 +8,8 @@ from microweave.frontend import (
     DEFAULT_INCLUDE_GLOBS,
     LAAST_PASSTHROUGH,
     SourceTree,
-    default_idioms,
-    extend_idioms,
     extract,
     recognize_annotation,
-    recognize_remote_call,
 )
 from microweave.laast import NodeKind, save_laast
 
@@ -61,60 +56,58 @@ def test_recognize_annotation_class_argument_kept_verbatim():
     assert found == [("Autowired", {"required": "Foo.class"})]
 
 
-def test_recognize_remote_call_rest_template_verbs():
-    call = recognize_remote_call(
-        'restTemplate.getForObject("http://users/api/users/" + id, User.class)'
-    )
-    assert call is not None
-    assert call.attributes["http_method"] == "GET"
-    assert call.attributes["url_template"] == "http://users/api/users/{*}"
-    assert call.attributes["arg_count"] == "2"
-
-    call = recognize_remote_call('restTemplate.put("http://u/api/x", body)')
-    assert call.attributes["http_method"] == "PUT"
-
-    call = recognize_remote_call('restTemplate.delete("http://u/api/x/" + id)')
-    assert call.attributes["http_method"] == "DELETE"
-
-
-def test_recognize_remote_call_exchange_reads_method_argument():
-    call = recognize_remote_call(
-        'restTemplate.exchange(url, HttpMethod.POST, entity, Void.class)'
-    )
-    assert call.attributes["http_method"] == "POST"
-    call = recognize_remote_call(
-        'restTemplate.exchange(url, verb, entity, Void.class)'
-    )
-    assert call.attributes["http_method"] == "UNKNOWN"
+def _remote_calls(tmp_path, *statements):
+    """``(http_method, url_template, arg_count)`` of each remote call that
+    ``extract`` finds in one method holding ``statements``, one per line."""
+    root = _service_dir(tmp_path)
+    body = "".join(f"        {statement};\n" for statement in statements)
+    _write(root, "src/Client.java",
+           f"public class Client {{\n    public void call() {{\n{body}    }}\n}}\n")
+    tree_root, _report = extract(SourceTree(service_name="svc", root_dir=root))
+    return [
+        (n.attributes["http_method"], n.attributes["url_template"], n.attributes["arg_count"])
+        for n, _a in _iter(tree_root)
+        if n.kind == NodeKind.CALL and n.attributes[CALL_KIND_ATTR] == "remote"
+    ]
 
 
-def test_recognize_remote_call_web_client_chain():
-    call = recognize_remote_call(
-        'webClient.post().uri("http://users/api/users").bodyValue(user).retrieve()'
-    )
-    assert call.attributes["http_method"] == "POST"
-    assert call.attributes["url_template"] == "http://users/api/users"
-    assert call.attributes["arg_count"] == "2"
+def test_recognize_remote_call_rest_template_verbs(tmp_path):
+    assert _remote_calls(
+        tmp_path,
+        'restTemplate.getForObject("http://users/api/users/" + id, User.class)',
+        'restTemplate.put("http://u/api/x", body)',
+        'restTemplate.delete("http://u/api/x/" + id)',
+    ) == [
+        ("GET", "http://users/api/users/{*}", "2"),
+        ("PUT", "http://u/api/x", "2"),
+        ("DELETE", "http://u/api/x/{*}", "1"),
+    ]
 
 
-def test_recognize_remote_call_jaxrs_target_chain():
-    call = recognize_remote_call(
-        'client.target("http://users").path("api").path(id).request().get()'
-    )
-    assert call.attributes["http_method"] == "GET"
-    assert call.attributes["url_template"] == "http://users/api/{*}"
+def test_recognize_remote_call_exchange_reads_method_argument(tmp_path):
+    assert _remote_calls(
+        tmp_path,
+        'restTemplate.exchange("http://u/api/x", HttpMethod.POST, entity, Void.class)',
+        'restTemplate.exchange("http://u/api/x", verb, entity, Void.class)',
+    ) == [("POST", "http://u/api/x", "4"), ("UNKNOWN", "http://u/api/x", "4")]
 
 
-def test_recognize_remote_call_rejects_unknown_receiver():
-    assert recognize_remote_call("helper.getForObject(url, X.class)") is None
+def test_recognize_remote_call_web_client_chain(tmp_path):
+    assert _remote_calls(
+        tmp_path,
+        'webClient.post().uri("http://users/api/users").bodyValue(user).retrieve()',
+    ) == [("POST", "http://users/api/users", "2")]
 
 
-def test_extend_idioms_adds_receivers():
-    idioms = extend_idioms(default_idioms(), rest_template_like=("apiClient",))
-    call = recognize_remote_call(
-        'apiClient.getForObject("http://a/b", X.class)', idioms=idioms
-    )
-    assert call is not None
+def test_recognize_remote_call_jaxrs_target_chain(tmp_path):
+    assert _remote_calls(
+        tmp_path,
+        'client.target("http://users").path("api").path(id).request().get()',
+    ) == [("GET", "http://users/api/{*}", "1")]
+
+
+def test_recognize_remote_call_rejects_unknown_receiver(tmp_path):
+    assert _remote_calls(tmp_path, 'helper.getForObject("http://u/api/x", X.class)') == []
 
 
 def test_extract_controller_service_and_calls(tmp_path):
@@ -316,10 +309,3 @@ def test_extract_is_deterministic(tmp_path):
     assert save_laast(first) == save_laast(second)
     assert [u.name for u in first.children] == ["src/A.java", "src/Z.java"]
 
-
-def test_extraction_report_round_trip(tmp_path):
-    root = _service_dir(tmp_path)
-    _write(root, "src/G.java", "public class G {}\n")
-    _, report = extract(SourceTree(service_name="svc", root_dir=root))
-    again = type(report).from_json_obj(json.loads(json.dumps(report.to_json_obj())))
-    assert again == report

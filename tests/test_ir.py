@@ -233,13 +233,31 @@ def test_load_rejects_unknown_key(tmp_path):
         load_service_ir(json.dumps(obj))
 
 
-def test_load_reports_nested_path(tmp_path):
-    ir = _round_trip_ir(tmp_path)
-    obj = ir_to_json_obj(ir)
-    obj["components"][0]["span"]["line_start"] = "three"
+@pytest.mark.parametrize(
+    "location, value, message",
+    [
+        (("components", 0, "span", "line_start"), "three",
+         "$.components[0].span.line_start: expected an integer"),
+        (("endpoints", 0, "params", 0, "kind"), 5,
+         "$.endpoints[0].params[0].kind: expected a string"),
+        (("internal_calls", 0, "callee", "method"), None,
+         "$.internal_calls[0].callee.method: expected a string"),
+        (("extraction_report", "files_skipped"), [{"file": "src/X.java", "reason": 7}],
+         "$.extraction_report.files_skipped[0].reason: expected a string"),
+        (("warnings",), [{"file": "src/A.java", "line": "1", "message": "m"}],
+         "$.warnings[0].line: expected an integer"),
+    ],
+    ids=["component_span", "endpoint_param", "internal_call", "skipped_file", "warning"],
+)
+def test_load_reports_nested_path(tmp_path, location, value, message):
+    obj = ir_to_json_obj(_round_trip_ir(tmp_path))
+    target = obj
+    for key in location[:-1]:
+        target = target[key]
+    target[location[-1]] = value
     with pytest.raises(SchemaViolation) as excinfo:
         load_service_ir(json.dumps(obj))
-    assert "$.components[0].span.line_start" in str(excinfo.value)
+    assert str(excinfo.value) == message
 
 
 def test_load_rejects_wrong_container_type(tmp_path):

@@ -126,21 +126,6 @@ services:
     assert any("phantom" in w for w in model.warnings)
 
 
-def test_published_ports_parsed_from_all_shapes():
-    model = parse_compose(
-        """
-services:
-  api:
-    ports:
-      - "8081:8080"
-      - 9090
-      - target: 80
-        published: 8000
-"""
-    )
-    assert _svc(model, "api").published_ports == ["8081", "9090", "8000"]
-
-
 def test_version_warning_only_for_unexpected_values():
     ok = parse_compose("version: '3.8'\nservices:\n  a:\n    image: x\n")
     assert ok.warnings == []
