@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 from microweave.errors import MicroweaveError
@@ -95,96 +96,61 @@ class ExtractionReport:
 # text preparation
 
 
-def _mask_comments(text: str) -> str:
-    """Blank out // and /* */ comments, preserving length and newlines."""
-    out = list(text)
-    i, n = 0, len(text)
-    state = "code"  # code | line | block | str | char
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line"
-                out[i] = out[i + 1] = " "
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = "block"
-                out[i] = out[i + 1] = " "
-                i += 2
-                continue
-            if c == '"':
-                state = "str"
-            elif c == "'":
-                state = "char"
-            i += 1
-        elif state == "line":
-            if c == "\n":
-                state = "code"
-            else:
-                out[i] = " "
-            i += 1
-        elif state == "block":
-            if c == "*" and nxt == "/":
-                out[i] = out[i + 1] = " "
-                state = "code"
-                i += 2
-                continue
-            if c != "\n":
-                out[i] = " "
-            i += 1
-        elif state == "str":
-            if c == "\\":
-                i += 2
-                continue
-            if c == '"' or c == "\n":
-                state = "code"
-            i += 1
-        else:  # char literal
-            if c == "\\":
-                i += 2
-                continue
-            if c == "'" or c == "\n":
-                state = "code"
-            i += 1
-    return "".join(out)
+#: The lexemes whose characters the text views mask: a line comment, a block
+#: comment (unterminated: to the end of the file), and a string or char
+#: literal.  A literal ends at its closing quote, at a newline, or at the end
+#: of the file; a backslash escapes the next character, a newline included.
+_LEXEME_RE = re.compile(
+    r"//[^\n]*"
+    r"|/\*.*?(?:\*/|\Z)"
+    r'|"[^"\\\n]*(?:\\.[^"\\\n]*)*\\?(["\n]?)'
+    r"|'[^'\\\n]*(?:\\.[^'\\\n]*)*\\?(['\n]?)",
+    re.S,
+)
 
 
-def _mask_strings(text: str) -> str:
-    """Blank out string/char literal contents (quotes kept), preserving length."""
-    out = list(text)
-    i, n = 0, len(text)
-    state = "code"
-    while i < n:
-        c = text[i]
-        if state == "code":
-            if c == '"':
-                state = "str"
-            elif c == "'":
-                state = "char"
-            i += 1
-        elif state == "str":
-            if c == "\\" and i + 1 < n:
-                out[i] = out[i + 1] = " "
-                i += 2
-                continue
-            if c in ('"', "\n"):
-                state = "code"
-            else:
-                out[i] = " "
-            i += 1
+def _line_starts(lines: list[str], offset: int = 0) -> list[int]:
+    """Offset of each of ``lines``, which follow one another separated by
+    newlines, the first at ``offset``."""
+    return list(accumulate((len(line) + 1 for line in lines[:-1]), initial=offset))
+
+
+def _masked_views(source: str) -> tuple[str, str, list[int]]:
+    """One lexing pass over ``source``: ``(text, struct, line starts)``.
+
+    ``text`` blanks comments; ``struct`` also blanks the contents of string
+    and char literals, escaped newlines included, keeping their quotes.  Both
+    keep the length of ``source``; ``text`` keeps every newline.
+    """
+    text: list[str] = []
+    struct: list[str] = []
+    pos = 0
+    for m in _LEXEME_RE.finditer(source):
+        code = source[pos : m.start()]
+        lexeme = m.group()
+        pos = m.end()
+        text.append(code)
+        struct.append(code)
+        if lexeme[0] == "/":
+            text.append("\n".join(" " * len(part) for part in lexeme.split("\n")))
+            struct.append(text[-1])
         else:
-            if c == "\\" and i + 1 < n:
-                out[i] = out[i + 1] = " "
-                i += 2
-                continue
-            if c in ("'", "\n"):
-                state = "code"
-            else:
-                out[i] = " "
-            i += 1
-    return "".join(out)
+            close = m.group(1) or m.group(2) or ""
+            text.append(lexeme)
+            struct.append(lexeme[0] + " " * (len(lexeme) - 1 - len(close)) + close)
+    text.append(source[pos:])
+    struct.append(text[-1])
+    return "".join(text), "".join(struct), _line_starts(source.split("\n"))
+
+
+def _line_depths(lines: list[str], depth: int) -> tuple[list[int], int]:
+    """Brace depth at the start of each of ``lines``, the first starting at
+    ``depth``, and the depth after the last."""
+    depths = []
+    for line in lines:
+        depths.append(depth)
+        depth += line.count("{") - line.count("}")
+    return depths, depth
 
 
 def _split_top_level(text: str, sep: str) -> list[str]:
@@ -603,32 +569,30 @@ _LOCAL_CALL_RE = re.compile(
 class _JavaLikeParser:
     """Heuristic declaration scanner for one source file.
 
-    Works on two aligned views of the file: comment-masked text (string
-    literals intact, for value extraction) and additionally string-masked
-    text (for structural scans, so braces or parens inside literals never
-    confuse depth tracking).  Both preserve offsets and line breaks.
+    Works on two aligned views of the file, made in one lexing pass:
+    comment-masked text (string literals intact, for value extraction) and
+    additionally string-masked text (for structural scans, so braces or
+    parens inside literals never confuse depth tracking).  Both preserve
+    offsets and line breaks.  ``lines`` splits the structural view at its
+    newlines and ``_depth_at`` holds the brace depth at the start of each.
     Consumed annotations are blanked out of both views so a declaration
-    sharing their line is still seen.
+    sharing their line is still seen; the views are mutable buffers of one
+    character per slot, so blanking rewrites only the annotation, re-splits
+    only the lines it touches, and shifts later depths only when the blanked
+    characters held unbalanced braces.  Parsing is linear in file size.
     """
 
     def __init__(self, text: str, relpath: str):
         self.relpath = relpath
-        self.text = _mask_comments(text)
-        self.struct = _mask_strings(self.text)
+        text, struct, self._line_starts = _masked_views(text)
+        self._text = list(text)
+        self._struct = list(struct)
         self.warnings: list[tuple[str, int, str]] = []
-        self._line_starts = [0]
-        for i, ch in enumerate(self.text):
-            if ch == "\n":
-                self._line_starts.append(i + 1)
-        self._refresh_lines()
-
-    def _refresh_lines(self) -> None:
-        self.lines = self.struct.split("\n")
-        self._depth_at = []
-        depth = 0
-        for line in self.lines:
-            self._depth_at.append(depth)
-            depth += line.count("{") - line.count("}")
+        self.lines = struct.split("\n")
+        # The views differ in newlines only where a literal escapes one, so
+        # ``lines`` has starts of its own.
+        self._struct_starts = _line_starts(self.lines)
+        self._depth_at, _ = _line_depths(self.lines, 0)
 
     def _line_of(self, offset: int) -> int:
         return bisect_right(self._line_starts, offset)
@@ -639,17 +603,40 @@ class _JavaLikeParser:
     def _warn(self, line: int, message: str) -> None:
         self.warnings.append((self.relpath, line, message))
 
+    def _find(self, char: str, start: int) -> int:
+        """Offset of the first ``char`` at or after ``start`` in the
+        structural view, or -1."""
+        try:
+            return self._struct.index(char, start)
+        except ValueError:
+            return -1
+
     def _mask_range(self, start: int, end: int) -> None:
-        """Blank chars [start, end) in both views, keeping newlines."""
-        masked = "".join(c if c == "\n" else " " for c in self.text[start:end])
-        self.text = self.text[:start] + masked + self.text[end:]
-        self.struct = self.struct[:start] + masked + self.struct[end:]
-        self._refresh_lines()
+        """Blank chars [start, end) in both views, keeping the text view's
+        newlines, and bring ``lines`` and ``_depth_at`` up to date."""
+        if start >= end:
+            return
+        masked = [c if c == "\n" else " " for c in self._text[start:end]]
+        self._text[start:end] = masked
+        self._struct[start:end] = masked
+        starts = self._struct_starts
+        first = bisect_right(starts, start) - 1
+        stop = bisect_right(starts, end - 1)
+        seg_end = starts[stop] - 1 if stop < len(starts) else len(self._struct)
+        lines = "".join(self._struct[starts[first] : seg_end]).split("\n")
+        depths, after = _line_depths(lines, self._depth_at[first])
+        shift = after - self._depth_at[stop] if stop < len(starts) else 0
+        self.lines[first:stop] = lines
+        self._depth_at[first:stop] = depths
+        self._struct_starts[first:stop] = _line_starts(lines, starts[first])
+        if shift:
+            for j in range(first + len(lines), len(self._depth_at)):
+                self._depth_at[j] += shift
 
     def _find_close_brace(self, open_offset: int) -> int | None:
         depth = 0
-        for i in range(open_offset, len(self.struct)):
-            c = self.struct[i]
+        for i in range(open_offset, len(self._struct)):
+            c = self._struct[i]
             if c == "{":
                 depth += 1
             elif c == "}":
@@ -705,7 +692,7 @@ class _JavaLikeParser:
             window_struct += "\n" + self.lines[end - 1]
         extents = _annotation_extents(window_struct)
         start_off = self._offset_of_line(lineno)
-        window_text = self.text[start_off : start_off + len(window_struct)]
+        window_text = "".join(self._text[start_off : start_off + len(window_struct)])
         if not extents:
             errors = _annotation_errors(window_struct)
             if not errors:
@@ -742,15 +729,15 @@ class _JavaLikeParser:
     ) -> int:
         type_kind, name = m.group(1), m.group(2)
         head_off = self._offset_of_line(lineno)
-        open_off = self.struct.find("{", head_off)
+        open_off = self._find("{", head_off)
         if open_off == -1:
             self._warn(lineno, f"type {name} has no body")
             return lineno + 1
         close_off = self._find_close_brace(open_off)
         if close_off is None:
             self._warn(lineno, f"unbalanced braces in type {name}")
-            close_off = len(self.struct) - 1
-        head_struct = self.struct[head_off:open_off]
+            close_off = len(self._struct) - 1
+        head_struct = "".join(self._struct[head_off:open_off])
         attrs = {"type_kind": type_kind}
         em = re.search(r"\bextends\s+(.+?)(?:\bimplements\b|$)", head_struct, re.S)
         if em and em.group(1).strip():
@@ -794,10 +781,10 @@ class _JavaLikeParser:
     def _parse_members(
         self, type_node: LaastNode, open_line: int, close_line: int, type_name: str
     ) -> None:
-        open_off = self.struct.find("{", self._offset_of_line(open_line))
+        open_off = self._find("{", self._offset_of_line(open_line))
         body_depth = (
             self._depth_at[open_line - 1]
-            + self.struct[self._offset_of_line(open_line) : open_off + 1].count("{")
+            + self._struct[self._offset_of_line(open_line) : open_off + 1].count("{")
         )
         i = open_line + 1
         pending: list[LaastNode] = []
@@ -874,8 +861,8 @@ class _JavaLikeParser:
         """Next line after the body (or bare terminator) ending a head whose
         last signature line is ``sig_end``."""
         off = self._offset_of_line(sig_end)
-        for k in range(off, len(self.struct)):
-            c = self.struct[k]
+        for k in range(off, len(self._struct)):
+            c = self._struct[k]
             if c == ";":
                 return self._line_of(k) + 1
             if c == "{":
@@ -891,9 +878,9 @@ class _JavaLikeParser:
         return_type = " ".join(mm.group(1).split())
         name = mm.group(2)
         sig_off = self._offset_of_line(start_line)
-        paren_off = self.struct.find("(", sig_off)
-        paren_close = _balanced_parens(self.struct, paren_off)
-        params_raw = self.text[paren_off + 1 : paren_close - 1] if paren_close else ""
+        paren_off = self._find("(", sig_off)
+        paren_close = _balanced_parens(self._struct, paren_off)
+        params_raw = "".join(self._text[paren_off + 1 : paren_close - 1]) if paren_close else ""
 
         method = LaastNode(
             kind=NodeKind.METHOD_DECL,
@@ -939,16 +926,16 @@ class _JavaLikeParser:
         end_line = start_line
         term_off = None
         search_from = paren_close if paren_close else sig_off
-        for k in range(search_from, len(self.struct)):
-            if self.struct[k] in "{;":
+        for k in range(search_from, len(self._struct)):
+            if self._struct[k] in "{;":
                 term_off = k
                 break
         if term_off is not None:
             end_line = self._line_of(term_off)
-            if self.struct[term_off] == "{":
+            if self._struct[term_off] == "{":
                 close_off = self._find_close_brace(term_off)
                 if close_off is None:
-                    close_off = len(self.struct) - 1
+                    close_off = len(self._struct) - 1
                 end_line = self._line_of(close_off)
                 self._scan_body(method, term_off + 1, close_off)
         method.span = self._span(start_line, end_line)
@@ -956,8 +943,8 @@ class _JavaLikeParser:
         return end_line + 1
 
     def _scan_body(self, method: LaastNode, start_off: int, end_off: int) -> None:
-        body_text = self.text[start_off:end_off]
-        body_struct = self.struct[start_off:end_off]
+        body_text = "".join(self._text[start_off:end_off])
+        body_struct = "".join(self._struct[start_off:end_off])
 
         def line_of(pos: int) -> int:
             return self._line_of(start_off + pos)
@@ -978,7 +965,10 @@ class _JavaLikeParser:
                 continue
             if receiver in _CLIENT_RECEIVERS:
                 continue
-            if body_struct[: m.start()].rstrip().endswith("new"):
+            before = m.start()
+            while before and body_struct[before - 1].isspace():
+                before -= 1
+            if body_struct.endswith("new", 0, before):
                 continue
             lineno = line_of(m.start())
             attrs = {CALL_KIND_ATTR: CALL_KIND_LOCAL}

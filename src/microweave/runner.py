@@ -188,6 +188,12 @@ def _parse_checks(raw) -> tuple[frozenset[str], dict[str, str]]:
     return frozenset(disabled), dict(overrides)
 
 
+def _string_array(value, field_name: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{field_name} must be an array of strings", field=field_name)
+    return tuple(value)
+
+
 def _parse_ruleset(raw) -> list[MatcherRule]:
     _require_type(raw, list, "ruleset", "an array of rule objects")
     rules = []
@@ -195,17 +201,21 @@ def _parse_ruleset(raw) -> list[MatcherRule]:
         field_name = f"ruleset[{i}]"
         _require_type(entry, dict, field_name, "an object")
         _reject_unknown_keys(entry, _RULE_KEYS, f"{field_name}.")
-        try:
-            rules.append(
-                MatcherRule(
-                    component_role=entry.get("role", ""),
-                    annotation_names=tuple(entry.get("annotations", [])),
-                    name_suffixes=tuple(entry.get("suffixes", [])),
-                    priority=int(entry.get("priority", 0)),
-                )
+        role = _require_type(entry.get("role", ""), str, f"{field_name}.role", "a string")
+        priority = entry.get("priority", 0)
+        if not isinstance(priority, int) or isinstance(priority, bool):
+            raise ConfigError(f"{field_name}.priority must be an integer",
+                              field=f"{field_name}.priority")
+        rules.append(
+            MatcherRule(
+                component_role=role,
+                annotation_names=_string_array(
+                    entry.get("annotations", []), f"{field_name}.annotations"
+                ),
+                name_suffixes=_string_array(entry.get("suffixes", []), f"{field_name}.suffixes"),
+                priority=priority,
             )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{field_name}: {exc}", field=field_name) from None
+        )
     try:
         validate_ruleset(rules)
     except MicroweaveError as exc:

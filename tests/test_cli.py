@@ -357,9 +357,26 @@ def test_documented_example_ruleset_runs(tmp_path, capsys):
         ({"checks": {"enable": ["E01"]}}, (), "checks.enable: unknown field"),
         ({"ruleset": [{"component_role": "Service", "suffixes": ["Service"]}]}, (),
          "ruleset[0].component_role: unknown field"),
+        ({"ruleset": [{"role": 5, "suffixes": ["Service"]}]}, (),
+         "ruleset[0].role must be a string"),
+        ({"ruleset": [{"role": "Service", "annotations": "Service"}]}, (),
+         "ruleset[0].annotations must be an array of strings"),
+        ({"ruleset": [{"role": "Service", "annotations": ["Service", 3]}]}, (),
+         "ruleset[0].annotations must be an array of strings"),
+        ({"ruleset": [{"role": "Service", "suffixes": "Service"}]}, (),
+         "ruleset[0].suffixes must be an array of strings"),
+        ({"ruleset": [{"role": "Service", "suffixes": ["Service"], "priority": 1.9}]}, (),
+         "ruleset[0].priority must be an integer"),
+        ({"ruleset": [{"role": "Service", "suffixes": ["Service"], "priority": "40"}]}, (),
+         "ruleset[0].priority must be an integer"),
+        ({"ruleset": [{"role": "Service", "suffixes": ["Service"], "priority": True}]}, (),
+         "ruleset[0].priority must be an integer"),
     ],
     ids=["root_dir", "tau", "disable", "ruleset", "services", "jobs", "format",
-         "thresholds_key", "service_key", "top_level_key", "checks_key", "rule_key"],
+         "thresholds_key", "service_key", "top_level_key", "checks_key", "rule_key",
+         "rule_role_type", "rule_annotations_string", "rule_annotations_item",
+         "rule_suffixes_string", "rule_priority_float", "rule_priority_string",
+         "rule_priority_bool"],
 )
 def test_configuration_error_line_names_field_once(shop, capsys, patch, argv, message):
     config = json.loads((shop / "config.json").read_text(encoding="utf-8"))

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microweave.errors import MicroweaveError
 from microweave.frontend import (
@@ -8,10 +12,12 @@ from microweave.frontend import (
     DEFAULT_INCLUDE_GLOBS,
     LAAST_PASSTHROUGH,
     SourceTree,
+    _JavaLikeParser,
+    _masked_views,
     extract,
     recognize_annotation,
 )
-from microweave.laast import NodeKind, save_laast
+from microweave.laast import NodeKind, load_laast, save_laast
 
 
 def _service_dir(tmp_path, name="svc"):
@@ -309,3 +315,216 @@ def test_extract_is_deterministic(tmp_path):
     assert save_laast(first) == save_laast(second)
     assert [u.name for u in first.children] == ["src/A.java", "src/Z.java"]
 
+
+def _controller(endpoints: int) -> str:
+    handlers = "".join(
+        f'    @GetMapping("/items{e}/{{id}}")\n'
+        f'    public Item items{e}(@PathVariable("id") String id) {{\n'
+        f'        return restTemplate.getForObject("http://svc/api/items{e}/" + id, Item.class);\n'
+        "    }\n\n"
+        for e in range(endpoints)
+    )
+    return (
+        '@RestController\n@RequestMapping("/api/items")\npublic class ItemController {\n'
+        f"    private final RestTemplate restTemplate;\n\n{handlers}}}\n"
+    )
+
+
+def _parse_op_count(text: str) -> int:
+    """Python and C function calls made while parsing ``text``."""
+    count = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        _JavaLikeParser(text, "ItemController.java").parse()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_parse_work_grows_linearly_with_file_size():
+    counts = [_parse_op_count(_controller(n)) for n in (100, 200, 400)]
+    growth = [later / earlier for earlier, later in zip(counts, counts[1:])]
+    assert all(g <= 2.2 for g in growth), (counts, growth)
+
+
+# The character-loop maskers the one-pass lexer replaced, kept as its oracle.
+
+
+def _oracle_mask_comments(text: str) -> str:
+    out = list(text)
+    i, n = 0, len(text)
+    state = "code"  # code | line | block | str | char
+    while i < n:
+        c = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if state == "code":
+            if c == "/" and nxt == "/":
+                state = "line"
+                out[i] = out[i + 1] = " "
+                i += 2
+                continue
+            if c == "/" and nxt == "*":
+                state = "block"
+                out[i] = out[i + 1] = " "
+                i += 2
+                continue
+            if c == '"':
+                state = "str"
+            elif c == "'":
+                state = "char"
+            i += 1
+        elif state == "line":
+            if c == "\n":
+                state = "code"
+            else:
+                out[i] = " "
+            i += 1
+        elif state == "block":
+            if c == "*" and nxt == "/":
+                out[i] = out[i + 1] = " "
+                state = "code"
+                i += 2
+                continue
+            if c != "\n":
+                out[i] = " "
+            i += 1
+        elif state == "str":
+            if c == "\\":
+                i += 2
+                continue
+            if c == '"' or c == "\n":
+                state = "code"
+            i += 1
+        else:  # char literal
+            if c == "\\":
+                i += 2
+                continue
+            if c == "'" or c == "\n":
+                state = "code"
+            i += 1
+    return "".join(out)
+
+
+def _oracle_mask_strings(text: str) -> str:
+    out = list(text)
+    i, n = 0, len(text)
+    state = "code"
+    while i < n:
+        c = text[i]
+        if state == "code":
+            if c == '"':
+                state = "str"
+            elif c == "'":
+                state = "char"
+            i += 1
+        elif state == "str":
+            if c == "\\" and i + 1 < n:
+                out[i] = out[i + 1] = " "
+                i += 2
+                continue
+            if c in ('"', "\n"):
+                state = "code"
+            else:
+                out[i] = " "
+            i += 1
+        else:
+            if c == "\\" and i + 1 < n:
+                out[i] = out[i + 1] = " "
+                i += 2
+                continue
+            if c in ("'", "\n"):
+                state = "code"
+            else:
+                out[i] = " "
+            i += 1
+    return "".join(out)
+
+
+def _oracle_depths(struct: str) -> list[int]:
+    depths, depth = [], 0
+    for line in struct.split("\n"):
+        depths.append(depth)
+        depth += line.count("{") - line.count("}")
+    return depths
+
+
+# Pieces rather than single characters, so comment openers and closers and a
+# backslash before a newline inside a literal (the one place where the two
+# views disagree on newlines) come up often.
+_LEXER_TEXT = st.lists(
+    st.sampled_from(
+        ["//", "/*", "*/", "/", "*", '"', "'", "\\", "\n", '"\\\n', "{", "}", "(", ")", "@",
+         "a", " ", "\t", "é"]
+    ),
+    max_size=60,
+).map("".join)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_LEXER_TEXT)
+def test_masked_views_match_character_loop_oracle(source):
+    text = _oracle_mask_comments(source)
+    struct = _oracle_mask_strings(text)
+    starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+    assert _masked_views(source) == (text, struct, starts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_LEXER_TEXT, st.data())
+def test_mask_range_matches_full_recompute(source, data):
+    parser = _JavaLikeParser(source, "X.java")
+    text = _oracle_mask_comments(source)
+    struct = _oracle_mask_strings(text)
+    for _ in range(data.draw(st.integers(1, 4))):
+        start = data.draw(st.integers(0, len(source)))
+        end = data.draw(st.integers(start, len(source) + 2))
+        masked = "".join(c if c == "\n" else " " for c in text[start:end])
+        text = text[:start] + masked + text[end:]
+        struct = struct[:start] + masked + struct[end:]
+        parser._mask_range(start, end)
+        assert "".join(parser._text) == text
+        assert "".join(parser._struct) == struct
+        assert parser.lines == struct.split("\n")
+        assert parser._depth_at == _oracle_depths(struct)
+
+
+_JAVA_FRAGMENTS = st.sampled_from([
+    "@RestController", "@GetMapping(\"/a/{id}\")", "@PostMapping(", "@RequestMapping(value = {",
+    "@PathVariable(\"id\")", "@Entity", "public", "private final", "class", "interface",
+    "Item", "items", "String", "id", "void", "new", "return", "{", "}", "(", ")", ";", ",", "=",
+    "+", "<", ">", "\n", "\n    ", "//", "/*", "*/", "\"", "'", "\\", "\"http://svc/api/x/\"",
+    "restTemplate.getForObject(", "webClient.get().uri(", "client.target(", ".path(",
+    "kafkaTemplate.send(", "this.", "helper.run(", "Item.class", "é",
+    'restTemplate.getForObject("http://svc/api/x/" + id, Item.class);',
+    'webClient.post().uri("http://svc/api/x").bodyValue(id).retrieve();',
+    'kafkaTemplate.send("topic", id);', "get(id);", "this.get(id);", "new Item(id);",
+])
+
+
+_JAVA_HEADS = st.sampled_from([
+    "",
+    "@RestController\npublic class F {\n",
+    '@RestController\npublic class F {\n    @GetMapping("/x")\n    public Item get(String id) {\n',
+])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_JAVA_HEADS, st.lists(_JAVA_FRAGMENTS, max_size=60), st.sampled_from(["", " "]))
+def test_extract_survives_random_java_like_text(tmp_path_factory, head, fragments, sep):
+    source = head + sep.join(fragments)
+    root = tmp_path_factory.mktemp("fuzz")
+    _write(root, "src/F.java", source)
+    tree, report = extract(SourceTree(service_name="svc", root_dir=root))
+    assert report.files_scanned == 1
+    n_lines = len(source.split("\n"))
+    for node, _ancestors in _iter(tree):
+        if node.span is not None:
+            assert 1 <= node.span.line_start <= node.span.line_end <= n_lines, node
+    assert load_laast(save_laast(tree)) == tree
