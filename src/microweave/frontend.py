@@ -109,18 +109,18 @@ _LEXEME_RE = re.compile(
 )
 
 
-def _line_starts(lines: list[str], offset: int = 0) -> list[int]:
-    """Offset of each of ``lines``, which follow one another separated by
-    newlines, the first at ``offset``."""
-    return list(accumulate((len(line) + 1 for line in lines[:-1]), initial=offset))
+def _blank(chars: str) -> str:
+    """``chars`` with everything but its newlines blanked."""
+    return "\n".join(" " * len(part) for part in chars.split("\n"))
 
 
 def _masked_views(source: str) -> tuple[str, str, list[int]]:
     """One lexing pass over ``source``: ``(text, struct, line starts)``.
 
     ``text`` blanks comments; ``struct`` also blanks the contents of string
-    and char literals, escaped newlines included, keeping their quotes.  Both
-    keep the length of ``source``; ``text`` keeps every newline.
+    and char literals, keeping their quotes.  Both keep the length of
+    ``source`` and every newline, an escaped one inside a literal included,
+    so they share their line starts.
     """
     text: list[str] = []
     struct: list[str] = []
@@ -132,15 +132,16 @@ def _masked_views(source: str) -> tuple[str, str, list[int]]:
         text.append(code)
         struct.append(code)
         if lexeme[0] == "/":
-            text.append("\n".join(" " * len(part) for part in lexeme.split("\n")))
+            text.append(_blank(lexeme))
             struct.append(text[-1])
         else:
             close = m.group(1) or m.group(2) or ""
             text.append(lexeme)
-            struct.append(lexeme[0] + " " * (len(lexeme) - 1 - len(close)) + close)
+            struct.append(lexeme[0] + _blank(lexeme[1 : len(lexeme) - len(close)]) + close)
     text.append(source[pos:])
     struct.append(text[-1])
-    return "".join(text), "".join(struct), _line_starts(source.split("\n"))
+    starts = list(accumulate((len(line) + 1 for line in source.split("\n")[:-1]), initial=0))
+    return "".join(text), "".join(struct), starts
 
 
 def _line_depths(lines: list[str], depth: int) -> tuple[list[int], int]:
@@ -589,9 +590,6 @@ class _JavaLikeParser:
         self._struct = list(struct)
         self.warnings: list[tuple[str, int, str]] = []
         self.lines = struct.split("\n")
-        # The views differ in newlines only where a literal escapes one, so
-        # ``lines`` has starts of its own.
-        self._struct_starts = _line_starts(self.lines)
         self._depth_at, _ = _line_depths(self.lines, 0)
 
     def _line_of(self, offset: int) -> int:
@@ -612,14 +610,14 @@ class _JavaLikeParser:
             return -1
 
     def _mask_range(self, start: int, end: int) -> None:
-        """Blank chars [start, end) in both views, keeping the text view's
-        newlines, and bring ``lines`` and ``_depth_at`` up to date."""
+        """Blank chars [start, end) in both views, keeping newlines, and
+        bring ``lines`` and ``_depth_at`` up to date."""
         if start >= end:
             return
         masked = [c if c == "\n" else " " for c in self._text[start:end]]
         self._text[start:end] = masked
         self._struct[start:end] = masked
-        starts = self._struct_starts
+        starts = self._line_starts
         first = bisect_right(starts, start) - 1
         stop = bisect_right(starts, end - 1)
         seg_end = starts[stop] - 1 if stop < len(starts) else len(self._struct)
@@ -628,9 +626,8 @@ class _JavaLikeParser:
         shift = after - self._depth_at[stop] if stop < len(starts) else 0
         self.lines[first:stop] = lines
         self._depth_at[first:stop] = depths
-        self._struct_starts[first:stop] = _line_starts(lines, starts[first])
         if shift:
-            for j in range(first + len(lines), len(self._depth_at)):
+            for j in range(stop, len(self._depth_at)):
                 self._depth_at[j] += shift
 
     def _find_close_brace(self, open_offset: int) -> int | None:

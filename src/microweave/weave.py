@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from microweave import __version__
+from microweave import __version__, similarity
 from microweave.errors import DuplicateServiceError
 from microweave.frontend import HTTP_UNKNOWN, URL_WILDCARD
 from microweave.ir import DataModel, ServiceIr, derive_data_model, unwrap_collection
@@ -122,19 +122,53 @@ def type_compatible(type_a: str, type_b: str) -> bool:
     return canonical_type(type_a) == canonical_type(type_b)
 
 
+class NameSimilarity:
+    """``entity_similarity`` for one context map, computed once per ordered
+    pair of distinct token lists.
+
+    The score depends only on the two normalized token lists (and the
+    taxonomy), so each distinct name is normalized once and each ordered
+    token pair is scored once; entity and field names share the cache.
+    Pairs are keyed in order because the taxonomy pairing breaks ties by
+    token index.
+    """
+
+    def __init__(self, taxonomy: Taxonomy | None, strip_tokens: tuple[str, ...]):
+        self.taxonomy = taxonomy
+        self.strip_tokens = strip_tokens
+        self._tokens: dict[str, tuple[str, ...]] = {}
+        self._scores: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[float, str]] = {}
+
+    def _tokens_of(self, name: str) -> tuple[str, ...]:
+        tokens = self._tokens.get(name)
+        if tokens is None:
+            tokens = self._tokens[name] = tuple(
+                similarity.normalize_entity_name(name, self.strip_tokens)
+            )
+        return tokens
+
+    def __call__(self, name_a: str, name_b: str) -> tuple[float, str]:
+        """(score, strategy) of ``entity_similarity(name_a, name_b)``."""
+        key = (self._tokens_of(name_a), self._tokens_of(name_b))
+        result = self._scores.get(key)
+        if result is None:
+            result = self._scores[key] = entity_similarity(
+                name_a, name_b, taxonomy=self.taxonomy, strip_tokens=self.strip_tokens
+            )
+        return result
+
+
 def match_fields(
     fields_a: list[tuple[str, str]],
     fields_b: list[tuple[str, str]],
-    taxonomy: Taxonomy | None,
+    name_similarity: NameSimilarity,
     config: WeaveConfig,
 ) -> tuple[FieldMatch, ...]:
     """Greedy one-to-one field pairing by descending name similarity."""
     scored = []
     for ia, (name_a, _) in enumerate(fields_a):
         for ib, (name_b, _) in enumerate(fields_b):
-            score, _strategy = entity_similarity(
-                name_a, name_b, taxonomy=taxonomy, strip_tokens=config.strip_tokens
-            )
+            score, _strategy = name_similarity(name_a, name_b)
             if score >= config.field_threshold:
                 scored.append((score, ia, ib))
     scored.sort(key=lambda row: (-row[0], row[1], row[2]))
@@ -166,16 +200,12 @@ def build_context_map(
     """Compare every cross-service entity pair; keep pairs at or above the
     entity threshold along with their field alignment."""
     ordered = sorted(models, key=lambda m: m.service_name)
+    name_similarity = NameSimilarity(taxonomy, config.strip_tokens)
     matches: list[EntityMatch] = []
     for model_a, model_b in combinations(ordered, 2):
         for ent_a in model_a.entities:
             for ent_b in model_b.entities:
-                score, strategy = entity_similarity(
-                    ent_a.name,
-                    ent_b.name,
-                    taxonomy=taxonomy,
-                    strip_tokens=config.strip_tokens,
-                )
+                score, strategy = name_similarity(ent_a.name, ent_b.name)
                 if score < config.entity_threshold:
                     continue
                 matches.append(
@@ -187,7 +217,7 @@ def build_context_map(
                         score=score,
                         strategy=strategy,
                         field_matches=match_fields(
-                            ent_a.fields, ent_b.fields, taxonomy, config
+                            ent_a.fields, ent_b.fields, name_similarity, config
                         ),
                     )
                 )
@@ -206,17 +236,25 @@ def split_host(url_template: str) -> tuple[str | None, str]:
     return hostport.split(":")[0], path
 
 
-def _segments(path: str) -> list[str]:
+#: A path split by ``_split_path``.
+_Segments = tuple[str | None, ...]
+
+
+def _split_path(path: str) -> _Segments:
+    """The path's segments, each literal as itself and each template
+    (``{...}``) as None."""
     trimmed = path.strip("/")
-    return trimmed.split("/") if trimmed else []
+    if not trimmed:
+        return ()
+    return tuple(
+        None if seg.startswith("{") and seg.endswith("}") else seg
+        for seg in trimmed.split("/")
+    )
 
 
-def _is_template(segment: str) -> bool:
-    return segment.startswith("{") and segment.endswith("}")
-
-
-def path_score(call_path: str, endpoint_path: str) -> float:
-    """Segment-aligned similarity between a call path and an endpoint path.
+def _segment_score(call_segs: _Segments, ep_segs: _Segments) -> float:
+    """Segment-aligned similarity between a call path and an endpoint path,
+    both split by ``_split_path``.
 
     Literal pairs score 1, pairs with a template on either side score 0.5,
     and a literal mismatch zeroes the whole comparison.  Unequal lengths are
@@ -224,24 +262,27 @@ def path_score(call_path: str, endpoint_path: str) -> float:
     segment of the longer one is a template; those extras still count in
     the denominator.
     """
-    call_segs = _segments(call_path)
-    ep_segs = _segments(endpoint_path)
     if not call_segs and not ep_segs:
         return 1.0
     strong = 0
     weak = 0
-    overlap = min(len(call_segs), len(ep_segs))
     for left, right in zip(call_segs, ep_segs):
-        if _is_template(left) or _is_template(right):
+        if left is None or right is None:
             weak += 1
         elif left == right:
             strong += 1
         else:
             return 0.0
-    longer = call_segs if len(call_segs) > len(ep_segs) else ep_segs
-    if any(not _is_template(seg) for seg in longer[overlap:]):
+    n_call, n_ep = len(call_segs), len(ep_segs)
+    longer = call_segs if n_call > n_ep else ep_segs
+    if any(seg is not None for seg in longer[min(n_call, n_ep):]):
         return 0.0
-    return (strong + 0.5 * weak) / max(len(call_segs), len(ep_segs))
+    return (strong + 0.5 * weak) / max(n_call, n_ep)
+
+
+def path_score(call_path: str, endpoint_path: str) -> float:
+    """``_segment_score`` of two unsplit paths."""
+    return _segment_score(_split_path(call_path), _split_path(endpoint_path))
 
 
 def _method_factor(call_method: str, endpoint_method: str) -> float | None:
@@ -252,32 +293,58 @@ def _method_factor(call_method: str, endpoint_method: str) -> float | None:
     return None
 
 
+#: An endpoint with each URL template's path split once:
+#: (endpoint, ((template, path segments), ...)).
+_IndexedEndpoint = tuple[Endpoint, tuple[tuple[str, _Segments], ...]]
+
+
+class EndpointIndex:
+    """The endpoints one weave matches calls against, in their given order,
+    each template's host dropped and path split once, and grouped by
+    service."""
+
+    def __init__(self, endpoints: list[Endpoint]):
+        self.entries: list[_IndexedEndpoint] = []
+        self.by_service: dict[str, list[_IndexedEndpoint]] = {}
+        for endpoint in endpoints:
+            templates = tuple(
+                (template, _split_path(split_host(template)[1]))
+                for template in endpoint.url_templates
+            )
+            entry = (endpoint, templates)
+            self.entries.append(entry)
+            self.by_service.setdefault(endpoint.service, []).append(entry)
+
+
 def _candidates(
-    call: RemoteCall, endpoints: list[Endpoint], inventory: Inventory
-) -> tuple[str, list[Endpoint], float]:
-    """The call's path, the endpoints it may reach, and its host penalty.
+    call: RemoteCall, index: EndpointIndex, inventory: Inventory
+) -> tuple[_Segments, list[_IndexedEndpoint], float]:
+    """The call's path segments, the endpoints it may reach, and its host
+    penalty.
 
     A resolvable host restricts candidates to that service; an unresolvable
     one widens to all services at half confidence; a relative URL widens
     at full confidence.
     """
     host, path = split_host(call.url_template)
+    segs = _split_path(path)
     if host is None:
-        return path, endpoints, 1.0
+        return segs, index.entries, 1.0
     target = inventory.get(host)
     if target is None:
-        return path, endpoints, 0.5
-    return path, [ep for ep in endpoints if ep.service == target], 1.0
+        return segs, index.entries, 0.5
+    return segs, index.by_service.get(target, []), 1.0
 
 
-def _best_template(path: str, endpoint: Endpoint) -> tuple[float, str | None]:
-    """The endpoint's best path score against ``path`` and the first
+def _best_template(
+    segs: _Segments, templates: tuple[tuple[str, _Segments], ...]
+) -> tuple[float, str | None]:
+    """The best path score of ``templates`` against ``segs`` and the first
     template that reaches it (None when every template scores 0)."""
     best = 0.0
     best_template = None
-    for template in endpoint.url_templates:
-        _host, ep_path = split_host(template)
-        score = path_score(path, ep_path)
+    for template, ep_segs in templates:
+        score = _segment_score(segs, ep_segs)
         if score > best:
             best = score
             best_template = template
@@ -286,7 +353,7 @@ def _best_template(path: str, endpoint: Endpoint) -> tuple[float, str | None]:
 
 def match_call_to_endpoints(
     call: RemoteCall,
-    endpoints: list[Endpoint],
+    index: EndpointIndex,
     inventory: Inventory,
     config: WeaveConfig,
 ) -> list[CommEdge]:
@@ -296,13 +363,13 @@ def match_call_to_endpoints(
     method factor; every endpoint tied at the best overall score gets an
     edge, splitting the host penalty k ways as confidence.
     """
-    path, candidates, host_penalty = _candidates(call, endpoints, inventory)
+    segs, candidates, host_penalty = _candidates(call, index, inventory)
     scored: list[tuple[float, Endpoint, str]] = []
-    for endpoint in candidates:
+    for endpoint, templates in candidates:
         factor = _method_factor(call.http_method, endpoint.http_method)
         if factor is None:
             continue
-        best, template = _best_template(path, endpoint)
+        best, template = _best_template(segs, templates)
         total = best * factor
         if total > 0.0 and template is not None:
             scored.append((total, endpoint, template))
@@ -330,19 +397,19 @@ def match_call_to_endpoints(
 
 def _method_near_miss(
     call: RemoteCall,
-    endpoints: list[Endpoint],
+    index: EndpointIndex,
     inventory: Inventory,
     config: WeaveConfig,
 ) -> Endpoint | None:
     """The candidate whose path matches at or above the threshold but whose
     HTTP method blocks the call: best path score first, then service, file
     and line."""
-    path, candidates, _penalty = _candidates(call, endpoints, inventory)
+    segs, candidates, _penalty = _candidates(call, index, inventory)
     near_misses = []
-    for endpoint in candidates:
+    for endpoint, templates in candidates:
         if _method_factor(call.http_method, endpoint.http_method) is not None:
             continue
-        score, _template = _best_template(path, endpoint)
+        score, _template = _best_template(segs, templates)
         if score >= config.path_threshold:
             near_misses.append(
                 ((-score, endpoint.service, endpoint.span.file, endpoint.span.line_start),
@@ -425,16 +492,16 @@ def weave(
     models = [derive_data_model(ir) for ir in ordered]
     context_map = build_context_map(models, taxonomy, config)
 
-    all_endpoints = [ep for ir in ordered for ep in ir.endpoints]
+    index = EndpointIndex([ep for ir in ordered for ep in ir.endpoints])
     comm_edges: list[CommEdge] = []
     unmatched_calls: list[tuple[RemoteCall, Endpoint | None]] = []
     for ir in ordered:
         for call in ir.remote_calls:
-            edges = match_call_to_endpoints(call, all_endpoints, inventory, config)
+            edges = match_call_to_endpoints(call, index, inventory, config)
             if edges:
                 comm_edges.extend(edges)
             else:
-                near_miss = _method_near_miss(call, all_endpoints, inventory, config)
+                near_miss = _method_near_miss(call, index, inventory, config)
                 unmatched_calls.append((call, near_miss))
     comm_edges.sort(key=_edge_key)
 

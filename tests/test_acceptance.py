@@ -33,7 +33,7 @@ from microweave.laast import LEAF_KINDS, LaastNode, NodeKind, load_laast, save_l
 from microweave.matchers import MethodSig, SourceSpan
 from microweave.similarity import parse_taxonomy, wu_palmer
 from microweave.topology import Inventory
-from microweave.weave import WeaveConfig, match_call_to_endpoints, weave
+from microweave.weave import EndpointIndex, WeaveConfig, match_call_to_endpoints, weave
 
 OUTPUT_FILES = (
     "system.json",
@@ -392,8 +392,9 @@ def test_criterion_4_endpoint_matching_oracle(capsys):
     ok = True
     for _ in range(200):
         calls, endpoints, inventory = _random_matching_instance(rng)
+        index = EndpointIndex(endpoints)
         for call in calls:
-            edges = match_call_to_endpoints(call, endpoints, inventory, config)
+            edges = match_call_to_endpoints(call, index, inventory, config)
             expected, penalty = _oracle_match(
                 call, endpoints, inventory, config.path_threshold
             )

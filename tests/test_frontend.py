@@ -197,6 +197,27 @@ public class Helper {
     assert report.warnings == []
 
 
+def test_extract_escaped_newline_in_literal_keeps_later_lines(tmp_path):
+    root = _service_dir(tmp_path)
+    _write(root, "src/C.java", """class C {
+    String s = "abc\\
+def";
+    @GetMapping("/x")
+    public String get() { return helper(); }
+    String helper() { return ""; }
+}
+""")
+    tree_root, _report = extract(SourceTree(service_name="svc", root_dir=root))
+    methods = {
+        n.name: n for n in _types(tree_root)["C"].children if n.kind == NodeKind.METHOD_DECL
+    }
+    get, helper = methods["get"], methods["helper"]
+    assert (get.span.line_start, get.span.line_end) == (5, 5)
+    assert [c.name for c in get.children if c.kind == NodeKind.ANNOTATION] == ["GetMapping"]
+    assert [c.name for c in get.children if c.kind == NodeKind.CALL] == ["helper"]
+    assert (helper.span.line_start, helper.span.line_end) == (6, 6)
+
+
 def _iter(node):
     stack = [(node, ())]
     while stack:
@@ -426,7 +447,9 @@ def _oracle_mask_strings(text: str) -> str:
             i += 1
         elif state == "str":
             if c == "\\" and i + 1 < n:
-                out[i] = out[i + 1] = " "
+                out[i] = " "
+                if text[i + 1] != "\n":
+                    out[i + 1] = " "
                 i += 2
                 continue
             if c in ('"', "\n"):
@@ -436,7 +459,9 @@ def _oracle_mask_strings(text: str) -> str:
             i += 1
         else:
             if c == "\\" and i + 1 < n:
-                out[i] = out[i + 1] = " "
+                out[i] = " "
+                if text[i + 1] != "\n":
+                    out[i + 1] = " "
                 i += 2
                 continue
             if c in ("'", "\n"):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import microweave.weave as weave_module
 from microweave.errors import DuplicateServiceError
 from microweave.ir import Component, DataModel, Endpoint, RemoteCall, ServiceIr, EventOp
 from microweave.matchers import (
@@ -14,7 +17,11 @@ from microweave.matchers import (
 from microweave.similarity import parse_taxonomy
 from microweave.topology import build_inventory, parse_compose
 from microweave.weave import (
+    EndpointIndex,
+    NameSimilarity,
     WeaveConfig,
+    _segment_score,
+    _split_path,
     build_context_map,
     canonical_type,
     match_call_to_endpoints,
@@ -28,6 +35,7 @@ from microweave.weave import (
 )
 
 CONFIG = WeaveConfig()
+NAMES = NameSimilarity(None, CONFIG.strip_tokens)
 
 
 def _entity(name, fields, service="svc", file="src/E.java"):
@@ -88,7 +96,7 @@ def test_type_compatible_aliases():
 def test_match_fields_greedy_best_first():
     fields_a = [("userId", "long"), ("name", "String")]
     fields_b = [("name", "String"), ("userIdentifier", "long"), ("id", "long")]
-    matches = match_fields(fields_a, fields_b, None, CONFIG)
+    matches = match_fields(fields_a, fields_b, NAMES, CONFIG)
     pairs = {(m.field_a, m.field_b) for m in matches}
     assert ("name", "name") in pairs
     assert len([m for m in matches if m.field_a == "userId"]) <= 1
@@ -96,12 +104,12 @@ def test_match_fields_greedy_best_first():
 
 
 def test_match_fields_respects_threshold():
-    matches = match_fields([("alpha", "long")], [("omega", "long")], None, CONFIG)
+    matches = match_fields([("alpha", "long")], [("omega", "long")], NAMES, CONFIG)
     assert matches == ()
 
 
 def test_match_fields_marks_type_compatibility():
-    matches = match_fields([("name", "String")], [("name", "long")], None, CONFIG)
+    matches = match_fields([("name", "String")], [("name", "long")], NAMES, CONFIG)
     assert len(matches) == 1
     assert matches[0].score == 1.0
     assert matches[0].type_compatible is False
@@ -159,6 +167,56 @@ def test_path_score_prefix_with_template_remainder():
     assert path_score("/api", "/api/users/{id}") == 0.0
 
 
+def _oracle_path_score(call_path: str, endpoint_path: str) -> float:
+    """The string-level rule as it was before paths were split once."""
+
+    def segments(path):
+        trimmed = path.strip("/")
+        return trimmed.split("/") if trimmed else []
+
+    def is_template(segment):
+        return segment.startswith("{") and segment.endswith("}")
+
+    call_segs = segments(call_path)
+    ep_segs = segments(endpoint_path)
+    if not call_segs and not ep_segs:
+        return 1.0
+    strong = 0
+    weak = 0
+    overlap = min(len(call_segs), len(ep_segs))
+    for left, right in zip(call_segs, ep_segs):
+        if is_template(left) or is_template(right):
+            weak += 1
+        elif left == right:
+            strong += 1
+        else:
+            return 0.0
+    longer = call_segs if len(call_segs) > len(ep_segs) else ep_segs
+    if any(not is_template(seg) for seg in longer[overlap:]):
+        return 0.0
+    return (strong + 0.5 * weak) / max(len(call_segs), len(ep_segs))
+
+
+_PATHS = st.one_of(
+    st.sampled_from(["", "/", "//"]),
+    st.builds(
+        lambda lead, segs, trail: lead + "/".join(segs) + trail,
+        st.sampled_from(["", "/"]),
+        st.lists(st.sampled_from(["api", "users", "7", "{x}", "{*}", "{", "x}", ""]),
+                 max_size=5),
+        st.sampled_from(["", "/", "//"]),
+    ),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_PATHS, _PATHS)
+def test_segment_score_matches_string_rule(call_path, endpoint_path):
+    want = _oracle_path_score(call_path, endpoint_path)
+    assert _segment_score(_split_path(call_path), _split_path(endpoint_path)) == want
+    assert path_score(call_path, endpoint_path) == want
+
+
 def test_match_call_resolvable_host_restricts_candidates():
     endpoints = [
         _endpoint("users", "GET", ["/api/users/{id}"], file="src/U.java"),
@@ -166,7 +224,10 @@ def test_match_call_resolvable_host_restricts_candidates():
     ]
     inventory = build_inventory(None, ["users", "orders"])
     edges = match_call_to_endpoints(
-        _call("GET", "http://users/api/users/{*}"), endpoints, inventory, CONFIG
+        _call("GET", "http://users/api/users/{*}"),
+        EndpointIndex(endpoints),
+        inventory,
+        CONFIG,
     )
     assert [e.to_service for e in edges] == ["users"]
     assert edges[0].confidence == 1.0
@@ -180,7 +241,7 @@ def test_match_call_unresolvable_host_halves_confidence():
     inventory = build_inventory(None, ["users"])
     edges = match_call_to_endpoints(
         _call("GET", "http://user-farm.example.com/api/users/{*}"),
-        endpoints,
+        EndpointIndex(endpoints),
         inventory,
         CONFIG,
     )
@@ -192,7 +253,7 @@ def test_match_call_relative_url_no_penalty():
     endpoints = [_endpoint("users", "GET", ["/api/users/{id}"])]
     inventory = build_inventory(None, ["users"])
     edges = match_call_to_endpoints(
-        _call("GET", "/api/users/{*}"), endpoints, inventory, CONFIG
+        _call("GET", "/api/users/{*}"), EndpointIndex(endpoints), inventory, CONFIG
     )
     assert len(edges) == 1
     assert edges[0].confidence == 1.0
@@ -202,16 +263,25 @@ def test_match_call_method_gate():
     endpoints = [_endpoint("users", "GET", ["/api/users"])]
     inventory = build_inventory(None, ["users"])
     assert match_call_to_endpoints(
-        _call("POST", "http://users/api/users"), endpoints, inventory, CONFIG
+        _call("POST", "http://users/api/users"),
+        EndpointIndex(endpoints),
+        inventory,
+        CONFIG,
     ) == []
     edges = match_call_to_endpoints(
-        _call("UNKNOWN", "http://users/api/users"), endpoints, inventory, CONFIG
+        _call("UNKNOWN", "http://users/api/users"),
+        EndpointIndex(endpoints),
+        inventory,
+        CONFIG,
     )
     assert len(edges) == 1
     assert edges[0].score == pytest.approx(0.9)
     any_endpoint = [_endpoint("users", "ANY", ["/api/users"])]
     edges = match_call_to_endpoints(
-        _call("UNKNOWN", "http://users/api/users"), any_endpoint, inventory, CONFIG
+        _call("UNKNOWN", "http://users/api/users"),
+        EndpointIndex(any_endpoint),
+        inventory,
+        CONFIG,
     )
     assert edges[0].score == pytest.approx(0.9)
 
@@ -220,7 +290,10 @@ def test_match_call_below_threshold_yields_nothing():
     endpoints = [_endpoint("users", "GET", ["/api/users/{id}/posts/{pid}"])]
     inventory = build_inventory(None, ["users"])
     edges = match_call_to_endpoints(
-        _call("GET", "http://users/api/users"), endpoints, inventory, CONFIG
+        _call("GET", "http://users/api/users"),
+        EndpointIndex(endpoints),
+        inventory,
+        CONFIG,
     )
     assert edges == []
 
@@ -232,7 +305,10 @@ def test_match_call_tie_splits_confidence_and_flags_ambiguous():
     ]
     inventory = build_inventory(None, ["users"])
     edges = match_call_to_endpoints(
-        _call("GET", "http://users/api/users/{*}"), endpoints, inventory, CONFIG
+        _call("GET", "http://users/api/users/{*}"),
+        EndpointIndex(endpoints),
+        inventory,
+        CONFIG,
     )
     assert len(edges) == 2
     assert all(e.ambiguous for e in edges)
@@ -246,7 +322,10 @@ def test_match_call_picks_best_template_per_endpoint():
     ]
     inventory = build_inventory(None, ["users"])
     edges = match_call_to_endpoints(
-        _call("GET", "http://users/api/users/email/{*}"), endpoints, inventory, CONFIG
+        _call("GET", "http://users/api/users/email/{*}"),
+        EndpointIndex(endpoints),
+        inventory,
+        CONFIG,
     )
     assert len(edges) == 1
     assert edges[0].matched_url_template == "/api/users/email/{email}"
@@ -344,3 +423,82 @@ def test_weave_metadata_carries_inventory_and_version():
     assert system.metadata["inventory"] == {"solo": "solo"}
     assert system.metadata["tool_version"]
     assert system.metadata["warnings"] == []
+
+
+_ENTITY_WORDS = ("Order", "Customer", "LineItem")
+_ENTITY_SUFFIXES = ("", "Dto", "Entity")
+_FIELD_NAMES = ("id", "customerId", "total", "createdAt")
+_ENDPOINTS_PER_SERVICE = 4
+_CALLS_PER_SERVICE = 3
+
+
+def _scaling_system(n_services):
+    """Services from one fixed vocabulary: the same entities (spelled with a
+    per-service suffix) and fields everywhere, and calls whose host names
+    the next service."""
+    irs = []
+    for i in range(n_services):
+        name = f"svc{i:02d}"
+        suffix = _ENTITY_SUFFIXES[i % len(_ENTITY_SUFFIXES)]
+        entities = [
+            _entity(word + suffix, [(f, "long") for f in _FIELD_NAMES], name,
+                    file=f"src/{word}.java")
+            for word in _ENTITY_WORDS
+        ]
+        endpoints = [
+            _endpoint(name, "GET", [f"/api/items{k}/{{id}}"], handler=f"h{k}", line=10 * k + 1)
+            for k in range(_ENDPOINTS_PER_SERVICE)
+        ]
+        target = f"svc{(i + 1) % n_services:02d}"
+        calls = [
+            _call("GET", f"http://{target}/api/items{k}/{{*}}", service=name, line=k + 1)
+            for k in range(_CALLS_PER_SERVICE)
+        ]
+        irs.append(ServiceIr(service_name=name, components=entities, endpoints=endpoints,
+                             remote_calls=calls))
+    return irs
+
+
+def _counted_weave(monkeypatch, irs):
+    """Weave ``irs`` and count calls of the module-level functions it
+    resolves at call time."""
+    counts = dict.fromkeys(("entity_similarity", "_segment_score", "split_host"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        for name in counts:
+            patch.setattr(weave_module, name, counting(name, getattr(weave_module, name)))
+        system = weave(irs)
+    return system, counts
+
+
+def test_weave_work_grows_with_distinct_names_and_target_endpoints(monkeypatch):
+    small, big = _scaling_system(8), _scaling_system(16)
+    small_system, small_counts = _counted_weave(monkeypatch, small)
+    big_system, big_counts = _counted_weave(monkeypatch, big)
+
+    def entity_pairs(irs):
+        total = len(_ENTITY_WORDS) * len(irs)
+        return (total * total - len(irs) * len(_ENTITY_WORDS) ** 2) // 2
+
+    assert entity_pairs(big) / entity_pairs(small) > 4
+    assert len(big_system.context_map.matches) > 4 * len(small_system.context_map.matches)
+    # Similarity is computed once per ordered pair of distinct token lists,
+    # and the vocabulary is the same at both sizes.
+    assert small_counts["entity_similarity"] > 0
+    assert big_counts["entity_similarity"] <= 1.1 * small_counts["entity_similarity"]
+
+    for irs, system, counts in ((small, small_system, small_counts),
+                                (big, big_system, big_counts)):
+        n_calls = _CALLS_PER_SERVICE * len(irs)
+        assert len(system.comm_edges) == n_calls
+        # Each call scores only its target service's endpoints ...
+        assert counts["_segment_score"] == _ENDPOINTS_PER_SERVICE * n_calls
+        # ... and endpoint templates are split once, when the index is built.
+        assert counts["split_host"] == n_calls + _ENDPOINTS_PER_SERVICE * len(irs)
