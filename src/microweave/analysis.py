@@ -9,6 +9,7 @@ cannot be introduced from outside.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from microweave.matchers import PARAM_BODY, PARAM_PATH, Endpoint, RemoteCall
@@ -332,52 +333,162 @@ def _check_topology(system: SystemIr, settings: CheckSettings, findings: list[Fi
         )
 
 
+def _sorted_adjacency(edges: set[tuple[str, str]]) -> dict[str, list[str]]:
+    """Successor lists of a digraph, keyed and ordered by node name."""
+    nodes = sorted({a for a, _b in edges} | {b for _a, b in edges})
+    adjacency: dict[str, list[str]] = {node: [] for node in nodes}
+    for src, dst in sorted(edges):
+        adjacency[src].append(dst)
+    return adjacency
+
+
 def detect_cycles(edges: set[tuple[str, str]]) -> list[tuple[str, ...]]:
     """All elementary cycles of a digraph, each rotated so its
     lexicographically smallest node comes first, sorted and deduplicated.
 
     Every elementary cycle has a unique smallest node; enumerating simple
     paths that start at that node and only visit larger nodes finds each
-    cycle exactly once.
+    cycle exactly once.  As in Johnson (1975), each search stays inside its
+    start's strongly connected component of the subgraph of nodes not
+    smaller than the start, and nodes on no such cycle are never starts, so
+    a ring costs linear time.  The walk keeps its own stack, so path length
+    is not bounded by the interpreter's recursion limit.
     """
-    nodes = sorted({a for a, _b in edges} | {b for _a, b in edges})
-    adjacency: dict[str, list[str]] = {node: [] for node in nodes}
-    for src, dst in sorted(edges):
-        adjacency[src].append(dst)
-
+    adjacency = _sorted_adjacency(edges)
+    nodes = list(adjacency)
     cycles: list[tuple[str, ...]] = []
-
-    def explore(start: str, current: str, stack: list[str], on_path: set[str]):
-        for nxt in adjacency[current]:
-            if nxt == start:
-                cycles.append(tuple(stack))
-            elif nxt > start and nxt not in on_path:
-                stack.append(nxt)
-                on_path.add(nxt)
-                explore(start, nxt, stack, on_path)
-                on_path.discard(nxt)
-                stack.pop()
-
-    for start in nodes:
-        explore(start, start, [start], {start})
+    rest = 0
+    while rest < len(nodes):
+        floor = nodes[rest]
+        sub = {n: [m for m in adjacency[n] if m >= floor] for n in nodes[rest:]}
+        cyclic = [c for c in strong_components(sub) if len(c) > 1 or c[0] in sub[c[0]]]
+        if not cyclic:
+            break
+        component = min(cyclic)
+        start, members = component[0], set(component)
+        path = [start]
+        on_path = {start}
+        successors = [iter(sub[start])]
+        while successors:
+            for nxt in successors[-1]:
+                if nxt == start:
+                    cycles.append(tuple(path))
+                elif nxt in members and nxt not in on_path:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    successors.append(iter(sub[nxt]))
+                    break
+            else:
+                successors.pop()
+                on_path.discard(path.pop())
+        rest = nodes.index(start) + 1
     return sorted(cycles)
+
+
+def strong_components(adjacency: dict[str, list[str]]) -> list[list[str]]:
+    """Strongly connected components of a digraph, each sorted by name
+    (Tarjan 1972, with an explicit stack instead of recursion).
+
+    ``adjacency`` must name every node as a key.  Roots are tried in key
+    order and successors in list order, so the result is deterministic.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    components: list[list[str]] = []
+    for root in adjacency:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(adjacency[root]))]
+        while work:
+            node, successors = work[-1]
+            for nxt in successors:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(adjacency[nxt])))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    member = None
+                    while member != node:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                    components.append(sorted(component))
+    return components
+
+
+def _shortest_cycle(adjacency: dict[str, list[str]], members: set[str], start: str) -> list[str]:
+    """One shortest cycle through ``start`` inside the strongly connected
+    ``members``, as its node sequence from ``start``: breadth-first over
+    sorted successors, closed by the first edge back to ``start``."""
+    parent: dict[str, str] = {start: start}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for nxt in adjacency[node]:
+            if nxt == start:
+                cycle = [node]
+                while cycle[-1] != start:
+                    cycle.append(parent[cycle[-1]])
+                return cycle[::-1]
+            if nxt in members and nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
 
 
 @_emits(RULE_CYCLIC_DEPENDENCY)
 def _check_cycles(system: SystemIr, settings: CheckSettings, findings: list[Finding]):
-    edges = {
-        (e.from_service, e.to_service)
-        for e in system.comm_edges
-        if e.from_service != e.to_service
-    }
-    for cycle in detect_cycles(edges):
-        route = " -> ".join(cycle + (cycle[0],))
+    """One S01 per strongly connected component of two or more services.
+
+    The message names one shortest cycle through the component's smallest
+    member.  A component that is a single elementary cycle (as many inner
+    edges as members) keeps the per-cycle wording; any other says how many
+    services are tangled, and lists the members off the witness after it.
+    """
+    adjacency = _sorted_adjacency(
+        {
+            (e.from_service, e.to_service)
+            for e in system.comm_edges
+            if e.from_service != e.to_service
+        }
+    )
+    for component in strong_components(adjacency):
+        if len(component) < 2:
+            continue
+        members = set(component)
+        cycle = _shortest_cycle(adjacency, members, component[0])
+        route = " -> ".join(cycle + cycle[:1])
+        inner_edges = sum(1 for m in component for nxt in adjacency[m] if nxt in members)
+        if inner_edges == len(component):
+            message = f"services call each other in a cycle: {route}"
+            named = cycle
+        else:
+            message = (
+                f"{len(component)} services call each other in cycles; "
+                f"shortest through {component[0]}: {route}"
+            )
+            on_cycle = set(cycle)
+            named = cycle + [m for m in component if m not in on_cycle]
         findings.append(
             Finding(
                 rule_id=RULE_CYCLIC_DEPENDENCY,
                 severity=settings.severity(RULE_CYCLIC_DEPENDENCY),
-                message=f"services call each other in a cycle: {route}",
-                subjects=tuple(Subject(service=s, ref=route) for s in cycle),
+                message=message,
+                subjects=tuple(Subject(service=s, ref=route) for s in named),
             )
         )
 
@@ -422,12 +533,13 @@ def coupling_metrics(system: SystemIr) -> CouplingReport:
     }
     pairs |= {(pub, sub) for pub, sub, _topic in system.event_edges if pub != sub}
 
+    afferent = Counter(dst for _src, dst in pairs)
+    efferent = Counter(src for src, _dst in pairs)
     rows = []
     total = 0.0
     for ir in system.services:
         name = ir.service_name
-        ais = sum(1 for src, dst in pairs if dst == name)
-        ads = sum(1 for src, dst in pairs if src == name)
+        ais, ads = afferent[name], efferent[name]
         instability = ads / (ais + ads) if (ais + ads) else 0.0
         rows.append(ServiceCoupling(service=name, ais=ais, ads=ads, instability=instability))
         total += instability

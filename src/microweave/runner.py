@@ -98,6 +98,13 @@ def _reject_unknown_keys(raw: dict, known: tuple[str, ...], prefix: str) -> None
             raise ConfigError(f"{prefix}{key}: unknown field", field=f"{prefix}{key}")
 
 
+def _config_path(base: Path, raw: str, field_name: str) -> Path:
+    """``raw`` as written when absolute, else resolved against ``base``."""
+    if "\0" in raw:
+        raise ConfigError(f"{field_name} must not contain a NUL byte", field=field_name)
+    return Path(raw) if Path(raw).is_absolute() else (base / raw).resolve()
+
+
 def _discover_services(root: Path) -> list[dict]:
     """Auto discovery: each immediate subdirectory containing at least one
     source file becomes one service named after the directory."""
@@ -142,8 +149,7 @@ def _parse_service(entry, index: int, base: Path) -> ServiceSpec:
         globs = list(PASSTHROUGH_INCLUDE_GLOBS)
     return ServiceSpec(
         name=name,
-        root_dir=(base / root_raw).resolve() if not Path(root_raw).is_absolute()
-        else Path(root_raw),
+        root_dir=_config_path(base, root_raw, f"{field_name}.root_dir"),
         include_globs=tuple(globs),
         convention=convention,
     )
@@ -153,11 +159,11 @@ def _parse_threshold(raw: dict, key: str, default: float) -> float:
     value = raw.get(key, default)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"thresholds.{key} must be a number", field=f"thresholds.{key}")
-    value = float(value)
+    # Compared before float(), which overflows on a huge integer.
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"thresholds.{key} must be within [0, 1]",
                           field=f"thresholds.{key}")
-    return value
+    return float(value)
 
 
 def _parse_checks(raw) -> tuple[frozenset[str], dict[str, str]]:
@@ -250,11 +256,22 @@ def load_config(
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}", field="config") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}", field="config") from None
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}", field="config") from None
+    except RecursionError:
+        raise ConfigError("config file nests too deeply to parse", field="config") from None
+    except ValueError:
+        # json.loads raises a bare ValueError only for an integer beyond the
+        # interpreter's int-digit limit.
+        raise ConfigError("config file holds an integer with too many digits",
+                          field="config") from None
     _require_type(raw, dict, "config", "a JSON object")
     _reject_unknown_keys(raw, _CONFIG_KEYS, "")
     base = path.parent.resolve()
@@ -263,7 +280,7 @@ def load_config(
     if raw_services == "auto":
         root_raw = raw.get("root", ".")
         _require_type(root_raw, str, "root", "a string")
-        entries = _discover_services((base / root_raw).resolve())
+        entries = _discover_services(_config_path(base, root_raw, "root"))
     else:
         _require_type(raw_services, list, "services", "an array or \"auto\"")
         entries = raw_services
@@ -293,7 +310,7 @@ def load_config(
     taxonomy_path = None
     if raw.get("taxonomy_path") is not None:
         tp = _require_type(raw["taxonomy_path"], str, "taxonomy_path", "a string")
-        taxonomy_path = (base / tp).resolve() if not Path(tp).is_absolute() else Path(tp)
+        taxonomy_path = _config_path(base, tp, "taxonomy_path")
         if not taxonomy_path.is_file():
             raise ConfigError(f"taxonomy_path: {taxonomy_path} is not a file",
                               field="taxonomy_path")
@@ -305,7 +322,7 @@ def load_config(
         if not isinstance(cp, str):
             raise ConfigError(f"compose_paths[{i}] must be a string",
                               field=f"compose_paths[{i}]")
-        resolved = (base / cp).resolve() if not Path(cp).is_absolute() else Path(cp)
+        resolved = _config_path(base, cp, f"compose_paths[{i}]")
         if not resolved.is_file():
             raise ConfigError(f"compose_paths[{i}]: {resolved} is not a file",
                               field=f"compose_paths[{i}]")
@@ -325,8 +342,7 @@ def load_config(
     else:
         out_raw = raw.get("output_dir", "out")
         _require_type(out_raw, str, "output_dir", "a string")
-        output_dir = (base / out_raw).resolve() if not Path(out_raw).is_absolute() \
-            else Path(out_raw)
+        output_dir = _config_path(base, out_raw, "output_dir")
 
     return RunConfig(
         services=specs,

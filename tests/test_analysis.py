@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from microweave import analysis
 from microweave.analysis import (
     CheckSettings,
+    Finding,
     RULE_AMBIGUOUS_EDGE,
     RULE_CYCLIC_DEPENDENCY,
     RULE_DANGLING_CALL,
@@ -17,10 +23,12 @@ from microweave.analysis import (
     SEV_ERROR,
     SEV_INFO,
     SEV_WARNING,
+    Subject,
     coupling_metrics,
     detect_cycles,
     run_checks,
 )
+from microweave.export import export_report
 from microweave.ir import Component, Endpoint, RemoteCall, ServiceIr
 from microweave.matchers import MethodSig, ROLE_ENTITY, SourceSpan
 from microweave.topology import parse_compose
@@ -428,6 +436,180 @@ def test_detect_cycles_matches_brute_force_on_random_graphs():
         assert detect_cycles(edges) == _brute_force_cycles(edges)
 
 
+def test_detect_cycles_keeps_self_loops():
+    assert detect_cycles({("a", "a"), ("a", "b"), ("b", "a"), ("b", "c"), ("c", "c")}) == [
+        ("a",),
+        ("a", "b"),
+        ("c",),
+    ]
+
+
+def test_detect_cycles_walks_a_5000_node_ring():
+    names = [f"s{i:04d}" for i in range(5000)]
+    ring = {(names[i], names[(i + 1) % len(names)]) for i in range(len(names))}
+    assert detect_cycles(ring) == [tuple(names)]
+
+
+def _old_check_cycles(system, settings, findings):
+    """The per-cycle S01 check that per-component findings replaced."""
+    edges = {
+        (e.from_service, e.to_service)
+        for e in system.comm_edges
+        if e.from_service != e.to_service
+    }
+    for cycle in detect_cycles(edges):
+        route = " -> ".join(cycle + (cycle[0],))
+        findings.append(
+            Finding(
+                rule_id=RULE_CYCLIC_DEPENDENCY,
+                severity=settings.severity(RULE_CYCLIC_DEPENDENCY),
+                message=f"services call each other in a cycle: {route}",
+                subjects=tuple(Subject(service=s, ref=route) for s in cycle),
+            )
+        )
+
+
+def _edge_system(edges):
+    """Just enough of a SystemIr for the cycle check: its comm edge pairs."""
+    return SimpleNamespace(
+        comm_edges=[SimpleNamespace(from_service=a, to_service=b) for a, b in sorted(edges)]
+    )
+
+
+def _cycle_findings(edges, check=analysis._check_cycles):
+    findings = []
+    check(_edge_system(edges), CheckSettings(), findings)
+    return findings
+
+
+def _reachable(successors, start):
+    """Nodes reachable from ``start`` by one or more edges."""
+    seen, queue = set(), deque([start])
+    while queue:
+        for nxt in successors.get(queue.popleft(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def _oracle_components(edges):
+    """Non-trivial strong components by reachability closure."""
+    successors = {}
+    for a, b in edges:
+        if a != b:
+            successors.setdefault(a, set()).add(b)
+    reach = {node: _reachable(successors, node) for node in successors}
+    return {
+        frozenset({node} | {other for other in reach[node] if node in reach.get(other, ())})
+        for node in reach
+        if node in reach[node]
+    }
+
+
+def _shortest_cycle_length(edges, start):
+    dist, queue = {start: 0}, deque([start])
+    best = None
+    while queue:
+        node = queue.popleft()
+        for a, b in sorted(edges):
+            if a != node or a == b:
+                continue
+            if b == start:
+                best = dist[node] + 1 if best is None else min(best, dist[node] + 1)
+            elif b not in dist:
+                dist[b] = dist[node] + 1
+                queue.append(b)
+    return best
+
+
+@st.composite
+def _digraphs(draw):
+    n = draw(st.integers(1, 40))
+    names = [f"s{i}" for i in range(n)]
+    callees = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n))
+    return n, {(names[a], names[b]) for a, targets in enumerate(callees) for b in targets}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_digraphs())
+def test_cycle_findings_follow_strong_components(graph):
+    n, edges = graph
+    findings = _cycle_findings(edges)
+    components = _oracle_components(edges)
+    assert len(findings) <= n // 2
+    assert {frozenset(s.service for s in f.subjects) for f in findings} == components
+    for finding in findings:
+        members = sorted(s.service for s in finding.subjects)
+        route = finding.subjects[0].ref.split(" -> ")
+        cycle = route[:-1]
+        assert route[0] == route[-1] == members[0]
+        assert all(s.ref == finding.subjects[0].ref for s in finding.subjects)
+        assert all((a, b) in edges for a, b in zip(route, route[1:]))
+        assert len(set(cycle)) == len(cycle)
+        assert len(cycle) == _shortest_cycle_length(edges, members[0])
+        inner = {(a, b) for a, b in edges if a != b and {a, b} <= set(members)}
+        if len(inner) == len(members):
+            assert [finding] == _cycle_findings(inner, check=_old_check_cycles)
+        else:
+            rest = sorted(set(members) - set(cycle))
+            assert [s.service for s in finding.subjects] == cycle + rest
+            assert finding.message == (
+                f"{len(members)} services call each other in cycles; shortest "
+                f"through {members[0]}: {' -> '.join(route)}"
+            )
+
+
+def test_tangled_component_gives_one_finding_with_shortest_witness():
+    edges = {("a", "b"), ("b", "c"), ("c", "a"), ("b", "a"), ("c", "d"), ("d", "c")}
+    [finding] = _cycle_findings(edges)
+    assert finding.message == (
+        "4 services call each other in cycles; shortest through a: a -> b -> a"
+    )
+    assert [s.service for s in finding.subjects] == ["a", "b", "c", "d"]
+    assert {s.ref for s in finding.subjects} == {"a -> b -> a"}
+
+
+def _calling_system(callees):
+    """One service per key, each with one endpoint and one call per callee."""
+    return weave(
+        [
+            ServiceIr(
+                service_name=name,
+                endpoints=[_endpoint(name, "GET", "/api/x")],
+                remote_calls=[
+                    _call(name, "GET", f"http://{callee}/api/x", arg_count=0, line=i + 1)
+                    for i, callee in enumerate(targets)
+                ],
+            )
+            for name, targets in callees.items()
+        ]
+    )
+
+
+def test_5000_service_ring_gives_one_cycle_finding():
+    names = [f"svc{i:04d}" for i in range(5000)]
+    system = _calling_system({name: [names[(i + 1) % 5000]] for i, name in enumerate(names)})
+    cycles = [f for f in run_checks(system) if f.rule_id == RULE_CYCLIC_DEPENDENCY]
+    assert len(cycles) == 1
+    assert [s.service for s in cycles[0].subjects] == names
+
+
+def test_densely_calling_services_end_in_a_report():
+    rng = random.Random(60)
+    names = [f"svc{i:02d}" for i in range(60)]
+    callees = {name: rng.sample([o for o in names if o != name], 5) for name in names}
+    system = _calling_system(callees)
+    findings = run_checks(system)
+    cycles = [f for f in findings if f.rule_id == RULE_CYCLIC_DEPENDENCY]
+    edges = {(name, callee) for name, targets in callees.items() for callee in targets}
+    assert {frozenset(s.service for s in f.subjects) for f in cycles} == _oracle_components(
+        edges
+    )
+    report = export_report(findings, coupling_metrics(system), "json")
+    assert len(report) < 100_000
+
+
 def test_coupling_chain_instability():
     system = weave(
         [
@@ -510,12 +692,10 @@ def test_findings_sorted_by_rule_then_subject():
 
 
 def test_disabled_rule_skips_its_check(monkeypatch):
-    import microweave.analysis as analysis
+    def refuse(_adjacency):
+        raise AssertionError("strong_components ran although S01 is disabled")
 
-    def refuse(_edges):
-        raise AssertionError("detect_cycles ran although S01 is disabled")
-
-    monkeypatch.setattr(analysis, "detect_cycles", refuse)
+    monkeypatch.setattr(analysis, "strong_components", refuse)
     system = _two_cycle()
     settings = CheckSettings(disabled_rules=frozenset({RULE_CYCLIC_DEPENDENCY}))
     assert run_checks(system, settings) == []

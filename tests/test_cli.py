@@ -4,9 +4,13 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microweave import __version__
 from microweave.cli import main
+from microweave.errors import ConfigError
+from microweave.runner import load_config
 
 from conftest import GOLDEN_DIR
 
@@ -371,18 +375,88 @@ def test_documented_example_ruleset_runs(tmp_path, capsys):
          "ruleset[0].priority must be an integer"),
         ({"ruleset": [{"role": "Service", "suffixes": ["Service"], "priority": True}]}, (),
          "ruleset[0].priority must be an integer"),
+        ("[" * 100_000, (), "config file nests too deeply to parse"),
+        ('{"thresholds": {"tau": 1' + "0" * 4999 + "}}", (),
+         "config file holds an integer with too many digits"),
+        ({"thresholds": {"tau": 10**400}}, (), "thresholds.tau must be within [0, 1]"),
+        ({"services": [{"name": "users", "root_dir": "us\0ers"}]}, (),
+         "services[0].root_dir must not contain a NUL byte"),
+        ({"services": "auto", "root": "a\0b"}, (), "root must not contain a NUL byte"),
+        ({"taxonomy_path": "taxonomy\0.txt"}, (), "taxonomy_path must not contain a NUL byte"),
+        ({"compose_paths": ["docker\0.yml"]}, (), "compose_paths[0] must not contain a NUL byte"),
+        ({"output_dir": "o\0ut"}, (), "output_dir must not contain a NUL byte"),
     ],
     ids=["root_dir", "tau", "disable", "ruleset", "services", "jobs", "format",
          "thresholds_key", "service_key", "top_level_key", "checks_key", "rule_key",
          "rule_role_type", "rule_annotations_string", "rule_annotations_item",
          "rule_suffixes_string", "rule_priority_float", "rule_priority_string",
-         "rule_priority_bool"],
+         "rule_priority_bool", "deep_nesting", "int_digit_limit", "tau_beyond_float",
+         "root_dir_nul", "root_nul", "taxonomy_nul", "compose_nul", "output_dir_nul"],
 )
 def test_configuration_error_line_names_field_once(shop, capsys, patch, argv, message):
-    config = json.loads((shop / "config.json").read_text(encoding="utf-8"))
-    config.update(patch)
-    (shop / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    """``patch`` updates the fixture's config, or as a string replaces its text."""
+    if isinstance(patch, str):
+        text = patch
+    else:
+        config = json.loads((shop / "config.json").read_text(encoding="utf-8"))
+        config.update(patch)
+        text = json.dumps(config)
+    (shop / "config.json").write_text(text, encoding="utf-8")
     code = _run("--config", str(shop / "config.json"), *argv)
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err == f"analyze: configuration error: {message}\n"
+
+
+_WORDS = st.sampled_from(
+    ["auto", "SpringLike", "LaastPassthrough", "Service", "Controller", "E01", "S01",
+     "warning", "error", "**/*.java", "x"]
+)
+_PATHS = st.sampled_from([".", "a", "missing.txt"]) | st.text(alphabet="ab\0", max_size=3)
+_NUMBERS = st.integers() | st.floats() | st.sampled_from([0.5, 10**400])
+_ANY = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | _WORDS | _PATHS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(_WORDS | _PATHS, children, max_size=3),
+    max_leaves=12,
+)
+_SERVICE = st.fixed_dictionaries({}, optional={
+    "name": _WORDS | _ANY, "root_dir": _PATHS | _ANY,
+    "include_globs": st.lists(_WORDS) | _ANY, "convention": _WORDS | _ANY, "extra": _ANY,
+})
+_RULE = st.fixed_dictionaries({}, optional={
+    "role": _WORDS | _ANY, "annotations": st.lists(_WORDS) | _ANY,
+    "suffixes": st.lists(_WORDS) | _ANY, "priority": _NUMBERS | _ANY,
+})
+_CONFIG = st.fixed_dictionaries({}, optional={
+    "services": st.just("auto") | st.lists(_SERVICE, max_size=3) | _ANY,
+    "root": _PATHS | _ANY,
+    "taxonomy_path": _PATHS | _ANY,
+    "compose_paths": st.lists(_PATHS, max_size=2) | _ANY,
+    "thresholds": st.dictionaries(st.sampled_from(["tau", "tau_f", "theta", "x"]),
+                                  _NUMBERS | _ANY, max_size=3) | _ANY,
+    "ruleset": st.lists(_RULE, max_size=3) | _ANY,
+    "checks": st.fixed_dictionaries({}, optional={
+        "disable": st.lists(_WORDS | _ANY, max_size=3) | _ANY,
+        "severity": st.dictionaries(_WORDS, _WORDS | _ANY, max_size=2) | _ANY,
+        "enable": _ANY,
+    }) | _ANY,
+    "output_dir": _PATHS | _ANY,
+    "extra": _ANY,
+})
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config fuzz")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_CONFIG | _ANY)
+def test_load_config_raises_only_config_error(fuzz_dir, document):
+    path = fuzz_dir / "config.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    try:
+        load_config(path)
+    except ConfigError:
+        pass
