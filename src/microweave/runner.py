@@ -129,6 +129,12 @@ def _parse_service(entry, index: int, base: Path) -> ServiceSpec:
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{field_name}.name must be a non-empty string",
                           field=f"{field_name}.name")
+    # The name becomes an output file name, so it must stay one path component.
+    if name in (".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(
+            f"{field_name}.name must not be '.' or '..' or contain '/', '\\' or a NUL byte",
+            field=f"{field_name}.name",
+        )
     root_raw = entry.get("root_dir")
     if not isinstance(root_raw, str) or not root_raw:
         raise ConfigError(f"{field_name}.root_dir must be a non-empty string",
@@ -415,6 +421,14 @@ def build_system(config: RunConfig, log=None) -> tuple[SystemIr, dict[str, bytes
     return system, laast_blobs
 
 
+def system_json_bytes(system: SystemIr, ir_blobs: list[bytes]) -> bytes:
+    """Canonical ``system.json`` bytes, its ``services`` array being the
+    services' ``.ir.json`` bytes (``ir_blobs``, in ``system.services``
+    order) rather than a second encoding of each IR."""
+    rest = canonical_bytes(system_to_json_obj(system))
+    return b'{"services":[' + b",".join(ir_blobs) + b"]," + rest[1:]
+
+
 def run(config: RunConfig, formats: set[str] | None = None, log=None) -> int:
     """Execute the pipeline and return the exit status: 0 no findings,
     1 findings without errors, 2 errors present (3, tool failure, is
@@ -437,11 +451,13 @@ def run(config: RunConfig, formats: set[str] | None = None, log=None) -> int:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     if "json" in formats:
+        ir_blobs = []
         for ir in system.services:
             atomic_write(out / f"{ir.service_name}.laast.json",
                          laast_blobs[ir.service_name])
-            atomic_write(out / f"{ir.service_name}.ir.json", save_service_ir(ir))
-        atomic_write(out / "system.json", canonical_bytes(system_to_json_obj(system)))
+            ir_blobs.append(save_service_ir(ir))
+            atomic_write(out / f"{ir.service_name}.ir.json", ir_blobs[-1])
+        atomic_write(out / "system.json", system_json_bytes(system, ir_blobs))
         atomic_write(
             out / "context-map.json",
             canonical_bytes(context_map_to_json_obj(system.context_map)),

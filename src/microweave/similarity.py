@@ -47,6 +47,7 @@ class Taxonomy:
     def __init__(self, root: str):
         self._parent: dict[str, str | None] = {root: None}
         self._depth: dict[str, int] = {root: 1}
+        self._ancestors: dict[str, frozenset[str]] = {}
         self.root = root
 
     def add(self, term: str, parent: str) -> None:
@@ -72,24 +73,20 @@ class Taxonomy:
             raise TermNotFound(f"term {term!r} not in taxonomy")
         return self._depth[term]
 
-    def ancestors(self, term: str) -> list[str]:
-        """The term itself followed by its ancestors up to the root."""
-        if term not in self._parent:
-            raise TermNotFound(f"term {term!r} not in taxonomy")
-        chain = [term]
-        cur = self._parent[term]
-        while cur is not None:
-            chain.append(cur)
-            cur = self._parent[cur]
-        return chain
-
-    def lcs(self, a: str, b: str) -> str:
-        """Deepest common ancestor of two terms."""
-        ancestors_a = set(self.ancestors(a))
-        for candidate in self.ancestors(b):
-            if candidate in ancestors_a:
-                return candidate
-        return self.root
+    def ancestors(self, term: str) -> frozenset[str]:
+        """The term itself and its ancestors up to the root, computed on
+        first use.  A term's ancestry never changes once it is added."""
+        found = self._ancestors.get(term)
+        if found is None:
+            if term not in self._parent:
+                raise TermNotFound(f"term {term!r} not in taxonomy")
+            chain = [term]
+            cur = self._parent[term]
+            while cur is not None:
+                chain.append(cur)
+                cur = self._parent[cur]
+            found = self._ancestors[term] = frozenset(chain)
+        return found
 
 
 def parse_taxonomy(text: str) -> Taxonomy:
@@ -128,9 +125,14 @@ def load_taxonomy_file(path) -> Taxonomy:
 
 
 def wu_palmer(a: str, b: str, taxonomy: Taxonomy) -> float:
-    """Wu-Palmer similarity of two taxonomy terms, in (0, 1]."""
-    lcs = taxonomy.lcs(a, b)
-    return 2.0 * taxonomy.depth(lcs) / (taxonomy.depth(a) + taxonomy.depth(b))
+    """Wu-Palmer similarity of two taxonomy terms, in (0, 1].
+
+    A term's depth is the size of its ancestor set, and the common ancestors
+    of two terms are the path from the root to their deepest common
+    ancestor, so their number is that ancestor's depth."""
+    ancestors_a = taxonomy.ancestors(a)
+    ancestors_b = taxonomy.ancestors(b)
+    return 2.0 * len(ancestors_a & ancestors_b) / (len(ancestors_a) + len(ancestors_b))
 
 
 def _taxonomy_score(tokens_a: list[str], tokens_b: list[str], taxonomy: Taxonomy) -> float:

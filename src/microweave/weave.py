@@ -202,7 +202,8 @@ def build_context_map(
     ordered = sorted(models, key=lambda m: m.service_name)
     name_similarity = NameSimilarity(taxonomy, config.strip_tokens)
     matches: list[EntityMatch] = []
-    for model_a, model_b in combinations(ordered, 2):
+    with_entities = [model for model in ordered if model.entities]
+    for model_a, model_b in combinations(with_entities, 2):
         for ent_a in model_a.entities:
             for ent_b in model_b.entities:
                 score, strategy = name_similarity(ent_a.name, ent_b.name)
@@ -298,29 +299,110 @@ def _method_factor(call_method: str, endpoint_method: str) -> float | None:
 _IndexedEndpoint = tuple[Endpoint, tuple[tuple[str, _Segments], ...]]
 
 
+class _TrieNode:
+    """One path-segment trie node: children keyed by literal segment, or
+    None for a template slot, and the (endpoint position, template
+    position) of each template that ends here."""
+
+    __slots__ = ("children", "ends")
+
+    def __init__(self):
+        self.children: dict[str | None, _TrieNode] = {}
+        self.ends: list[tuple[int, int]] = []
+
+
+def _walk(root: _TrieNode, segs: _Segments) -> list[tuple[int, int]]:
+    """The (endpoint position, template position) of every template in the
+    trie whose ``_segment_score`` against ``segs`` is above 0, sorted.
+
+    A literal call segment follows its own child and the slot child, and a
+    call slot follows every child.  A template shorter than the call
+    matches only when the rest of the call is slots, and one longer than
+    the call only through slot edges.  An empty path scores above 0 only
+    against another empty path.
+    """
+    n = len(segs)
+    if n == 0:
+        return sorted(root.ends)
+    # slots_from[i]: every call segment from i on is a slot.
+    slots_from = [True] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        slots_from[i] = segs[i] is None and slots_from[i + 1]
+    hits: list[tuple[int, int]] = []
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth >= n:
+            hits.extend(node.ends)
+            child = node.children.get(None)
+            if child is not None:
+                stack.append((child, depth + 1))
+            continue
+        if depth and slots_from[depth]:
+            hits.extend(node.ends)
+        seg = segs[depth]
+        if seg is None:
+            stack.extend((child, depth + 1) for child in node.children.values())
+            continue
+        for key in (seg, None):
+            child = node.children.get(key)
+            if child is not None:
+                stack.append((child, depth + 1))
+    hits.sort()
+    return hits
+
+
 class EndpointIndex:
     """The endpoints one weave matches calls against, in their given order,
-    each template's host dropped and path split once, and grouped by
-    service."""
+    each template's host dropped and path split once.
+
+    Calls are matched through path-segment tries: one per service, and one
+    over every endpoint for calls that name no known host, each built on
+    first use."""
 
     def __init__(self, endpoints: list[Endpoint]):
         self.entries: list[_IndexedEndpoint] = []
-        self.by_service: dict[str, list[_IndexedEndpoint]] = {}
-        for endpoint in endpoints:
+        self._positions: dict[str, list[int]] = {}
+        self._tries: dict[str | None, _TrieNode] = {}
+        for position, endpoint in enumerate(endpoints):
             templates = tuple(
                 (template, _split_path(split_host(template)[1]))
                 for template in endpoint.url_templates
             )
-            entry = (endpoint, templates)
-            self.entries.append(entry)
-            self.by_service.setdefault(endpoint.service, []).append(entry)
+            self.entries.append((endpoint, templates))
+            self._positions.setdefault(endpoint.service, []).append(position)
+
+    def hits(self, segs: _Segments, service: str | None) -> list[tuple[int, int]]:
+        """``_walk`` over the endpoints of ``service``, or of every service
+        when it is None."""
+        trie = self._tries.get(service)
+        if trie is None:
+            trie = self._tries[service] = self._build_trie(
+                range(len(self.entries)) if service is None
+                else self._positions.get(service, ())
+            )
+        return _walk(trie, segs)
+
+    def _build_trie(self, positions) -> _TrieNode:
+        root = _TrieNode()
+        for position in positions:
+            for template_position, (_template, ep_segs) in enumerate(self.entries[position][1]):
+                node = root
+                for seg in ep_segs:
+                    child = node.children.get(seg)
+                    if child is None:
+                        child = node.children[seg] = _TrieNode()
+                    node = child
+                node.ends.append((position, template_position))
+        return root
 
 
-def _candidates(
+def _path_matches(
     call: RemoteCall, index: EndpointIndex, inventory: Inventory
-) -> tuple[_Segments, list[_IndexedEndpoint], float]:
-    """The call's path segments, the endpoints it may reach, and its host
-    penalty.
+) -> tuple[list[tuple[Endpoint, float, str]], float]:
+    """Each endpoint the call may reach whose path scores above 0, as
+    (endpoint, best path score, first template reaching it) in index
+    order, and the call's host penalty.
 
     A resolvable host restricts candidates to that service; an unresolvable
     one widens to all services at half confidence; a relative URL widens
@@ -328,27 +410,23 @@ def _candidates(
     """
     host, path = split_host(call.url_template)
     segs = _split_path(path)
-    if host is None:
-        return segs, index.entries, 1.0
-    target = inventory.get(host)
-    if target is None:
-        return segs, index.entries, 0.5
-    return segs, index.by_service.get(target, []), 1.0
-
-
-def _best_template(
-    segs: _Segments, templates: tuple[tuple[str, _Segments], ...]
-) -> tuple[float, str | None]:
-    """The best path score of ``templates`` against ``segs`` and the first
-    template that reaches it (None when every template scores 0)."""
-    best = 0.0
-    best_template = None
-    for template, ep_segs in templates:
+    service, penalty = None, 1.0
+    if host is not None:
+        service = inventory.get(host)
+        if service is None:
+            penalty = 0.5
+    matches: list[tuple[Endpoint, float, str]] = []
+    last = -1
+    for position, template_position in index.hits(segs, service):
+        endpoint, templates = index.entries[position]
+        template, ep_segs = templates[template_position]
         score = _segment_score(segs, ep_segs)
-        if score > best:
-            best = score
-            best_template = template
-    return best, best_template
+        if position != last:
+            matches.append((endpoint, score, template))
+            last = position
+        elif score > matches[-1][1]:
+            matches[-1] = (endpoint, score, template)
+    return matches, penalty
 
 
 def match_call_to_endpoints(
@@ -363,16 +441,12 @@ def match_call_to_endpoints(
     method factor; every endpoint tied at the best overall score gets an
     edge, splitting the host penalty k ways as confidence.
     """
-    segs, candidates, host_penalty = _candidates(call, index, inventory)
+    matches, host_penalty = _path_matches(call, index, inventory)
     scored: list[tuple[float, Endpoint, str]] = []
-    for endpoint, templates in candidates:
+    for endpoint, best, template in matches:
         factor = _method_factor(call.http_method, endpoint.http_method)
-        if factor is None:
-            continue
-        best, template = _best_template(segs, templates)
-        total = best * factor
-        if total > 0.0 and template is not None:
-            scored.append((total, endpoint, template))
+        if factor is not None:
+            scored.append((best * factor, endpoint, template))
 
     if not scored:
         return []
@@ -404,17 +478,13 @@ def _method_near_miss(
     """The candidate whose path matches at or above the threshold but whose
     HTTP method blocks the call: best path score first, then service, file
     and line."""
-    segs, candidates, _penalty = _candidates(call, index, inventory)
-    near_misses = []
-    for endpoint, templates in candidates:
-        if _method_factor(call.http_method, endpoint.http_method) is not None:
-            continue
-        score, _template = _best_template(segs, templates)
-        if score >= config.path_threshold:
-            near_misses.append(
-                ((-score, endpoint.service, endpoint.span.file, endpoint.span.line_start),
-                 endpoint)
-            )
+    matches, _penalty = _path_matches(call, index, inventory)
+    near_misses = [
+        ((-score, endpoint.service, endpoint.span.file, endpoint.span.line_start), endpoint)
+        for endpoint, score, _template in matches
+        if score >= config.path_threshold
+        and _method_factor(call.http_method, endpoint.http_method) is None
+    ]
     if not near_misses:
         return None
     return min(near_misses, key=lambda row: row[0])[1]
@@ -616,10 +686,9 @@ def comm_edge_to_json_obj(edge: CommEdge) -> dict:
 
 
 def system_to_json_obj(system: SystemIr) -> dict:
-    from microweave.ir import ir_to_json_obj
-
+    """``system.json`` without its leading ``services`` array, which holds
+    each service's ``.ir.json`` document."""
     return {
-        "services": [ir_to_json_obj(ir) for ir in system.services],
         "context_map": context_map_to_json_obj(system.context_map),
         "comm_edges": [comm_edge_to_json_obj(e) for e in system.comm_edges],
         "event_edges": [

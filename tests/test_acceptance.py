@@ -26,14 +26,23 @@ from microweave.ir import (
     PlainType,
     RemoteCall,
     ServiceIr,
+    ir_to_json_obj,
     load_service_ir,
     save_service_ir,
 )
+from microweave.jsonio import canonical_bytes
 from microweave.laast import LEAF_KINDS, LaastNode, NodeKind, load_laast, save_laast
 from microweave.matchers import MethodSig, SourceSpan
+from microweave.runner import build_system, load_config, system_json_bytes
 from microweave.similarity import parse_taxonomy, wu_palmer
 from microweave.topology import Inventory
-from microweave.weave import EndpointIndex, WeaveConfig, match_call_to_endpoints, weave
+from microweave.weave import (
+    EndpointIndex,
+    WeaveConfig,
+    match_call_to_endpoints,
+    system_to_json_obj,
+    weave,
+)
 
 OUTPUT_FILES = (
     "system.json",
@@ -720,6 +729,30 @@ def test_criterion_7_determinism_and_round_trips(tmp_path, capsys):
             ok = False
     with capsys.disabled():
         _verdict(7, "byte-determinism-and-round-trips", ok)
+
+
+def _whole_system_json(system) -> bytes:
+    """``system.json`` as one canonical encoding of the whole document."""
+    return canonical_bytes(
+        {"services": [ir_to_json_obj(ir) for ir in system.services],
+         **system_to_json_obj(system)}
+    )
+
+
+def test_system_json_splices_each_ir_encoding_into_one_canonical_document(fixture_run):
+    dest, _code, _elapsed = fixture_run
+    system, _blobs = build_system(load_config(dest / "config.json"), log=io.StringIO())
+    assert (dest / "out" / "system.json").read_bytes() == _whole_system_json(system)
+
+    rng = random.Random(11)
+    for _ in range(30):
+        irs = {}
+        for _ in range(rng.randint(1, 6)):
+            ir = _random_service_ir(rng)
+            irs.setdefault(ir.service_name, ir)
+        system = weave(list(irs.values()))
+        blobs = [save_service_ir(ir) for ir in system.services]
+        assert system_json_bytes(system, blobs) == _whole_system_json(system)
 
 
 def test_criterion_8_coupling_recount(fixture_run, capsys):

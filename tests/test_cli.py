@@ -385,13 +385,18 @@ def test_documented_example_ruleset_runs(tmp_path, capsys):
         ({"taxonomy_path": "taxonomy\0.txt"}, (), "taxonomy_path must not contain a NUL byte"),
         ({"compose_paths": ["docker\0.yml"]}, (), "compose_paths[0] must not contain a NUL byte"),
         ({"output_dir": "o\0ut"}, (), "output_dir must not contain a NUL byte"),
+        ({"services": [{"name": "../escaped", "root_dir": "users"}]}, (),
+         "services[0].name must not be '.' or '..' or contain '/', '\\' or a NUL byte"),
+        ({"services": [{"name": "..", "root_dir": "users"}]}, (),
+         "services[0].name must not be '.' or '..' or contain '/', '\\' or a NUL byte"),
     ],
     ids=["root_dir", "tau", "disable", "ruleset", "services", "jobs", "format",
          "thresholds_key", "service_key", "top_level_key", "checks_key", "rule_key",
          "rule_role_type", "rule_annotations_string", "rule_annotations_item",
          "rule_suffixes_string", "rule_priority_float", "rule_priority_string",
          "rule_priority_bool", "deep_nesting", "int_digit_limit", "tau_beyond_float",
-         "root_dir_nul", "root_nul", "taxonomy_nul", "compose_nul", "output_dir_nul"],
+         "root_dir_nul", "root_nul", "taxonomy_nul", "compose_nul", "output_dir_nul",
+         "name_traversal", "name_dotdot"],
 )
 def test_configuration_error_line_names_field_once(shop, capsys, patch, argv, message):
     """``patch`` updates the fixture's config, or as a string replaces its text."""

@@ -70,6 +70,9 @@ def test_wu_palmer_formula_values():
     t = parse_taxonomy("root\n  thing\n    vehicle\n      car\n      truck\n")
     assert wu_palmer("car", "truck", t) == pytest.approx(2 * 3 / (4 + 4))
     assert wu_palmer("root", "car", t) == pytest.approx(2 * 1 / (1 + 4))
+    # Each term's ancestry is built once and then read by every pair.
+    assert t.ancestors("car") == {"root", "thing", "vehicle", "car"}
+    assert t.ancestors("car") is t.ancestors("car")
 
 
 def test_wu_palmer_siblings_under_person():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -332,6 +334,133 @@ def test_match_call_picks_best_template_per_endpoint():
     assert edges[0].score == pytest.approx(3.5 / 4)
 
 
+def _oracle_candidates(call, index, inventory):
+    """The linear scan's candidates: (call segments, every endpoint entry
+    the call may reach, host penalty)."""
+    host, path = split_host(call.url_template)
+    segs = _split_path(path)
+    if host is None:
+        return segs, index.entries, 1.0
+    target = inventory.get(host)
+    if target is None:
+        return segs, index.entries, 0.5
+    return segs, [entry for entry in index.entries if entry[0].service == target], 1.0
+
+
+def _oracle_best_template(segs, templates):
+    best = 0.0
+    best_template = None
+    for template, ep_segs in templates:
+        score = _segment_score(segs, ep_segs)
+        if score > best:
+            best = score
+            best_template = template
+    return best, best_template
+
+
+def _oracle_match(call, index, inventory, config):
+    """Call matching as a scan of every candidate endpoint and template."""
+    segs, candidates, host_penalty = _oracle_candidates(call, index, inventory)
+    scored = []
+    for endpoint, templates in candidates:
+        factor = weave_module._method_factor(call.http_method, endpoint.http_method)
+        if factor is None:
+            continue
+        best, template = _oracle_best_template(segs, templates)
+        total = best * factor
+        if total > 0.0 and template is not None:
+            scored.append((total, endpoint, template))
+    if not scored:
+        return []
+    top = max(score for score, _, _ in scored)
+    if top < config.path_threshold:
+        return []
+    ties = [(endpoint, template) for score, endpoint, template in scored if score == top]
+    edges = [
+        weave_module.CommEdge(call=call, endpoint=endpoint, matched_url_template=template,
+                              score=top, confidence=host_penalty / len(ties),
+                              ambiguous=len(ties) > 1)
+        for endpoint, template in ties
+    ]
+    edges.sort(key=weave_module._edge_key)
+    return edges
+
+
+def _oracle_near_miss(call, index, inventory, config):
+    segs, candidates, _penalty = _oracle_candidates(call, index, inventory)
+    near_misses = []
+    for endpoint, templates in candidates:
+        if weave_module._method_factor(call.http_method, endpoint.http_method) is not None:
+            continue
+        score, _template = _oracle_best_template(segs, templates)
+        if score >= config.path_threshold:
+            near_misses.append(
+                ((-score, endpoint.service, endpoint.span.file, endpoint.span.line_start),
+                 endpoint)
+            )
+    if not near_misses:
+        return None
+    return min(near_misses, key=lambda row: row[0])[1]
+
+
+_MATCH_SERVICES = ("users", "orders", "items")
+_MATCH_SEGMENTS = st.sampled_from(["api", "users", "7", "", "{id}", "{key}", "{*}", "{", "x}"])
+_MATCH_PATHS = st.builds(
+    lambda lead, segs, trail: lead + "/".join(segs) + trail,
+    st.sampled_from(["", "/", "//"]),
+    st.lists(_MATCH_SEGMENTS, max_size=4),
+    st.sampled_from(["", "/", "//"]),
+)
+_MATCH_ENDPOINTS = st.lists(
+    st.tuples(
+        st.sampled_from(_MATCH_SERVICES),
+        st.sampled_from(["GET", "POST", "ANY"]),
+        st.lists(_MATCH_PATHS, min_size=1, max_size=3),
+        st.sampled_from(["src/A.java", "src/B.java"]),
+        st.integers(1, 3),
+    ),
+    max_size=12,
+)
+_MATCH_CALLS = st.lists(
+    st.tuples(
+        st.sampled_from(_MATCH_SERVICES + ("gateway", "user-farm.example.com", None)),
+        st.sampled_from(["GET", "POST", "UNKNOWN"]),
+        _MATCH_PATHS,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_MATCH_ENDPOINTS, _MATCH_CALLS, st.sampled_from([0.8, 0.5, 0.25]))
+def test_trie_matching_equals_linear_scan(endpoint_rows, call_rows, threshold):
+    endpoints = [
+        _endpoint(service, method, templates, owner=f"Ctl{i}", handler=f"h{i}", file=file,
+                  line=line)
+        for i, (service, method, templates, file, line) in enumerate(endpoint_rows)
+    ]
+    index = EndpointIndex(endpoints)
+    inventory = build_inventory(None, list(_MATCH_SERVICES))
+    config = WeaveConfig(path_threshold=threshold)
+    for service in (None,) + _MATCH_SERVICES:
+        for _host, _method, path in call_rows:
+            segs = _split_path(path)
+            assert index.hits(segs, service) == [
+                (position, template_position)
+                for position, (endpoint, templates) in enumerate(index.entries)
+                if service is None or endpoint.service == service
+                for template_position, (_template, ep_segs) in enumerate(templates)
+                if _segment_score(segs, ep_segs) > 0
+            ]
+    for host, method, path in call_rows:
+        call = _call(method, path if host is None else f"http://{host}/{path}")
+        assert match_call_to_endpoints(call, index, inventory, config) == _oracle_match(
+            call, index, inventory, config)
+        assert weave_module._method_near_miss(call, index, inventory, config) is \
+            _oracle_near_miss(call, index, inventory, config)
+
+
 def _event_ir(service, direction, topic, component="Comp", method="m"):
     return ServiceIr(
         service_name=service,
@@ -412,6 +541,7 @@ def test_weave_is_order_insensitive():
     forward = weave(list(irs))
     backward = weave(list(reversed(irs)))
     assert system_to_json_obj(forward) == system_to_json_obj(backward)
+    assert forward.services == backward.services
     assert [s.service_name for s in forward.services] == ["orders", "users"]
     assert len(forward.comm_edges) == 1
     edge = forward.comm_edges[0]
@@ -432,10 +562,10 @@ _ENDPOINTS_PER_SERVICE = 4
 _CALLS_PER_SERVICE = 3
 
 
-def _scaling_system(n_services):
+def _scaling_system(n_services, host=None):
     """Services from one fixed vocabulary: the same entities (spelled with a
-    per-service suffix) and fields everywhere, and calls whose host names
-    the next service."""
+    per-service suffix) and fields everywhere, and calls to paths of the
+    next service through ``host``, or through that service's own name."""
     irs = []
     for i in range(n_services):
         name = f"svc{i:02d}"
@@ -446,12 +576,14 @@ def _scaling_system(n_services):
             for word in _ENTITY_WORDS
         ]
         endpoints = [
-            _endpoint(name, "GET", [f"/api/items{k}/{{id}}"], handler=f"h{k}", line=10 * k + 1)
+            _endpoint(name, "GET", [f"/api/{name}/items{k}/{{id}}"], handler=f"h{k}",
+                      line=10 * k + 1)
             for k in range(_ENDPOINTS_PER_SERVICE)
         ]
         target = f"svc{(i + 1) % n_services:02d}"
         calls = [
-            _call("GET", f"http://{target}/api/items{k}/{{*}}", service=name, line=k + 1)
+            _call("GET", f"http://{host or target}/api/{target}/items{k}/{{*}}", service=name,
+                  line=k + 1)
             for k in range(_CALLS_PER_SERVICE)
         ]
         irs.append(ServiceIr(service_name=name, components=entities, endpoints=endpoints,
@@ -498,7 +630,54 @@ def test_weave_work_grows_with_distinct_names_and_target_endpoints(monkeypatch):
                                 (big, big_system, big_counts)):
         n_calls = _CALLS_PER_SERVICE * len(irs)
         assert len(system.comm_edges) == n_calls
-        # Each call scores only its target service's endpoints ...
-        assert counts["_segment_score"] == _ENDPOINTS_PER_SERVICE * n_calls
+        # Each call scores only the one template its path reaches in its
+        # target service's trie ...
+        assert counts["_segment_score"] == n_calls
         # ... and endpoint templates are split once, when the index is built.
         assert counts["split_host"] == n_calls + _ENDPOINTS_PER_SERVICE * len(irs)
+
+
+def test_gateway_calls_score_only_the_templates_their_paths_reach(monkeypatch):
+    """Calls through a host outside the inventory widen to every service,
+    yet each still scores only the template its path reaches."""
+    for n_services in (8, 16):
+        system, counts = _counted_weave(monkeypatch, _scaling_system(n_services, "gateway"))
+        n_calls = _CALLS_PER_SERVICE * n_services
+        assert len(system.comm_edges) == n_calls
+        assert all(edge.confidence == 0.5 and not edge.ambiguous
+                   for edge in system.comm_edges)
+        assert counts["_segment_score"] == n_calls
+
+
+def test_context_map_compares_only_services_with_entities(monkeypatch):
+    """A ring of services without entities makes no service pair; the two
+    services that have entities make exactly one."""
+    pairs = []
+
+    def counted_combinations(items, r):
+        for pair in itertools.combinations(items, r):
+            pairs.append(tuple(model.service_name for model in pair))
+            yield pair
+            if len(pairs) > 10:
+                return
+
+    irs = [
+        ServiceIr(
+            service_name=f"svc{i:04d}",
+            endpoints=[_endpoint(f"svc{i:04d}", "GET", [f"/api/svc{i:04d}"])],
+            remote_calls=[_call("GET", f"http://svc{(i + 1) % 4000:04d}/api/svc{(i + 1) % 4000:04d}",
+                                service=f"svc{i:04d}")],
+        )
+        for i in range(4000)
+    ]
+    monkeypatch.setattr(weave_module, "combinations", counted_combinations)
+    ring = weave(irs)
+    assert len(ring.comm_edges) == 4000
+    assert pairs == []
+
+    irs[5].components = [_entity("Order", [("id", "long")], "svc0005")]
+    irs[9].components = [_entity("Order", [("id", "long")], "svc0009")]
+    ring = weave(irs)
+    assert pairs == [("svc0005", "svc0009")]
+    assert len(ring.context_map.matches) == 1
+    assert len(ring.context_map.bounded_contexts) == 4000
