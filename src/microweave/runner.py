@@ -105,6 +105,14 @@ def _config_path(base: Path, raw: str, field_name: str) -> Path:
     return Path(raw) if Path(raw).is_absolute() else (base / raw).resolve()
 
 
+# A service name becomes an output file name, so it must stay one path component.
+_NAME_RULE = "must not be '.' or '..' or contain '/', '\\' or a NUL byte"
+
+
+def _unsafe_name(name: str) -> bool:
+    return name in (".", "..") or any(c in name for c in "/\\\0")
+
+
 def _discover_services(root: Path) -> list[dict]:
     """Auto discovery: each immediate subdirectory containing at least one
     source file becomes one service named after the directory."""
@@ -117,6 +125,12 @@ def _discover_services(root: Path) -> list[dict]:
             continue
         patterns = DEFAULT_INCLUDE_GLOBS + PASSTHROUGH_INCLUDE_GLOBS
         if any(next(child.glob(pattern), None) is not None for pattern in patterns):
+            if _unsafe_name(child.name):
+                raise ConfigError(
+                    f"services auto-discovery: directory {child.name!r} cannot be a "
+                    f"service name, which {_NAME_RULE}",
+                    field="services",
+                )
             specs.append({"name": child.name, "root_dir": child.name})
     return specs
 
@@ -129,12 +143,8 @@ def _parse_service(entry, index: int, base: Path) -> ServiceSpec:
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{field_name}.name must be a non-empty string",
                           field=f"{field_name}.name")
-    # The name becomes an output file name, so it must stay one path component.
-    if name in (".", "..") or any(c in name for c in "/\\\0"):
-        raise ConfigError(
-            f"{field_name}.name must not be '.' or '..' or contain '/', '\\' or a NUL byte",
-            field=f"{field_name}.name",
-        )
+    if _unsafe_name(name):
+        raise ConfigError(f"{field_name}.name {_NAME_RULE}", field=f"{field_name}.name")
     root_raw = entry.get("root_dir")
     if not isinstance(root_raw, str) or not root_raw:
         raise ConfigError(f"{field_name}.root_dir must be a non-empty string",
@@ -421,12 +431,34 @@ def build_system(config: RunConfig, log=None) -> tuple[SystemIr, dict[str, bytes
     return system, laast_blobs
 
 
-def system_json_bytes(system: SystemIr, ir_blobs: list[bytes]) -> bytes:
-    """Canonical ``system.json`` bytes, its ``services`` array being the
-    services' ``.ir.json`` bytes (``ir_blobs``, in ``system.services``
-    order) rather than a second encoding of each IR."""
+def system_json_chunks(system: SystemIr, ir_blobs: list[bytes],
+                       context_map: bytes) -> list[bytes]:
+    """Canonical ``system.json`` as chunks whose concatenation is the
+    document.  Its ``services`` array is the services' ``.ir.json`` bytes
+    (``ir_blobs``, in ``system.services`` order) and its ``context_map``
+    member is the ``context-map.json`` bytes, each spliced in as it is
+    rather than encoded a second time."""
+    chunks = [b'{"services":[']
+    for i, blob in enumerate(ir_blobs):
+        chunks += (b",", blob) if i else (blob,)
     rest = canonical_bytes(system_to_json_obj(system))
-    return b'{"services":[' + b",".join(ir_blobs) + b"]," + rest[1:]
+    # ``rest`` opens with the brace of its own object; the slice is a view.
+    chunks += (b'],"context_map":', context_map, b",", memoryview(rest)[1:])
+    return chunks
+
+
+def _write_json_outputs(out: Path, system: SystemIr, laast_blobs: dict[str, bytes]) -> None:
+    """Write every JSON output but ``report.json``, encoding each document
+    once.  Each syntax-tree blob is popped from ``laast_blobs`` as it is
+    written; the IR and context-map bytes are freed on return."""
+    ir_blobs = []
+    for ir in system.services:
+        atomic_write(out / f"{ir.service_name}.laast.json", laast_blobs.pop(ir.service_name))
+        ir_blobs.append(save_service_ir(ir))
+        atomic_write(out / f"{ir.service_name}.ir.json", ir_blobs[-1])
+    context_map = canonical_bytes(context_map_to_json_obj(system.context_map))
+    atomic_write(out / "system.json", system_json_chunks(system, ir_blobs, context_map))
+    atomic_write(out / "context-map.json", context_map)
 
 
 def run(config: RunConfig, formats: set[str] | None = None, log=None) -> int:
@@ -451,17 +483,7 @@ def run(config: RunConfig, formats: set[str] | None = None, log=None) -> int:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     if "json" in formats:
-        ir_blobs = []
-        for ir in system.services:
-            atomic_write(out / f"{ir.service_name}.laast.json",
-                         laast_blobs[ir.service_name])
-            ir_blobs.append(save_service_ir(ir))
-            atomic_write(out / f"{ir.service_name}.ir.json", ir_blobs[-1])
-        atomic_write(out / "system.json", system_json_bytes(system, ir_blobs))
-        atomic_write(
-            out / "context-map.json",
-            canonical_bytes(context_map_to_json_obj(system.context_map)),
-        )
+        _write_json_outputs(out, system, laast_blobs)
         atomic_write(out / "report.json", export_report(findings, metrics, "json"))
     if "dot" in formats:
         for view in ("services", "context", "full"):

@@ -687,9 +687,9 @@ def comm_edge_to_json_obj(edge: CommEdge) -> dict:
 
 def system_to_json_obj(system: SystemIr) -> dict:
     """``system.json`` without its leading ``services`` array, which holds
-    each service's ``.ir.json`` document."""
+    each service's ``.ir.json`` document, and without the ``context_map``
+    member after it, which is the ``context-map.json`` document."""
     return {
-        "context_map": context_map_to_json_obj(system.context_map),
         "comm_edges": [comm_edge_to_json_obj(e) for e in system.comm_edges],
         "event_edges": [
             {"publisher": pub, "subscriber": sub, "topic": topic}

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from conftest import GOLDEN_DIR, copy_shop, overlay_variant
+from microweave import runner
 from microweave.analysis import coupling_metrics, detect_cycles, run_checks
 from microweave.cli import main
 from microweave.ir import (
@@ -33,12 +34,13 @@ from microweave.ir import (
 from microweave.jsonio import canonical_bytes
 from microweave.laast import LEAF_KINDS, LaastNode, NodeKind, load_laast, save_laast
 from microweave.matchers import MethodSig, SourceSpan
-from microweave.runner import build_system, load_config, system_json_bytes
+from microweave.runner import build_system, load_config, system_json_chunks
 from microweave.similarity import parse_taxonomy, wu_palmer
 from microweave.topology import Inventory
 from microweave.weave import (
     EndpointIndex,
     WeaveConfig,
+    context_map_to_json_obj,
     match_call_to_endpoints,
     system_to_json_obj,
     weave,
@@ -735,6 +737,7 @@ def _whole_system_json(system) -> bytes:
     """``system.json`` as one canonical encoding of the whole document."""
     return canonical_bytes(
         {"services": [ir_to_json_obj(ir) for ir in system.services],
+         "context_map": context_map_to_json_obj(system.context_map),
          **system_to_json_obj(system)}
     )
 
@@ -745,14 +748,44 @@ def test_system_json_splices_each_ir_encoding_into_one_canonical_document(fixtur
     assert (dest / "out" / "system.json").read_bytes() == _whole_system_json(system)
 
     rng = random.Random(11)
+    systems = [weave([])]
     for _ in range(30):
         irs = {}
         for _ in range(rng.randint(1, 6)):
             ir = _random_service_ir(rng)
             irs.setdefault(ir.service_name, ir)
-        system = weave(list(irs.values()))
+        systems.append(weave(list(irs.values())))
+    for system in systems:
         blobs = [save_service_ir(ir) for ir in system.services]
-        assert system_json_bytes(system, blobs) == _whole_system_json(system)
+        context_map = canonical_bytes(context_map_to_json_obj(system.context_map))
+        chunks = system_json_chunks(system, blobs, context_map)
+        assert b"".join(chunks) == _whole_system_json(system)
+
+
+def test_each_output_is_encoded_once_and_system_json_is_written_in_chunks(
+    shop, monkeypatch
+):
+    written = {}
+    real_write = runner.atomic_write
+
+    def capture(path, data):
+        written[path.name] = data
+        real_write(path, data)
+
+    monkeypatch.setattr(runner, "atomic_write", capture)
+    config = load_config(shop / "config.json")
+    runner.run(config, log=io.StringIO())
+
+    chunks = written["system.json"]
+    assert isinstance(chunks, list)
+    system, _blobs = build_system(config, log=io.StringIO())
+    whole = _whole_system_json(system)
+    assert b"".join(chunks) == whole
+    assert (shop / "out" / "system.json").read_bytes() == whole
+    services = [name for name in written if name.endswith(".ir.json")]
+    assert len(services) == len(system.services) == 3
+    for name in services + ["context-map.json"]:
+        assert any(written[name] is chunk for chunk in chunks), name
 
 
 def test_criterion_8_coupling_recount(fixture_run, capsys):

@@ -342,6 +342,14 @@ def test_documented_example_ruleset_runs(tmp_path, capsys):
     assert len(system["comm_edges"]) == 1
 
 
+def _auto_with_backslash_dir(shop: Path) -> dict:
+    """Gives the fixture a source directory named ``a\\b`` and turns on auto
+    discovery."""
+    (shop / "a\\b").mkdir()
+    (shop / "a\\b" / "Ctl.java").write_text(_CONTROLLER, encoding="utf-8")
+    return {"services": "auto"}
+
+
 @pytest.mark.parametrize(
     "patch, argv, message",
     [
@@ -389,6 +397,9 @@ def test_documented_example_ruleset_runs(tmp_path, capsys):
          "services[0].name must not be '.' or '..' or contain '/', '\\' or a NUL byte"),
         ({"services": [{"name": "..", "root_dir": "users"}]}, (),
          "services[0].name must not be '.' or '..' or contain '/', '\\' or a NUL byte"),
+        (_auto_with_backslash_dir, (),
+         "services auto-discovery: directory 'a\\\\b' cannot be a service name, which "
+         "must not be '.' or '..' or contain '/', '\\' or a NUL byte"),
     ],
     ids=["root_dir", "tau", "disable", "ruleset", "services", "jobs", "format",
          "thresholds_key", "service_key", "top_level_key", "checks_key", "rule_key",
@@ -396,10 +407,13 @@ def test_documented_example_ruleset_runs(tmp_path, capsys):
          "rule_suffixes_string", "rule_priority_float", "rule_priority_string",
          "rule_priority_bool", "deep_nesting", "int_digit_limit", "tau_beyond_float",
          "root_dir_nul", "root_nul", "taxonomy_nul", "compose_nul", "output_dir_nul",
-         "name_traversal", "name_dotdot"],
+         "name_traversal", "name_dotdot", "auto_name_backslash"],
 )
 def test_configuration_error_line_names_field_once(shop, capsys, patch, argv, message):
-    """``patch`` updates the fixture's config, or as a string replaces its text."""
+    """``patch`` updates the fixture's config, or as a string replaces its text,
+    or as a function prepares the fixture directory and returns the update."""
+    if callable(patch):
+        patch = patch(shop)
     if isinstance(patch, str):
         text = patch
     else:

@@ -26,6 +26,7 @@ from microweave.weave import (
     _split_path,
     build_context_map,
     canonical_type,
+    context_map_to_json_obj,
     match_call_to_endpoints,
     match_events,
     match_fields,
@@ -541,6 +542,8 @@ def test_weave_is_order_insensitive():
     forward = weave(list(irs))
     backward = weave(list(reversed(irs)))
     assert system_to_json_obj(forward) == system_to_json_obj(backward)
+    assert context_map_to_json_obj(forward.context_map) == \
+        context_map_to_json_obj(backward.context_map)
     assert forward.services == backward.services
     assert [s.service_name for s in forward.services] == ["orders", "users"]
     assert len(forward.comm_edges) == 1
