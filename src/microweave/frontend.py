@@ -53,31 +53,55 @@ class SourceTree:
     convention: str = SPRING_LIKE
 
 
-#: Client-call spellings the extractor recognizes.  ``restTemplate`` maps
-#: each method name to its HTTP method, where ``EXCHANGE`` means the HTTP
-#: method is read from the second argument; ``webClient`` is a builder-style
-#: client (``webClient.get().uri(..)``) and ``client`` a JAX-RS style one
-#: (``client.target(..)``).
-_TEMPLATE_RECEIVERS = {
-    "restTemplate": {
+@dataclass(frozen=True)
+class _ClientIdiom:
+    """How the calls made on one client receiver read.
+
+    ``heads`` maps each method recognized right after the receiver to the
+    HTTP method it sends, to the index of the argument naming that method
+    (``HttpMethod.POST``), or to None when a chain link names it or the call
+    publishes an event.  A remote call's URL and a publish call's topic are
+    the head's first argument, and the head's arguments count.  With
+    ``links`` the fluent chain after the head is part of the call, and each
+    link it names plays its role:
+
+    * ``uri``: the first such link with arguments holds the URL instead of
+      the head, and only its arguments and those of ``body`` links count;
+    * ``path``: its first argument is appended to the URL as a path piece;
+    * ``verb``: the link's name is the HTTP method, and its arguments count;
+    * ``body``: its arguments count.
+    """
+
+    heads: dict[str, str | int | None]
+    kind: str = CALL_KIND_REMOTE
+    links: dict[str, str] | None = None
+
+
+_VERBS = ("get", "post", "put", "delete", "patch")
+
+#: Client-call idioms by receiver: ``restTemplate`` calls, a builder-style
+#: ``webClient`` (``webClient.get().uri(..)``), a JAX-RS style ``client``
+#: (``client.target(..).path(..).request().get()``), and two broker clients.
+_CLIENT_IDIOMS = {
+    "restTemplate": _ClientIdiom({
         "getForObject": "GET",
         "getForEntity": "GET",
         "postForObject": "POST",
         "postForEntity": "POST",
         "put": "PUT",
         "delete": "DELETE",
-        "exchange": "EXCHANGE",
-    },
+        "exchange": 1,
+    }),
+    "webClient": _ClientIdiom(
+        {**{verb: verb.upper() for verb in (*_VERBS, "head")}, "method": 0},
+        links={"uri": "uri", "body": "body", "bodyValue": "body"},
+    ),
+    "client": _ClientIdiom(
+        {"target": None}, links={"path": "path", **{verb: "verb" for verb in _VERBS}}
+    ),
+    "kafkaTemplate": _ClientIdiom({"send": None}, kind=CALL_KIND_EVENT_PUBLISH),
+    "rabbitTemplate": _ClientIdiom({"convertAndSend": None}, kind=CALL_KIND_EVENT_PUBLISH),
 }
-_FLUENT_RECEIVERS = frozenset({"webClient"})
-_TARGET_RECEIVERS = frozenset({"client"})
-_PUBLISH_RECEIVERS = {
-    "kafkaTemplate": frozenset({"send"}),
-    "rabbitTemplate": frozenset({"convertAndSend"}),
-}
-_CLIENT_RECEIVERS = frozenset(
-    {*_TEMPLATE_RECEIVERS, *_FLUENT_RECEIVERS, *_TARGET_RECEIVERS, *_PUBLISH_RECEIVERS}
-)
 #: Subscribe annotation -> the argument that names its topics.
 SUBSCRIBE_ANNOTATIONS = {"KafkaListener": "topics", "RabbitListener": "queues"}
 
@@ -383,160 +407,29 @@ def _read_chain(text: str, start: int) -> list[tuple[str, list[str], int]]:
 _HTTP_ENUM_RE = re.compile(r"(?:[\w$]+\.)*(GET|POST|PUT|DELETE|PATCH|HEAD)")
 
 
-def _receiver_call_re(receivers) -> re.Pattern:
-    """``receiver.method(`` for one of ``receivers``, optionally after ``this.``."""
-    return re.compile(
-        r"(?<![\w.$])(?:this\s*\.\s*)?("
-        + "|".join(re.escape(r) for r in sorted(receivers))
-        + r")\s*\.\s*([A-Za-z_][\w$]*)\s*\("
-    )
+#: ``receiver.method(`` for a client receiver, optionally after ``this.``.
+_CLIENT_HEAD_RE = re.compile(
+    r"(?<![\w.$])(?:this\s*\.\s*)?("
+    + "|".join(sorted(_CLIENT_IDIOMS))
+    + r")\s*\.\s*([A-Za-z_][\w$]*)\s*\("
+)
 
 
-_REMOTE_HEAD_RE = _receiver_call_re({*_TEMPLATE_RECEIVERS, *_FLUENT_RECEIVERS, *_TARGET_RECEIVERS})
-_PUBLISH_HEAD_RE = _receiver_call_re(_PUBLISH_RECEIVERS)
+def _url_template(url_args: list[str], paths: list[str]) -> tuple[str, bool]:
+    """URL template of the first of ``url_args`` with each of ``paths``
+    (``.path(..)`` arguments) appended as one more piece.
 
-
-def _find_remote(text: str, line_of) -> tuple[list[LaastNode], list[tuple[int, str]]]:
-    """All remote calls in ``text``; warnings as ``(offset, message)``."""
-    calls: list[LaastNode] = []
-    warnings: list[tuple[int, str]] = []
-    for m in _REMOTE_HEAD_RE.finditer(text):
-        receiver, method = m.group(1), m.group(2)
-        open_idx = m.end() - 1
-        close = _balanced_parens(text, open_idx)
-        if close is None:
-            continue
-        args = _split_args(text[open_idx + 1 : close - 1])
-
-        if receiver in _TEMPLATE_RECEIVERS:
-            table = _TEMPLATE_RECEIVERS[receiver]
-            if method not in table or not args:
-                continue
-            http = table[method]
-            template, clean = _url_template_from_expr(args[0])
-            if http == "EXCHANGE":
-                http = HTTP_UNKNOWN
-                if len(args) >= 2:
-                    enum = _HTTP_ENUM_RE.fullmatch(args[1])
-                    if enum:
-                        http = enum.group(1)
-            if not clean:
-                warnings.append(
-                    (m.start(), f"unparseable URL expression in {receiver}.{method}(...)")
-                )
-            calls.append(
-                _call_node(
-                    method,
-                    {
-                        CALL_KIND_ATTR: CALL_KIND_REMOTE,
-                        "http_method": http,
-                        "url_template": template,
-                        "arg_count": str(len(args)),
-                    },
-                    SourceSpan("<input>", line_of(m.start()), line_of(close - 1)),
-                )
-            )
-        elif receiver in _FLUENT_RECEIVERS:
-            if method not in ("get", "post", "put", "delete", "patch", "head", "method"):
-                continue
-            http = method.upper() if method != "method" else HTTP_UNKNOWN
-            if method == "method" and args:
-                enum = _HTTP_ENUM_RE.fullmatch(args[0])
-                if enum:
-                    http = enum.group(1)
-            uri_args: list[str] = []
-            body_args: list[str] = []
-            end = close
-            for link, largs, link_end in _read_chain(text, close):
-                end = link_end
-                if link == "uri" and not uri_args:
-                    uri_args = largs
-                elif link in ("body", "bodyValue"):
-                    body_args.extend(largs)
-            if uri_args:
-                template, clean = _url_template_from_expr(uri_args[0])
-            else:
-                template, clean = URL_WILDCARD, False
-            if not clean:
-                warnings.append(
-                    (m.start(), f"unparseable URL expression in {receiver}.{method}() chain")
-                )
-            calls.append(
-                _call_node(
-                    method,
-                    {
-                        CALL_KIND_ATTR: CALL_KIND_REMOTE,
-                        "http_method": http,
-                        "url_template": template,
-                        "arg_count": str(len(uri_args) + len(body_args)),
-                    },
-                    SourceSpan("<input>", line_of(m.start()), line_of(end - 1)),
-                )
-            )
-        elif receiver in _TARGET_RECEIVERS:
-            if method != "target" or not args:
-                continue
-            template, clean = _url_template_from_expr(args[0])
-            arg_count = len(args)
-            http = HTTP_UNKNOWN
-            end = close
-            for link, largs, link_end in _read_chain(text, close):
-                end = link_end
-                if link == "path" and largs:
-                    part, part_clean = _url_template_from_expr(largs[0])
-                    template = template.rstrip("/") + "/" + part.lstrip("/")
-                    clean = clean and part_clean
-                elif link in ("get", "post", "put", "delete", "patch"):
-                    http = link.upper()
-                    arg_count += len(largs)
-            if not clean:
-                warnings.append(
-                    (m.start(), f"unparseable URL expression in {receiver}.target(...) chain")
-                )
-            calls.append(
-                _call_node(
-                    "target",
-                    {
-                        CALL_KIND_ATTR: CALL_KIND_REMOTE,
-                        "http_method": http,
-                        "url_template": template,
-                        "arg_count": str(arg_count),
-                    },
-                    SourceSpan("<input>", line_of(m.start()), line_of(end - 1)),
-                )
-            )
-    return calls, warnings
-
-
-def _find_publish(text: str, line_of) -> tuple[list[LaastNode], list[tuple[int, str]]]:
-    """Event-publish calls (broker client idioms) in ``text``."""
-    calls: list[LaastNode] = []
-    warnings: list[tuple[int, str]] = []
-    for m in _PUBLISH_HEAD_RE.finditer(text):
-        receiver, method = m.group(1), m.group(2)
-        if method not in _PUBLISH_RECEIVERS[receiver]:
-            continue
-        open_idx = m.end() - 1
-        close = _balanced_parens(text, open_idx)
-        if close is None:
-            continue
-        args = _split_args(text[open_idx + 1 : close - 1])
-        topic = _unquote(args[0]) if args else None
-        if topic is None:
-            topic = URL_WILDCARD
-            warnings.append((m.start(), f"non-literal topic in {receiver}.{method}(...)"))
-        calls.append(
-            _call_node(
-                method,
-                {
-                    CALL_KIND_ATTR: CALL_KIND_EVENT_PUBLISH,
-                    "topic": topic,
-                    "arg_count": str(len(args)),
-                },
-                SourceSpan("<input>", line_of(m.start()), line_of(close - 1)),
-            )
-        )
-    return calls, warnings
+    Returns ``(template, clean)``: the wildcard and False without a URL
+    argument, and clean False when any piece holds no literal.
+    """
+    if not url_args:
+        return URL_WILDCARD, False
+    template, clean = _url_template_from_expr(url_args[0])
+    for expr in paths:
+        part, part_clean = _url_template_from_expr(expr)
+        template = template.rstrip("/") + "/" + part.lstrip("/")
+        clean = clean and part_clean
+    return template, clean
 
 
 # --------------------------------------------------------------------------
@@ -940,19 +833,67 @@ class _JavaLikeParser:
         return end_line + 1
 
     def _scan_body(self, method: LaastNode, start_off: int, end_off: int) -> None:
+        """Append the calls in a method body to ``method`` in line order.
+
+        Call heads are matched on the structural view, so text in a comment
+        or a string or char literal is never a call; a client call's
+        arguments are read from the text view, where literals are intact.
+        """
         body_text = "".join(self._text[start_off:end_off])
         body_struct = "".join(self._struct[start_off:end_off])
 
         def line_of(pos: int) -> int:
             return self._line_of(start_off + pos)
 
-        remote, warns = _find_remote(body_text, line_of)
-        for pos, msg in warns:
-            self._warn(line_of(pos), msg)
-        publish, warns = _find_publish(body_text, line_of)
-        for pos, msg in warns:
-            self._warn(line_of(pos), msg)
-        calls = list(remote) + list(publish)
+        calls = []
+        for m in _CLIENT_HEAD_RE.finditer(body_struct):
+            receiver, head = m.groups()
+            idiom = _CLIENT_IDIOMS[receiver]
+            if head not in idiom.heads:
+                continue
+            close = _balanced_parens(body_text, m.end() - 1)
+            if close is None:
+                continue
+            args = _split_args(body_text[m.end() : close - 1])
+            roles = idiom.links or {}
+            uri_link = "uri" in roles.values()
+            if idiom.kind == CALL_KIND_REMOTE and not uri_link and not args:
+                continue
+            http = idiom.heads[head]
+            if isinstance(http, int):
+                enum = _HTTP_ENUM_RE.fullmatch(args[http]) if http < len(args) else None
+                http = enum.group(1) if enum else None
+            http = http or HTTP_UNKNOWN
+            url_args, counted = ([], []) if uri_link else (args, list(args))
+            paths: list[str] = []
+            end = close
+            for link, link_args, link_end in _read_chain(body_text, close) if roles else ():
+                end = link_end
+                role = roles.get(link)
+                if role == "uri" and not url_args:
+                    url_args = link_args
+                    counted += link_args
+                elif role == "path" and link_args:
+                    paths.append(link_args[0])
+                elif role in ("verb", "body"):
+                    counted += link_args
+                    if role == "verb":
+                        http = link.upper()
+            if idiom.kind == CALL_KIND_REMOTE:
+                template, clean = _url_template(url_args, paths)
+                attrs = {"http_method": http, "url_template": template}
+                problem = "unparseable URL expression"
+            else:
+                topic = _unquote(args[0]) if args else None
+                clean = topic is not None
+                attrs = {"topic": topic if clean else URL_WILDCARD}
+                problem = "non-literal topic"
+            if not clean:
+                shape = ("()" if uri_link else "(...)") + (" chain" if roles else "")
+                self._warn(line_of(m.start()), f"{problem} in {receiver}.{head}{shape}")
+            attrs = {CALL_KIND_ATTR: idiom.kind, **attrs, "arg_count": str(len(counted))}
+            span = SourceSpan(self.relpath, line_of(m.start()), line_of(end - 1))
+            calls.append(_call_node(head, attrs, span))
 
         for m in _LOCAL_CALL_RE.finditer(body_struct):
             receiver, callee = m.group(1), m.group(2)
@@ -960,7 +901,7 @@ class _JavaLikeParser:
                 receiver = None
             if callee in _JAVA_KEYWORDS or (receiver and receiver in _JAVA_KEYWORDS):
                 continue
-            if receiver in _CLIENT_RECEIVERS:
+            if receiver in _CLIENT_IDIOMS:
                 continue
             before = m.start()
             while before and body_struct[before - 1].isspace():
@@ -971,11 +912,9 @@ class _JavaLikeParser:
             attrs = {CALL_KIND_ATTR: CALL_KIND_LOCAL}
             if receiver:
                 attrs["receiver"] = receiver
-            calls.append(_call_node(callee, attrs, SourceSpan("<input>", lineno, lineno)))
+            calls.append(_call_node(callee, attrs, SourceSpan(self.relpath, lineno, lineno)))
         calls.sort(key=lambda c: (c.span.line_start, c.span.line_end, c.name or ""))
-        for call in calls:
-            call.span = SourceSpan(self.relpath, call.span.line_start, call.span.line_end)
-            method.children.append(call)
+        method.children.extend(calls)
 
 
 # --------------------------------------------------------------------------

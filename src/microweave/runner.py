@@ -41,6 +41,9 @@ from microweave.matchers import MatcherRule, default_ruleset, run_matchers, vali
 from microweave.similarity import load_taxonomy_file
 from microweave.topology import load_compose_file, merge_topologies
 from microweave.weave import (
+    DEFAULT_ENTITY_THRESHOLD,
+    DEFAULT_FIELD_THRESHOLD,
+    DEFAULT_PATH_THRESHOLD,
     SystemIr,
     WeaveConfig,
     context_map_to_json_obj,
@@ -53,26 +56,14 @@ _SEVERITY_VALUES = (SEV_ERROR, SEV_WARNING, SEV_INFO)
 
 
 @dataclass
-class ServiceSpec:
-    name: str
-    root_dir: Path
-    include_globs: tuple[str, ...] = DEFAULT_INCLUDE_GLOBS
-    convention: str = SPRING_LIKE
-
-
-@dataclass
 class RunConfig:
-    services: list[ServiceSpec]
+    services: list[SourceTree]
     taxonomy_path: Path | None = None
     compose_paths: list[Path] = field(default_factory=list)
-    entity_threshold: float = 0.65
-    field_threshold: float = 0.6
-    path_threshold: float = 0.8
+    weave: WeaveConfig = WeaveConfig()
     ruleset: list[MatcherRule] | None = None
-    disabled_rules: frozenset[str] = frozenset()
-    severity_overrides: dict[str, str] = field(default_factory=dict)
+    checks: CheckSettings = field(default_factory=CheckSettings)
     output_dir: Path = Path("out")
-    digest: str = ""
 
 
 _CONFIG_KEYS = (
@@ -135,7 +126,7 @@ def _discover_services(root: Path) -> list[dict]:
     return specs
 
 
-def _parse_service(entry, index: int, base: Path) -> ServiceSpec:
+def _parse_service(entry, index: int, base: Path) -> SourceTree:
     field_name = f"services[{index}]"
     _require_type(entry, dict, field_name, "an object")
     _reject_unknown_keys(entry, _SERVICE_KEYS, f"{field_name}.")
@@ -163,8 +154,8 @@ def _parse_service(entry, index: int, base: Path) -> ServiceSpec:
         )
     if convention == LAAST_PASSTHROUGH and "include_globs" not in entry:
         globs = list(PASSTHROUGH_INCLUDE_GLOBS)
-    return ServiceSpec(
-        name=name,
+    return SourceTree(
+        service_name=name,
         root_dir=_config_path(base, root_raw, f"{field_name}.root_dir"),
         include_globs=tuple(globs),
         convention=convention,
@@ -301,8 +292,8 @@ def load_config(
         _require_type(raw_services, list, "services", "an array or \"auto\"")
         entries = raw_services
 
-    specs = [_parse_service(entry, i, base) for i, entry in enumerate(entries)]
-    names = [spec.name for spec in specs]
+    trees = [_parse_service(entry, i, base) for i, entry in enumerate(entries)]
+    names = [tree.service_name for tree in trees]
     if len(set(names)) != len(names):
         dupe = sorted({n for n in names if names.count(n) > 1})[0]
         raise ConfigError(f"services: duplicate service name {dupe!r}", field="services")
@@ -313,13 +304,13 @@ def load_config(
             raise ConfigError(
                 f"--services names unknown service {unknown[0]!r}", field="--services"
             )
-        specs = [spec for spec in specs if spec.name in set(services_filter)]
+        trees = [tree for tree in trees if tree.service_name in set(services_filter)]
 
-    for spec in specs:
-        if not spec.root_dir.is_dir():
-            index = names.index(spec.name)
+    for tree in trees:
+        if not tree.root_dir.is_dir():
+            index = names.index(tree.service_name)
             raise ConfigError(
-                f"services[{index}].root_dir: {spec.root_dir} is not a directory",
+                f"services[{index}].root_dir: {tree.root_dir} is not a directory",
                 field=f"services[{index}].root_dir",
             )
 
@@ -361,17 +352,18 @@ def load_config(
         output_dir = _config_path(base, out_raw, "output_dir")
 
     return RunConfig(
-        services=specs,
+        services=trees,
         taxonomy_path=taxonomy_path,
         compose_paths=compose_paths,
-        entity_threshold=_parse_threshold(thresholds, "tau", 0.65),
-        field_threshold=_parse_threshold(thresholds, "tau_f", 0.6),
-        path_threshold=_parse_threshold(thresholds, "theta", 0.8),
+        weave=WeaveConfig(
+            entity_threshold=_parse_threshold(thresholds, "tau", DEFAULT_ENTITY_THRESHOLD),
+            field_threshold=_parse_threshold(thresholds, "tau_f", DEFAULT_FIELD_THRESHOLD),
+            path_threshold=_parse_threshold(thresholds, "theta", DEFAULT_PATH_THRESHOLD),
+            config_digest=config_digest(raw, services_filter),
+        ),
         ruleset=ruleset,
-        disabled_rules=disabled,
-        severity_overrides=overrides,
+        checks=CheckSettings(disabled_rules=disabled, severity_overrides=overrides),
         output_dir=output_dir,
-        digest=config_digest(raw, services_filter),
     )
 
 
@@ -388,24 +380,18 @@ def build_system(config: RunConfig, log=None) -> tuple[SystemIr, dict[str, bytes
     progress(f"extracting {len(config.services)} service(s)")
     irs = []
     laast_blobs = {}
-    for spec in config.services:
-        root, report = extract(
-            SourceTree(
-                service_name=spec.name,
-                root_dir=spec.root_dir,
-                include_globs=spec.include_globs,
-                convention=spec.convention,
-            )
-        )
+    for tree in config.services:
+        root, report = extract(tree)
+        name = tree.service_name
         progress(
-            f"{spec.name}: {report.files_scanned} file(s) scanned, "
+            f"{name}: {report.files_scanned} file(s) scanned, "
             f"{len(report.warnings)} extraction warning(s)"
         )
         ruleset = config.ruleset if config.ruleset is not None \
-            else default_ruleset(spec.convention)
-        output = run_matchers(root, ruleset, spec.name, convention=spec.convention)
-        irs.append(build_service_ir(output, report, spec.name))
-        laast_blobs[spec.name] = save_laast(root)
+            else default_ruleset(tree.convention)
+        output = run_matchers(root, ruleset, name, convention=tree.convention)
+        irs.append(build_service_ir(output, report, name))
+        laast_blobs[name] = save_laast(root)
 
     taxonomy = None
     if config.taxonomy_path is not None:
@@ -417,17 +403,7 @@ def build_system(config: RunConfig, log=None) -> tuple[SystemIr, dict[str, bytes
         )
 
     progress("weaving system model")
-    system = weave(
-        irs,
-        taxonomy=taxonomy,
-        topology=topology,
-        config=WeaveConfig(
-            entity_threshold=config.entity_threshold,
-            field_threshold=config.field_threshold,
-            path_threshold=config.path_threshold,
-            config_digest=config.digest,
-        ),
-    )
+    system = weave(irs, taxonomy=taxonomy, topology=topology, config=config.weave)
     return system, laast_blobs
 
 
@@ -472,11 +448,7 @@ def run(config: RunConfig, formats: set[str] | None = None, log=None) -> int:
         print(f"[analyze] {message}", file=log)
 
     system, laast_blobs = build_system(config, log=log)
-    settings = CheckSettings(
-        disabled_rules=config.disabled_rules,
-        severity_overrides=config.severity_overrides,
-    )
-    findings = run_checks(system, settings)
+    findings = run_checks(system, config.checks)
     metrics = coupling_metrics(system)
     progress(f"analysis: {len(findings)} finding(s)")
 

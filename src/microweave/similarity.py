@@ -19,19 +19,19 @@ import re
 from microweave.errors import MalformedDocument, TermNotFound
 
 #: Tokens dropped during normalization (decorative naming suffixes).
-DEFAULT_STRIP_TOKENS = ("dto", "entity", "model", "impl", "vo")
+STRIP_TOKENS = ("dto", "entity", "model", "impl", "vo")
 
 _TOKEN_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|[0-9]+")
 
 
-def normalize_entity_name(raw: str, strip_tokens: tuple[str, ...] = DEFAULT_STRIP_TOKENS) -> list[str]:
+def normalize_entity_name(raw: str) -> list[str]:
     """Split an identifier on camelCase/snake_case/digit boundaries.
 
-    Tokens are lowercased and configured decorative tokens are dropped; when
+    Tokens are lowercased and the decorative ``STRIP_TOKENS`` are dropped; when
     stripping would leave nothing, the whole lowercased name is kept instead.
     """
     tokens = [t.lower() for t in _TOKEN_RE.findall(raw)]
-    stripped = [t for t in tokens if t not in strip_tokens]
+    stripped = [t for t in tokens if t not in STRIP_TOKENS]
     if stripped:
         return stripped
     return [raw.lower()] if raw else []
@@ -46,7 +46,6 @@ class Taxonomy:
 
     def __init__(self, root: str):
         self._parent: dict[str, str | None] = {root: None}
-        self._depth: dict[str, int] = {root: 1}
         self._ancestors: dict[str, frozenset[str]] = {}
         self.root = root
 
@@ -56,22 +55,12 @@ class Taxonomy:
         if parent not in self._parent:
             raise TermNotFound(f"unknown parent term {parent!r}")
         self._parent[term] = parent
-        self._depth[term] = self._depth[parent] + 1
 
     def __contains__(self, term: str) -> bool:
         return term in self._parent
 
     def __len__(self) -> int:
         return len(self._parent)
-
-    def terms(self) -> list[str]:
-        return list(self._parent)
-
-    def depth(self, term: str) -> int:
-        """Depth of a term; the root has depth 1."""
-        if term not in self._depth:
-            raise TermNotFound(f"term {term!r} not in taxonomy")
-        return self._depth[term]
 
     def ancestors(self, term: str) -> frozenset[str]:
         """The term itself and its ancestors up to the root, computed on
@@ -157,19 +146,14 @@ def _taxonomy_score(tokens_a: list[str], tokens_b: list[str], taxonomy: Taxonomy
     return sum(scores) / len(scores)
 
 
-def entity_similarity(
-    a: str,
-    b: str,
-    taxonomy: Taxonomy | None = None,
-    strip_tokens: tuple[str, ...] = DEFAULT_STRIP_TOKENS,
-) -> tuple[float, str]:
+def entity_similarity(a: str, b: str, taxonomy: Taxonomy | None = None) -> tuple[float, str]:
     """Score two entity names in [0, 1] and report the winning strategy.
 
     The score is the max over the exact/token/taxonomy strategies; ties go to
     the earlier strategy in that order.
     """
-    tokens_a = normalize_entity_name(a, strip_tokens)
-    tokens_b = normalize_entity_name(b, strip_tokens)
+    tokens_a = normalize_entity_name(a)
+    tokens_b = normalize_entity_name(b)
 
     set_a, set_b = set(tokens_a), set(tokens_b)
     union = set_a | set_b

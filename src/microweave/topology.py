@@ -38,18 +38,12 @@ class TopologyModel:
     services: list[TopologyService] = field(default_factory=list)
     #: (from service, to service, origin)
     declared_edges: list[tuple[str, str, str]] = field(default_factory=list)
-    source_files: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-
-    def service_names(self) -> list[str]:
-        return [s.name for s in self.services]
 
 
 def _as_str(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (str, int, float, bool)):
-        return str(value)
     return str(value)
 
 
@@ -128,7 +122,7 @@ def parse_compose(data: bytes | str, source: str = "<compose>") -> TopologyModel
     if not isinstance(doc, dict):
         raise MalformedDocument(f"{source}: expected a mapping at the top level")
 
-    model = TopologyModel(source_files=[source])
+    model = TopologyModel()
     version = doc.get("version")
     if version is not None and not _SUPPORTED_VERSION_RE.match(_as_str(version)):
         model.warnings.append(f"{source}: unsupported compose version {version!r}")
@@ -187,10 +181,8 @@ def merge_topologies(models: list[TopologyModel]) -> TopologyModel:
     """
     merged: dict[str, TopologyService] = {}
     edges: set[tuple[str, str, str]] = set()
-    sources: list[str] = []
     warnings: list[str] = []
     for model in models:
-        sources.extend(model.source_files)
         warnings.extend(model.warnings)
         edges.update(model.declared_edges)
         for svc in model.services:
@@ -218,7 +210,6 @@ def merge_topologies(models: list[TopologyModel]) -> TopologyModel:
     return TopologyModel(
         services=[merged[name] for name in sorted(merged)],
         declared_edges=sorted(edges),
-        source_files=sources,
         warnings=warnings,
     )
 

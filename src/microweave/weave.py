@@ -17,7 +17,7 @@ from microweave.errors import DuplicateServiceError
 from microweave.frontend import HTTP_UNKNOWN, URL_WILDCARD
 from microweave.ir import DataModel, ServiceIr, derive_data_model, unwrap_collection
 from microweave.matchers import DIRECTION_PUBLISH, DIRECTION_SUBSCRIBE, Endpoint, RemoteCall
-from microweave.similarity import DEFAULT_STRIP_TOKENS, Taxonomy, entity_similarity
+from microweave.similarity import Taxonomy, entity_similarity
 from microweave.topology import Inventory, TopologyModel, build_inventory
 
 DEFAULT_ENTITY_THRESHOLD = 0.65
@@ -45,8 +45,6 @@ class WeaveConfig:
     entity_threshold: float = DEFAULT_ENTITY_THRESHOLD
     field_threshold: float = DEFAULT_FIELD_THRESHOLD
     path_threshold: float = DEFAULT_PATH_THRESHOLD
-    strip_tokens: tuple[str, ...] = DEFAULT_STRIP_TOKENS
-    tool_version: str = __version__
     config_digest: str = ""
 
 
@@ -133,18 +131,15 @@ class NameSimilarity:
     token index.
     """
 
-    def __init__(self, taxonomy: Taxonomy | None, strip_tokens: tuple[str, ...]):
+    def __init__(self, taxonomy: Taxonomy | None):
         self.taxonomy = taxonomy
-        self.strip_tokens = strip_tokens
         self._tokens: dict[str, tuple[str, ...]] = {}
         self._scores: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[float, str]] = {}
 
     def _tokens_of(self, name: str) -> tuple[str, ...]:
         tokens = self._tokens.get(name)
         if tokens is None:
-            tokens = self._tokens[name] = tuple(
-                similarity.normalize_entity_name(name, self.strip_tokens)
-            )
+            tokens = self._tokens[name] = tuple(similarity.normalize_entity_name(name))
         return tokens
 
     def __call__(self, name_a: str, name_b: str) -> tuple[float, str]:
@@ -152,9 +147,7 @@ class NameSimilarity:
         key = (self._tokens_of(name_a), self._tokens_of(name_b))
         result = self._scores.get(key)
         if result is None:
-            result = self._scores[key] = entity_similarity(
-                name_a, name_b, taxonomy=self.taxonomy, strip_tokens=self.strip_tokens
-            )
+            result = self._scores[key] = entity_similarity(name_a, name_b, taxonomy=self.taxonomy)
         return result
 
 
@@ -200,7 +193,7 @@ def build_context_map(
     """Compare every cross-service entity pair; keep pairs at or above the
     entity threshold along with their field alignment."""
     ordered = sorted(models, key=lambda m: m.service_name)
-    name_similarity = NameSimilarity(taxonomy, config.strip_tokens)
+    name_similarity = NameSimilarity(taxonomy)
     matches: list[EntityMatch] = []
     with_entities = [model for model in ordered if model.entities]
     for model_a, model_b in combinations(with_entities, 2):
@@ -279,11 +272,6 @@ def _segment_score(call_segs: _Segments, ep_segs: _Segments) -> float:
     if any(seg is not None for seg in longer[min(n_call, n_ep):]):
         return 0.0
     return (strong + 0.5 * weak) / max(n_call, n_ep)
-
-
-def path_score(call_path: str, endpoint_path: str) -> float:
-    """``_segment_score`` of two unsplit paths."""
-    return _segment_score(_split_path(call_path), _split_path(endpoint_path))
 
 
 def _method_factor(call_method: str, endpoint_method: str) -> float | None:
@@ -593,7 +581,7 @@ def weave(
     warnings.extend(event_warnings)
 
     metadata = {
-        "tool_version": config.tool_version,
+        "tool_version": __version__,
         "config_digest": config.config_digest,
         "inventory": {token: inventory[token] for token in sorted(inventory)},
         "warnings": warnings,

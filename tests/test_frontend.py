@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import re
 import sys
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,31 @@ from microweave.errors import MicroweaveError
 from microweave.frontend import (
     CALL_KIND_ATTR,
     DEFAULT_INCLUDE_GLOBS,
+    HTTP_UNKNOWN,
     LAAST_PASSTHROUGH,
+    URL_WILDCARD,
     SourceTree,
+    _HTTP_ENUM_RE,
     _JavaLikeParser,
+    _balanced_parens,
+    _call_node,
     _masked_views,
+    _read_chain,
+    _split_args,
+    _unquote,
+    _url_template_from_expr,
     extract,
     recognize_annotation,
 )
-from microweave.laast import NodeKind, load_laast, save_laast
+from microweave.laast import (
+    CALL_KIND_EVENT_PUBLISH,
+    CALL_KIND_LOCAL,
+    CALL_KIND_REMOTE,
+    NodeKind,
+    SourceSpan,
+    load_laast,
+    save_laast,
+)
 
 
 def _service_dir(tmp_path, name="svc"):
@@ -194,6 +213,26 @@ public class Helper {
         node for node, _anc in _iter(helper) if node.kind == NodeKind.CALL
     ]
     assert calls == []
+    assert report.warnings == []
+
+
+def test_extract_client_call_text_in_method_literals_is_no_call(tmp_path):
+    root = _service_dir(tmp_path)
+    _write(root, "src/L.java", """
+public class Logger {
+    public void run(String topicName, Object x) {
+        log.info("retry restTemplate.getForObject(\\"http://b/api/x\\", String.class)");
+        String s = "kafkaTemplate.send(topicName, x)";
+        char c = 'webClient.get()';
+    }
+}
+""")
+    tree_root, report = extract(SourceTree(service_name="svc", root_dir=root))
+    kinds = [
+        node.attributes[CALL_KIND_ATTR] for node, _anc in _iter(tree_root)
+        if node.kind == NodeKind.CALL
+    ]
+    assert "remote" not in kinds and "event_publish" not in kinds
     assert report.warnings == []
 
 
@@ -553,3 +592,289 @@ def test_extract_survives_random_java_like_text(tmp_path_factory, head, fragment
         if node.span is not None:
             assert 1 <= node.span.line_start <= node.span.line_end <= n_lines, node
     assert load_laast(save_laast(tree)) == tree
+
+
+# The per-receiver client-call scanners the idiom table replaced, kept as its
+# oracle.  They matched heads on the text view, so a head inside a literal was
+# a call; the differential test below leaves such heads out.
+
+_OLD_TEMPLATE_RECEIVERS = {
+    "restTemplate": {
+        "getForObject": "GET",
+        "getForEntity": "GET",
+        "postForObject": "POST",
+        "postForEntity": "POST",
+        "put": "PUT",
+        "delete": "DELETE",
+        "exchange": "EXCHANGE",
+    },
+}
+_OLD_FLUENT_RECEIVERS = frozenset({"webClient"})
+_OLD_TARGET_RECEIVERS = frozenset({"client"})
+_OLD_PUBLISH_RECEIVERS = {
+    "kafkaTemplate": frozenset({"send"}),
+    "rabbitTemplate": frozenset({"convertAndSend"}),
+}
+
+
+def _old_receiver_call_re(receivers) -> re.Pattern:
+    return re.compile(
+        r"(?<![\w.$])(?:this\s*\.\s*)?("
+        + "|".join(re.escape(r) for r in sorted(receivers))
+        + r")\s*\.\s*([A-Za-z_][\w$]*)\s*\("
+    )
+
+
+_OLD_REMOTE_HEAD_RE = _old_receiver_call_re(
+    {*_OLD_TEMPLATE_RECEIVERS, *_OLD_FLUENT_RECEIVERS, *_OLD_TARGET_RECEIVERS}
+)
+_OLD_PUBLISH_HEAD_RE = _old_receiver_call_re(_OLD_PUBLISH_RECEIVERS)
+
+
+def _old_find_remote(text, line_of):
+    calls = []
+    warnings = []
+    for m in _OLD_REMOTE_HEAD_RE.finditer(text):
+        receiver, method = m.group(1), m.group(2)
+        open_idx = m.end() - 1
+        close = _balanced_parens(text, open_idx)
+        if close is None:
+            continue
+        args = _split_args(text[open_idx + 1 : close - 1])
+
+        if receiver in _OLD_TEMPLATE_RECEIVERS:
+            table = _OLD_TEMPLATE_RECEIVERS[receiver]
+            if method not in table or not args:
+                continue
+            http = table[method]
+            template, clean = _url_template_from_expr(args[0])
+            if http == "EXCHANGE":
+                http = HTTP_UNKNOWN
+                if len(args) >= 2:
+                    enum = _HTTP_ENUM_RE.fullmatch(args[1])
+                    if enum:
+                        http = enum.group(1)
+            if not clean:
+                warnings.append(
+                    (m.start(), f"unparseable URL expression in {receiver}.{method}(...)")
+                )
+            calls.append(
+                _call_node(
+                    method,
+                    {
+                        CALL_KIND_ATTR: CALL_KIND_REMOTE,
+                        "http_method": http,
+                        "url_template": template,
+                        "arg_count": str(len(args)),
+                    },
+                    SourceSpan("<input>", line_of(m.start()), line_of(close - 1)),
+                )
+            )
+        elif receiver in _OLD_FLUENT_RECEIVERS:
+            if method not in ("get", "post", "put", "delete", "patch", "head", "method"):
+                continue
+            http = method.upper() if method != "method" else HTTP_UNKNOWN
+            if method == "method" and args:
+                enum = _HTTP_ENUM_RE.fullmatch(args[0])
+                if enum:
+                    http = enum.group(1)
+            uri_args = []
+            body_args = []
+            end = close
+            for link, largs, link_end in _read_chain(text, close):
+                end = link_end
+                if link == "uri" and not uri_args:
+                    uri_args = largs
+                elif link in ("body", "bodyValue"):
+                    body_args.extend(largs)
+            if uri_args:
+                template, clean = _url_template_from_expr(uri_args[0])
+            else:
+                template, clean = URL_WILDCARD, False
+            if not clean:
+                warnings.append(
+                    (m.start(), f"unparseable URL expression in {receiver}.{method}() chain")
+                )
+            calls.append(
+                _call_node(
+                    method,
+                    {
+                        CALL_KIND_ATTR: CALL_KIND_REMOTE,
+                        "http_method": http,
+                        "url_template": template,
+                        "arg_count": str(len(uri_args) + len(body_args)),
+                    },
+                    SourceSpan("<input>", line_of(m.start()), line_of(end - 1)),
+                )
+            )
+        elif receiver in _OLD_TARGET_RECEIVERS:
+            if method != "target" or not args:
+                continue
+            template, clean = _url_template_from_expr(args[0])
+            arg_count = len(args)
+            http = HTTP_UNKNOWN
+            end = close
+            for link, largs, link_end in _read_chain(text, close):
+                end = link_end
+                if link == "path" and largs:
+                    part, part_clean = _url_template_from_expr(largs[0])
+                    template = template.rstrip("/") + "/" + part.lstrip("/")
+                    clean = clean and part_clean
+                elif link in ("get", "post", "put", "delete", "patch"):
+                    http = link.upper()
+                    arg_count += len(largs)
+            if not clean:
+                warnings.append(
+                    (m.start(), f"unparseable URL expression in {receiver}.target(...) chain")
+                )
+            calls.append(
+                _call_node(
+                    "target",
+                    {
+                        CALL_KIND_ATTR: CALL_KIND_REMOTE,
+                        "http_method": http,
+                        "url_template": template,
+                        "arg_count": str(arg_count),
+                    },
+                    SourceSpan("<input>", line_of(m.start()), line_of(end - 1)),
+                )
+            )
+    return calls, warnings
+
+
+def _old_find_publish(text, line_of):
+    calls = []
+    warnings = []
+    for m in _OLD_PUBLISH_HEAD_RE.finditer(text):
+        receiver, method = m.group(1), m.group(2)
+        if method not in _OLD_PUBLISH_RECEIVERS[receiver]:
+            continue
+        open_idx = m.end() - 1
+        close = _balanced_parens(text, open_idx)
+        if close is None:
+            continue
+        args = _split_args(text[open_idx + 1 : close - 1])
+        topic = _unquote(args[0]) if args else None
+        if topic is None:
+            topic = URL_WILDCARD
+            warnings.append((m.start(), f"non-literal topic in {receiver}.{method}(...)"))
+        calls.append(
+            _call_node(
+                method,
+                {
+                    CALL_KIND_ATTR: CALL_KIND_EVENT_PUBLISH,
+                    "topic": topic,
+                    "arg_count": str(len(args)),
+                },
+                SourceSpan("<input>", line_of(m.start()), line_of(close - 1)),
+            )
+        )
+    return calls, warnings
+
+
+_METHOD_HEAD = "public class F {\n    public void m() {\n        "
+
+
+def _oracle_client_calls(source):
+    """``(calls, warnings)`` of the old scanners for the body of ``m`` in
+    ``source``, a body without braces.  The old scan listed every URL
+    warning before every topic warning; these come in source order."""
+    text, struct, starts = _masked_views(source)
+    start = len(_METHOD_HEAD)
+    body = text[start : struct.index("}", start)]
+
+    def line_of(pos):
+        return bisect_right(starts, start + pos)
+
+    remote, remote_warnings = _old_find_remote(body, line_of)
+    publish, publish_warnings = _old_find_publish(body, line_of)
+    calls = sorted(remote + publish, key=lambda c: (c.span.line_start, c.span.line_end, c.name))
+    warnings = sorted(remote_warnings + publish_warnings, key=lambda w: w[0])
+    return (
+        [(c.name, list(c.attributes.items()), c.span.line_start, c.span.line_end)
+         for c in calls],
+        [(line_of(pos), message) for pos, message in warnings],
+    )
+
+
+_URL_ARGS = st.sampled_from([
+    '"http://svc/api/x"', '"http://svc/api/x/" + id', 'base + "/api/x"', "url",
+    '"http://a/" + "b/c"', '"/api/\\"q\\"/" + id', '"http://svc/api/(x)"', '"/b/"',
+])
+_TOPIC_ARGS = st.sampled_from(['"orders"', "topic", '"or" + "ders"', '"a,b"'])
+_MORE_ARGS = st.sampled_from([
+    "", ", X.class", ", HttpMethod.POST, entity, Void.class", ", verb, entity",
+    ", org.springframework.http.HttpMethod.DELETE", ", body", ", x, y",
+])
+_LINK_SEPS = st.sampled_from(["", " ", "\n            ", " /* c */ ", " // c\n            "])
+
+
+_OWN_LINKS = {
+    "webClient": [".uri({url})", ".uri()", ".body(x)", ".bodyValue(x, y)", ".retrieve()"],
+    "client": [".path({url})", ".path(id)", ".path()", ".request()", ".get()", ".post(entity)",
+               ".put(a, b)", ".delete()", ".patch(x)", ".head()"],
+}
+_ALL_LINKS = [
+    *_OWN_LINKS["webClient"], *_OWN_LINKS["client"], ".bodyToMono(X.class)",
+    ".request(MediaType.JSON)", ".getBody()",
+]
+
+
+@st.composite
+def _client_call(draw):
+    """One client call: a head, then links from its own idiom's chain or
+    from any idiom's."""
+    receiver = draw(st.sampled_from([
+        "restTemplate", "webClient", "client", "kafkaTemplate", "rabbitTemplate",
+    ]))
+    head = draw(st.sampled_from({
+        "restTemplate": ["getForObject", "getForEntity", "postForObject", "postForEntity",
+                         "put", "delete", "exchange", "patchForObject"],
+        "webClient": ["get", "post", "put", "delete", "patch", "head", "method", "options"],
+        "client": ["target", "request"],
+        "kafkaTemplate": ["send", "flush"],
+        "rabbitTemplate": ["convertAndSend", "send"],
+    }[receiver]))
+    if receiver == "webClient":
+        args = draw(st.sampled_from(["", "HttpMethod.PATCH", "verb", "RequestMethod.GET, x"]))
+    else:
+        first = draw(_TOPIC_ARGS if receiver.endswith("aTemplate") else _URL_ARGS)
+        args = draw(st.sampled_from(["", first])) + draw(_MORE_ARGS)
+        args = args.removeprefix(", ")
+    this = draw(st.sampled_from(["", "this.", "this . "]))
+    own = _OWN_LINKS.get(receiver, [".getBody()"])
+    links = draw(st.lists(st.sampled_from(own) | st.sampled_from(_ALL_LINKS), max_size=5))
+    call = f"{this}{receiver}.{head}({args})"
+    for link in links:
+        call += draw(_LINK_SEPS) + link.replace("{url}", draw(_URL_ARGS))
+    return call
+
+
+_BODY_STATEMENTS = st.one_of(
+    _client_call(),
+    _client_call().map(lambda call: call[:-1]),  # its last paren left open
+    _client_call().map(lambda call: f"foo({call}, {call})"),
+    st.sampled_from([
+        "helper.run(x)", "get(id)", "int a = (b + c", "(", ")",
+        '// restTemplate.getForObject("http://c/x", X.class)\n        ',
+        '/* kafkaTemplate.send("t", x) */', "return x",
+    ]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.lists(st.tuples(_BODY_STATEMENTS, st.sampled_from([";\n        ", "; ", " "])),
+                max_size=8))
+def test_client_calls_match_old_scanners(statements):
+    body = "".join(statement + sep for statement, sep in statements)
+    source = _METHOD_HEAD + body + "\n    }\n}\n"
+    parser = _JavaLikeParser(source, "F.java")
+    unit = parser.parse()
+    (method,) = [n for n, _a in _iter(unit) if n.kind == NodeKind.METHOD_DECL]
+    calls = [
+        (c.name, list(c.attributes.items()), c.span.line_start, c.span.line_end)
+        for c in method.children
+        if c.kind == NodeKind.CALL and c.attributes[CALL_KIND_ATTR] != CALL_KIND_LOCAL
+    ]
+    warnings = [(line, message) for _file, line, message in parser.warnings]
+    assert (calls, warnings) == _oracle_client_calls(source)

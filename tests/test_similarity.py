@@ -40,9 +40,9 @@ def test_normalize_strips_suffix_tokens_with_fallback():
 def test_parse_taxonomy_builds_depths():
     t = parse_taxonomy(SHOP_TAXONOMY)
     assert "thing" in t and "client" in t
-    assert t.depth("thing") == 1
-    assert t.depth("person") == 2
-    assert t.depth("user") == 3
+    assert len(t.ancestors("thing")) == 1
+    assert len(t.ancestors("person")) == 2
+    assert len(t.ancestors("user")) == 3
     assert len(t) == 8
 
 
@@ -137,4 +137,4 @@ def test_load_taxonomy_file(tmp_path):
     path.write_text(SHOP_TAXONOMY, encoding="utf-8")
     t = load_taxonomy_file(path)
     assert isinstance(t, Taxonomy)
-    assert t.depth("invoice") == 3
+    assert len(t.ancestors("invoice")) == 3

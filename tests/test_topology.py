@@ -28,7 +28,7 @@ services:
     build: .
 """
     )
-    assert model.service_names() == ["api", "web"]
+    assert [s.name for s in model.services] == ["api", "web"]
     assert _svc(model, "web").image == "nginx:1.25"
     assert model.declared_edges == []
     assert model.warnings == []
@@ -149,10 +149,10 @@ def test_parse_rejects_malformed_documents():
 
 def test_load_compose_file(tmp_path):
     path = tmp_path / "docker-compose.yml"
-    path.write_text("services:\n  api:\n    image: x\n", encoding="utf-8")
+    path.write_text("version: '9'\nservices:\n  api:\n    image: x\n", encoding="utf-8")
     model = load_compose_file(path)
-    assert model.service_names() == ["api"]
-    assert model.source_files == [str(path)]
+    assert [s.name for s in model.services] == ["api"]
+    assert model.warnings == [f"{path.as_posix()}: unsupported compose version '9'"]
 
 
 def test_merge_topologies_unions_and_keeps_first_image():
@@ -180,12 +180,11 @@ services:
         source="override.yml",
     )
     merged = merge_topologies([base, override])
-    assert merged.service_names() == ["api", "db", "worker"]
+    assert [s.name for s in merged.services] == ["api", "db", "worker"]
     assert _svc(merged, "api").image == "api:1"
     assert any("image" in w for w in merged.warnings)
     assert ("api", "db", ORIGIN_ENV_URL) in merged.declared_edges
     assert ("worker", "api", ORIGIN_DEPENDS_ON) in merged.declared_edges
-    assert merged.source_files == ["base.yml", "override.yml"]
 
 
 def test_build_inventory_names_aliases_and_variants():

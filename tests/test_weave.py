@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import microweave.weave as weave_module
+from microweave import __version__
 from microweave.errors import DuplicateServiceError
 from microweave.ir import Component, DataModel, Endpoint, RemoteCall, ServiceIr, EventOp
 from microweave.matchers import (
@@ -30,7 +31,6 @@ from microweave.weave import (
     match_call_to_endpoints,
     match_events,
     match_fields,
-    path_score,
     split_host,
     system_to_json_obj,
     type_compatible,
@@ -38,7 +38,7 @@ from microweave.weave import (
 )
 
 CONFIG = WeaveConfig()
-NAMES = NameSimilarity(None, CONFIG.strip_tokens)
+NAMES = NameSimilarity(None)
 
 
 def _entity(name, fields, service="svc", file="src/E.java"):
@@ -155,19 +155,23 @@ def test_split_host_variants():
     assert split_host("{*}") == (None, "{*}")
 
 
+def _path_score(call_path: str, endpoint_path: str) -> float:
+    return _segment_score(_split_path(call_path), _split_path(endpoint_path))
+
+
 def test_path_score_exact_and_template_alignment():
-    assert path_score("/api/users", "/api/users") == 1.0
-    assert path_score("/api/users/{*}", "/api/users/{id}") == pytest.approx(2.5 / 3)
-    assert path_score("/api/users/7", "/api/users/{id}") == pytest.approx(2.5 / 3)
-    assert path_score("/api/users", "/api/orders") == 0.0
-    assert path_score("/", "/") == 1.0
+    assert _path_score("/api/users", "/api/users") == 1.0
+    assert _path_score("/api/users/{*}", "/api/users/{id}") == pytest.approx(2.5 / 3)
+    assert _path_score("/api/users/7", "/api/users/{id}") == pytest.approx(2.5 / 3)
+    assert _path_score("/api/users", "/api/orders") == 0.0
+    assert _path_score("/", "/") == 1.0
 
 
 def test_path_score_prefix_with_template_remainder():
-    assert path_score("/api/users", "/api/users/{id}") == pytest.approx(2 / 3)
-    assert path_score("/api/users/{id}", "/api/users") == pytest.approx(2 / 3)
-    assert path_score("/api/users", "/api/users/list") == 0.0
-    assert path_score("/api", "/api/users/{id}") == 0.0
+    assert _path_score("/api/users", "/api/users/{id}") == pytest.approx(2 / 3)
+    assert _path_score("/api/users/{id}", "/api/users") == pytest.approx(2 / 3)
+    assert _path_score("/api/users", "/api/users/list") == 0.0
+    assert _path_score("/api", "/api/users/{id}") == 0.0
 
 
 def _oracle_path_score(call_path: str, endpoint_path: str) -> float:
@@ -217,7 +221,6 @@ _PATHS = st.one_of(
 def test_segment_score_matches_string_rule(call_path, endpoint_path):
     want = _oracle_path_score(call_path, endpoint_path)
     assert _segment_score(_split_path(call_path), _split_path(endpoint_path)) == want
-    assert path_score(call_path, endpoint_path) == want
 
 
 def test_match_call_resolvable_host_restricts_candidates():
@@ -554,7 +557,7 @@ def test_weave_is_order_insensitive():
 def test_weave_metadata_carries_inventory_and_version():
     system = weave([ServiceIr(service_name="solo")])
     assert system.metadata["inventory"] == {"solo": "solo"}
-    assert system.metadata["tool_version"]
+    assert system.metadata["tool_version"] == __version__
     assert system.metadata["warnings"] == []
 
 
