@@ -120,13 +120,17 @@ class ExtractionReport:
 # text preparation
 
 
-#: The lexemes whose characters the text views mask: a line comment, a block
-#: comment (unterminated: to the end of the file), and a string or char
-#: literal.  A literal ends at its closing quote, at a newline, or at the end
-#: of the file; a backslash escapes the next character, a newline included.
+#: The lexemes whose characters the text views mask, and the only definition
+#: of a comment or a literal: a line comment, a block comment (unterminated: to
+#: the end of the file), a text block (likewise), and a string or char
+#: literal.  A string or char literal ends at its closing quote, at a newline,
+#: or at the end of the file.  A backslash escapes the next character, a
+#: newline included.  Groups 1 and 2 open and close a text block; groups 3 and
+#: 4 close a string and a char literal.
 _LEXEME_RE = re.compile(
     r"//[^\n]*"
     r"|/\*.*?(?:\*/|\Z)"
+    r'|(""")[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*\\?(""")?'
     r'|"[^"\\\n]*(?:\\.[^"\\\n]*)*\\?(["\n]?)'
     r"|'[^'\\\n]*(?:\\.[^'\\\n]*)*\\?(['\n]?)",
     re.S,
@@ -142,9 +146,9 @@ def _masked_views(source: str) -> tuple[str, str, list[int]]:
     """One lexing pass over ``source``: ``(text, struct, line starts)``.
 
     ``text`` blanks comments; ``struct`` also blanks the contents of string
-    and char literals, keeping their quotes.  Both keep the length of
-    ``source`` and every newline, an escaped one inside a literal included,
-    so they share their line starts.
+    and char literals and text blocks, keeping their quotes.  Both keep the
+    length of ``source`` and every newline, an escaped one inside a literal
+    included, so they share their line starts.
     """
     text: list[str] = []
     struct: list[str] = []
@@ -159,9 +163,10 @@ def _masked_views(source: str) -> tuple[str, str, list[int]]:
             text.append(_blank(lexeme))
             struct.append(text[-1])
         else:
-            close = m.group(1) or m.group(2) or ""
+            opener = m.group(1) or lexeme[0]
+            close = m.group(2) or m.group(3) or m.group(4) or ""
             text.append(lexeme)
-            struct.append(lexeme[0] + _blank(lexeme[1 : len(lexeme) - len(close)]) + close)
+            struct.append(opener + _blank(lexeme[len(opener) : len(lexeme) - len(close)]) + close)
     text.append(source[pos:])
     struct.append(text[-1])
     starts = list(accumulate((len(line) + 1 for line in source.split("\n")[:-1]), initial=0))
@@ -178,98 +183,78 @@ def _line_depths(lines: list[str], depth: int) -> tuple[list[int], int]:
     return depths, depth
 
 
-def _split_top_level(text: str, sep: str) -> list[str]:
-    """Split on a separator character, ignoring separators nested inside
-    brackets or string literals."""
-    parts: list[str] = []
-    depth = 0
-    in_str = False
-    cur: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if in_str:
-            if c == "\\":
-                cur.append(text[i : i + 2])
-                i += 2
-                continue
-            if c == '"':
-                in_str = False
-            cur.append(c)
-        elif c == '"':
-            in_str = True
-            cur.append(c)
-        elif c in "([{":
-            depth += 1
-            cur.append(c)
-        elif c in ")]}":
-            depth -= 1
-            cur.append(c)
-        elif c == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
+# Every helper below takes a piece of source as its two views, ``text`` and
+# ``struct``, sliced at the same offsets: it finds structure in ``struct``,
+# where no literal holds a bracket or a separator, and reads values from
+# ``text``.
+
+_Piece = tuple[str, str]
+_NESTING = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
+
+
+def _strip(text: str, struct: str) -> _Piece:
+    """Both views without the whitespace around ``text``."""
+    end = len(text.rstrip())
+    start = end - len(text[:end].lstrip())
+    return text[start:end], struct[start:end]
+
+
+def _split_top_level(text: str, struct: str, sep: str) -> list[_Piece]:
+    """Split both views on a separator character outside brackets."""
+    parts: list[_Piece] = []
+    depth = start = 0
+    for i, c in enumerate(struct):
+        if c == sep and depth == 0:
+            parts.append((text[start:i], struct[start:i]))
+            start = i + 1
         else:
-            cur.append(c)
-        i += 1
-    parts.append("".join(cur))
+            depth += _NESTING.get(c, 0)
+    parts.append((text[start:], struct[start:]))
     return parts
 
 
-def _balanced_parens(text: str, open_idx: int) -> int | None:
-    """Given the index of ``(`` in ``text``, return the index just past the
-    matching ``)``, honoring nested parens and string literals."""
+def _split_args(text: str, struct: str, sep: str = ",") -> list[_Piece]:
+    """The non-blank pieces between top-level separators, stripped."""
+    pieces = (_strip(*part) for part in _split_top_level(text, struct, sep))
+    return [piece for piece in pieces if piece[0]]
+
+
+def _balanced_parens(struct: str | list[str], open_idx: int) -> int | None:
+    """Given the index of ``(`` in a structural view, return the index just
+    past the matching ``)``."""
     depth = 0
-    in_str = False
-    i, n = open_idx, len(text)
-    while i < n:
-        c = text[i]
-        if in_str:
-            if c == "\\":
-                i += 2
-                continue
-            if c == '"':
-                in_str = False
-        elif c == '"':
-            in_str = True
-        elif c == "(":
+    for i in range(open_idx, len(struct)):
+        c = struct[i]
+        if c == "(":
             depth += 1
         elif c == ")":
             depth -= 1
             if depth == 0:
                 return i + 1
-        i += 1
     return None
 
 
-_STRING_LIT_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"$')
-
-
-def _unquote(text: str) -> str | None:
-    m = _STRING_LIT_RE.match(text.strip())
-    if m is None:
+def _unquote(text: str, struct: str) -> str | None:
+    """The value of a stripped piece that is one string literal, else None."""
+    if len(struct) < 2 or struct[0] != '"' or struct[-1] != '"' or struct[1:-1].strip(" "):
         return None
-    return m.group(1).replace('\\"', '"').replace("\\\\", "\\")
+    return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
 
 
-def _split_args(body: str) -> list[str]:
-    return [a.strip() for a in _split_top_level(body, ",") if a.strip()] if body.strip() else []
-
-
-def _encode_annotation_value(text: str) -> str:
+def _encode_annotation_value(text: str, struct: str) -> str:
     """Render one annotation argument value as its flat string form.
 
     String literals lose their quotes; ``{a, b}`` arrays join with ``|``;
     dotted enum references keep only the last segment (``RequestMethod.GET``
     becomes ``GET``); class literals and anything else stay verbatim.
     """
-    text = text.strip()
-    lit = _unquote(text)
+    text, struct = _strip(text, struct)
+    lit = _unquote(text, struct)
     if lit is not None:
         return lit
-    if text.startswith("{") and text.endswith("}"):
-        inner = text[1:-1]
+    if struct.startswith("{") and struct.endswith("}"):
         return "|".join(
-            _encode_annotation_value(p) for p in _split_top_level(inner, ",") if p.strip()
+            _encode_annotation_value(*part) for part in _split_args(text[1:-1], struct[1:-1])
         )
     if text.endswith(".class"):
         return text
@@ -278,84 +263,81 @@ def _encode_annotation_value(text: str) -> str:
     return text
 
 
-_ANNOTATION_RE = re.compile(r"@\s*([A-Za-z_][\w$]*)")
+def _annotation_args(text: str, struct: str) -> dict[str, str] | None:
+    """The argument map of an annotation's argument list, or None when the
+    list does not read as one ``value`` or as ``key = value`` pairs."""
+    args: dict[str, str] = {}
+    for part in _split_args(text, struct):
+        kv = _split_top_level(*part, "=")
+        key = kv[0][0].strip()
+        if len(kv) == 2 and re.fullmatch(r"[\w$]+", key):
+            args[key] = _encode_annotation_value(*kv[1])
+        elif len(kv) == 1:
+            args["value"] = _encode_annotation_value(*part)
+        else:
+            return None
+    return args
 
 
-def _annotation_extents(window: str) -> list[tuple[int, int, str, str | None]]:
-    """``(start, end, name, args text or None)`` for each top-level
-    annotation occurrence; nested ones are folded into their parent."""
-    extents: list[tuple[int, int, str, str | None]] = []
-    for m in _ANNOTATION_RE.finditer(window):
-        if m.group(1) == "interface":
-            continue
-        if extents and m.start() < extents[-1][1]:
-            continue
-        rest = window[m.end() :]
-        stripped = rest.lstrip()
-        if not stripped.startswith("("):
-            extents.append((m.start(), m.end(), m.group(1), None))
-            continue
-        open_idx = m.end() + (len(rest) - len(stripped))
-        close = _balanced_parens(window, open_idx)
-        if close is None:
-            continue  # reported separately as an error
-        extents.append((m.start(), close, m.group(1), window[open_idx + 1 : close - 1].strip()))
-    return extents
+@dataclass(frozen=True)
+class _Annotation:
+    """One top-level ``@Name`` or ``@Name(..)`` in a window.
 
-
-def _annotation_errors(window: str) -> list[tuple[str, str]]:
-    """Annotations whose argument list never closes inside the window."""
-    errors: list[tuple[str, str]] = []
-    for m in _ANNOTATION_RE.finditer(window):
-        if m.group(1) == "interface":
-            continue
-        rest = window[m.end() :]
-        stripped = rest.lstrip()
-        if stripped.startswith("("):
-            open_idx = m.end() + (len(rest) - len(stripped))
-            if _balanced_parens(window, open_idx) is None:
-                errors.append((m.group(1), f"unparseable arguments for @{m.group(1)}"))
-    return errors
-
-
-def recognize_annotation(window: str) -> tuple[list[tuple[str, dict[str, str]]], list[str]]:
-    """Recognize every ``@Name``/``@Name(...)`` occurrence in a text window.
-
-    Returns the recognized ``(name, argument map)`` pairs plus warning
-    messages; an annotation whose argument body cannot be parsed still
-    yields its name, with empty arguments.
+    ``end`` is the offset just past it, or None when its argument list never
+    closes in the window; ``args`` is None when the list is unparseable.
     """
-    found: list[tuple[str, dict[str, str]]] = []
-    warnings: list[str] = []
-    for _start, _end, name, args_text in _annotation_extents(window):
-        args: dict[str, str] = {}
-        ok = True
-        for part in _split_top_level(args_text or "", ","):
-            part = part.strip()
-            if not part:
-                continue
-            kv = _split_top_level(part, "=")
-            if len(kv) == 2 and re.fullmatch(r"[\w$]+", kv[0].strip()):
-                args[kv[0].strip()] = _encode_annotation_value(kv[1])
-            elif len(kv) == 1:
-                args["value"] = _encode_annotation_value(part)
-            else:
-                warnings.append(f"unparseable arguments for @{name}")
-                args = {}
-                ok = False
-                break
-        found.append((name, args if ok else {}))
-    for name, msg in _annotation_errors(window):
-        warnings.append(msg)
-        found.append((name, {}))
-    return found, warnings
+
+    name: str
+    start: int
+    end: int | None
+    args: dict[str, str] | None
+
+
+#: An annotation's name with the ``(`` opening its arguments, or a lone paren.
+_ANNOTATION_TOKEN_RE = re.compile(r"@\s*([A-Za-z_][\w$]*)(\s*\()?|[()]")
+
+
+def _read_annotations(text: str, struct: str) -> list[_Annotation]:
+    """The top-level annotations of a window in source order, from one walk
+    over its structural view.
+
+    An annotation inside the arguments of one that closes is folded into it;
+    the annotations inside an argument list that never closes are top-level
+    too.  ``@interface`` is no annotation.
+    """
+    heads: list[tuple[str, int, int, bool]] = []
+    closes: dict[int, int] = {}
+    opens: list[int] = []
+    for m in _ANNOTATION_TOKEN_RE.finditer(struct):
+        name, paren = m.groups()
+        if m.group() == ")":
+            if opens:
+                closes[opens.pop()] = m.end()
+            continue
+        if paren or not name:
+            opens.append(m.end() - 1)
+        if name and name != "interface":
+            heads.append((name, m.start(), m.end(), paren is not None))
+    found: list[_Annotation] = []
+    folded_until = 0
+    for name, start, end, has_args in heads:
+        if start < folded_until:
+            continue
+        close = closes.get(end - 1) if has_args else end
+        if close is None:
+            found.append(_Annotation(name, start, None, None))
+            continue
+        args = _annotation_args(text[end : close - 1], struct[end : close - 1]) if has_args else {}
+        found.append(_Annotation(name, start, close, args))
+        folded_until = close
+    return found
 
 
 # --------------------------------------------------------------------------
 # remote-call / event recognition
 
 
-def _url_template_from_expr(expr: str) -> tuple[str, bool]:
+def _url_template_from_expr(text: str, struct: str) -> tuple[str, bool]:
     """Build a URL template from a (possibly concatenated) argument expression.
 
     Literal fragments keep their text; every non-literal operand becomes the
@@ -363,11 +345,8 @@ def _url_template_from_expr(expr: str) -> tuple[str, bool]:
     """
     fragments: list[str] = []
     had_literal = False
-    for part in _split_top_level(expr, "+"):
-        part = part.strip()
-        if not part:
-            continue
-        lit = _unquote(part)
+    for part in _split_args(text, struct, "+"):
+        lit = _unquote(*part)
         if lit is not None:
             fragments.append(lit)
             had_literal = True
@@ -385,21 +364,22 @@ def _call_node(name: str, attrs: dict[str, str], span: SourceSpan) -> LaastNode:
 _CHAIN_LINK_RE = re.compile(r"\s*\.\s*([A-Za-z_][\w$]*)\s*")
 
 
-def _read_chain(text: str, start: int) -> list[tuple[str, list[str], int]]:
+def _read_chain(text: str, struct: str, start: int) -> list[tuple[str, list[_Piece], int]]:
     """Read a fluent chain ``.a(args).b(args)...`` starting at ``start``.
 
     Returns ``(method, argument list, end offset)`` per link.
     """
-    links: list[tuple[str, list[str], int]] = []
+    links: list[tuple[str, list[_Piece], int]] = []
     pos = start
     while True:
-        m = _CHAIN_LINK_RE.match(text, pos)
-        if m is None or m.end() >= len(text) or text[m.end()] != "(":
+        m = _CHAIN_LINK_RE.match(struct, pos)
+        if m is None or m.end() >= len(struct) or struct[m.end()] != "(":
             break
-        close = _balanced_parens(text, m.end())
+        close = _balanced_parens(struct, m.end())
         if close is None:
             break
-        links.append((m.group(1), _split_args(text[m.end() + 1 : close - 1]), close))
+        args = _split_args(text[m.end() + 1 : close - 1], struct[m.end() + 1 : close - 1])
+        links.append((m.group(1), args, close))
         pos = close
     return links
 
@@ -415,7 +395,7 @@ _CLIENT_HEAD_RE = re.compile(
 )
 
 
-def _url_template(url_args: list[str], paths: list[str]) -> tuple[str, bool]:
+def _url_template(url_args: list[_Piece], paths: list[_Piece]) -> tuple[str, bool]:
     """URL template of the first of ``url_args`` with each of ``paths``
     (``.path(..)`` arguments) appended as one more piece.
 
@@ -424,9 +404,9 @@ def _url_template(url_args: list[str], paths: list[str]) -> tuple[str, bool]:
     """
     if not url_args:
         return URL_WILDCARD, False
-    template, clean = _url_template_from_expr(url_args[0])
+    template, clean = _url_template_from_expr(*url_args[0])
     for expr in paths:
-        part, part_clean = _url_template_from_expr(expr)
+        part, part_clean = _url_template_from_expr(*expr)
         template = template.rstrip("/") + "/" + part.lstrip("/")
         clean = clean and part_clean
     return template, clean
@@ -455,6 +435,7 @@ _METHOD_HEAD_RE = re.compile(
     rf"^\s*(?:{_MODIFIER}\s+)*(?:<[^>]*>\s*)?({_TYPE_PAT})\s+([A-Za-z_][\w$]*)\s*\("
 )
 _FIELD_RE = re.compile(rf"^\s*(?:{_MODIFIER}\s+)*({_TYPE_PAT})\s+([A-Za-z_][\w$]*)\s*(?:=|;)")
+_PARAM_RE = re.compile(rf"(?:final\s+)?({_TYPE_PAT})\s+([A-Za-z_][\w$]*)")
 _LOCAL_CALL_RE = re.compile(
     r"(?<![\w.$@])(?:([A-Za-z_][\w$]*)\s*\.\s*)?([A-Za-z_][\w$]*)\s*\("
 )
@@ -580,38 +561,35 @@ class _JavaLikeParser:
         ):
             end += 1
             window_struct += "\n" + self.lines[end - 1]
-        extents = _annotation_extents(window_struct)
         start_off = self._offset_of_line(lineno)
         window_text = "".join(self._text[start_off : start_off + len(window_struct)])
-        if not extents:
-            errors = _annotation_errors(window_struct)
-            if not errors:
+        found = _read_annotations(window_text, window_struct)
+        closed = [ann for ann in found if ann.end is not None]
+        if not closed:
+            if not found:
                 return False
-            for name, msg in errors:
-                self._warn(lineno, msg)
+            for ann in found:
+                self._warn(lineno, f"unparseable arguments for @{ann.name}")
                 pending.append(
-                    LaastNode(kind=NodeKind.ANNOTATION, name=name, span=self._span(lineno, end))
+                    LaastNode(kind=NodeKind.ANNOTATION, name=ann.name, span=self._span(lineno, end))
                 )
             self._mask_range(start_off, start_off + len(window_struct))
             return True
-        for ext_start, ext_end, _name, _args in extents:
-            found, warns = recognize_annotation(window_text[ext_start:ext_end])
-            for msg in warns:
-                self._warn(lineno, msg)
-            for name, args in found[:1]:
-                pending.append(
-                    LaastNode(
-                        kind=NodeKind.ANNOTATION,
-                        name=name,
-                        attributes=dict(args),
-                        span=self._span(
-                            self._line_of(start_off + ext_start),
-                            self._line_of(start_off + max(ext_start, ext_end - 1)),
-                        ),
-                    )
+        for ann in closed:
+            if ann.args is None:
+                self._warn(lineno, f"unparseable arguments for @{ann.name}")
+            pending.append(
+                LaastNode(
+                    kind=NodeKind.ANNOTATION,
+                    name=ann.name,
+                    attributes=ann.args or {},
+                    span=self._span(
+                        self._line_of(start_off + ann.start),
+                        self._line_of(start_off + ann.end - 1),
+                    ),
                 )
-        last_end = max(e for _s, e, _n, _a in extents)
-        self._mask_range(start_off, start_off + last_end)
+            )
+        self._mask_range(start_off, start_off + closed[-1].end)
         return True
 
     def _parse_type(
@@ -770,7 +748,6 @@ class _JavaLikeParser:
         sig_off = self._offset_of_line(start_line)
         paren_off = self._find("(", sig_off)
         paren_close = _balanced_parens(self._struct, paren_off)
-        params_raw = "".join(self._text[paren_off + 1 : paren_close - 1]) if paren_close else ""
 
         method = LaastNode(
             kind=NodeKind.METHOD_DECL,
@@ -779,38 +756,12 @@ class _JavaLikeParser:
             children=list(pending),
             span=self._span(start_line, start_line),
         )
-        for param in _split_top_level(params_raw, ","):
-            param = param.strip()
-            if not param:
-                continue
-            anns, warns = recognize_annotation(param)
-            for msg in warns:
-                self._warn(start_line, msg)
-            bare = param
-            for ext_start, ext_end, _n, _a in reversed(_annotation_extents(param)):
-                bare = bare[:ext_start] + bare[ext_end:]
-            bare = " ".join(bare.split())
-            pm = re.match(rf"^(?:final\s+)?({_TYPE_PAT})\s+([A-Za-z_][\w$]*)$", bare)
-            if pm is None:
-                self._warn(start_line, f"unparseable parameter {param!r} in {name}")
-                continue
-            method.children.append(
-                LaastNode(
-                    kind=NodeKind.PARAM,
-                    name=pm.group(2),
-                    attributes={"declared_type": " ".join(pm.group(1).split())},
-                    children=[
-                        LaastNode(
-                            kind=NodeKind.ANNOTATION,
-                            name=an,
-                            attributes=dict(aa),
-                            span=self._span(start_line, start_line),
-                        )
-                        for an, aa in anns
-                    ],
-                    span=self._span(start_line, start_line),
-                )
-            )
+        if paren_close:
+            params = slice(paren_off + 1, paren_close - 1)
+            params_text = "".join(self._text[params])
+            params_struct = "".join(self._struct[params])
+            for param in _split_args(params_text, params_struct):
+                self._add_param(method, *param, start_line)
 
         # find the character ending the head: `{` opens a body, `;` does not
         end_line = start_line
@@ -832,12 +783,45 @@ class _JavaLikeParser:
         type_node.children.append(method)
         return end_line + 1
 
+    def _add_param(self, method: LaastNode, text: str, struct: str, line: int) -> None:
+        """Append the Param node of one stripped parameter to ``method``, or
+        warn when it is not a type and a name after its annotations.
+
+        Annotations whose arguments never close come after the others."""
+        found = sorted(_read_annotations(text, struct), key=lambda ann: ann.end is None)
+        for ann in found:
+            if ann.args is None:
+                self._warn(line, f"unparseable arguments for @{ann.name}")
+        bare, pos = "", 0
+        for ann in found:
+            if ann.end is not None:
+                bare += text[pos : ann.start]
+                pos = ann.end
+        pm = _PARAM_RE.fullmatch(" ".join((bare + text[pos:]).split()))
+        if pm is None:
+            self._warn(line, f"unparseable parameter {text!r} in {method.name}")
+            return
+        span = self._span(line, line)
+        method.children.append(LaastNode(
+            kind=NodeKind.PARAM,
+            name=pm.group(2),
+            attributes={"declared_type": " ".join(pm.group(1).split())},
+            children=[
+                LaastNode(
+                    kind=NodeKind.ANNOTATION, name=ann.name, attributes=ann.args or {}, span=span
+                )
+                for ann in found
+            ],
+            span=span,
+        ))
+
     def _scan_body(self, method: LaastNode, start_off: int, end_off: int) -> None:
         """Append the calls in a method body to ``method`` in line order.
 
         Call heads are matched on the structural view, so text in a comment
-        or a string or char literal is never a call; a client call's
-        arguments are read from the text view, where literals are intact.
+        or a literal is never a call; a client call's arguments are
+        delimited on the structural view and read from the text view, where
+        literals are intact.
         """
         body_text = "".join(self._text[start_off:end_off])
         body_struct = "".join(self._struct[start_off:end_off])
@@ -851,23 +835,24 @@ class _JavaLikeParser:
             idiom = _CLIENT_IDIOMS[receiver]
             if head not in idiom.heads:
                 continue
-            close = _balanced_parens(body_text, m.end() - 1)
+            close = _balanced_parens(body_struct, m.end() - 1)
             if close is None:
                 continue
-            args = _split_args(body_text[m.end() : close - 1])
+            args = _split_args(body_text[m.end() : close - 1], body_struct[m.end() : close - 1])
             roles = idiom.links or {}
             uri_link = "uri" in roles.values()
             if idiom.kind == CALL_KIND_REMOTE and not uri_link and not args:
                 continue
             http = idiom.heads[head]
             if isinstance(http, int):
-                enum = _HTTP_ENUM_RE.fullmatch(args[http]) if http < len(args) else None
+                enum = _HTTP_ENUM_RE.fullmatch(args[http][0]) if http < len(args) else None
                 http = enum.group(1) if enum else None
             http = http or HTTP_UNKNOWN
             url_args, counted = ([], []) if uri_link else (args, list(args))
-            paths: list[str] = []
+            paths: list[_Piece] = []
             end = close
-            for link, link_args, link_end in _read_chain(body_text, close) if roles else ():
+            chain = _read_chain(body_text, body_struct, close) if roles else ()
+            for link, link_args, link_end in chain:
                 end = link_end
                 role = roles.get(link)
                 if role == "uri" and not url_args:
@@ -884,7 +869,7 @@ class _JavaLikeParser:
                 attrs = {"http_method": http, "url_template": template}
                 problem = "unparseable URL expression"
             else:
-                topic = _unquote(args[0]) if args else None
+                topic = _unquote(*args[0]) if args else None
                 clean = topic is not None
                 attrs = {"topic": topic if clean else URL_WILDCARD}
                 problem = "non-literal topic"

@@ -349,6 +349,7 @@ def run_matchers(
         out.components.append(component)
 
         prefixes = _class_prefixes(type_node)
+        first_endpoint = len(out.endpoints)
         for method_node in type_node.children:
             if method_node.kind != NodeKind.METHOD_DECL:
                 continue
@@ -356,7 +357,9 @@ def run_matchers(
             if component.role == ROLE_CONTROLLER:
                 _lift_endpoints(out, component, method_node, prefixes, convention, m_span)
             _lift_calls(out, component, method_node)
-        out.warnings.extend(_unbound_variable_warnings(out.endpoints, component))
+        out.warnings.extend(
+            _unbound_variable_warnings(out.endpoints[first_endpoint:], component)
+        )
 
     out.components.sort(key=lambda c: (c.span.file, c.span.line_start, c.name))
     out.endpoints.sort(
@@ -480,8 +483,6 @@ def _unbound_variable_warnings(
 ) -> list[tuple[str, int, str]]:
     warnings: list[tuple[str, int, str]] = []
     for endpoint in endpoints:
-        if endpoint.owner != component.name or endpoint.service != component.service:
-            continue
         bound = {name for name, kind, _t in endpoint.params if kind == PARAM_PATH}
         for template in endpoint.url_templates:
             for var in _TEMPLATE_VAR_RE.findall(template):

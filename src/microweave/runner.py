@@ -103,7 +103,6 @@ _NAME_RULE = "must not be '.' or '..' or contain '/', '\\' or a NUL byte"
 def _unsafe_name(name: str) -> bool:
     return name in (".", "..") or any(c in name for c in "/\\\0")
 
-
 def _discover_services(root: Path) -> list[dict]:
     """Auto discovery: each immediate subdirectory containing at least one
     source file becomes one service named after the directory."""
@@ -146,6 +145,11 @@ def _parse_service(entry, index: int, base: Path) -> SourceTree:
         if not isinstance(g, str):
             raise ConfigError(f"{field_name}.include_globs[{i}] must be a string",
                               field=f"{field_name}.include_globs")
+        # matched below root_dir, so it must name files there
+        if not Path(g).parts or Path(g).is_absolute() or ".." in Path(g).parts:
+            raise ConfigError(f"{field_name}.include_globs[{i}] must be a non-empty relative "
+                              "pattern with no '..' segment",
+                              field=f"{field_name}.include_globs[{i}]")
     convention = entry.get("convention", SPRING_LIKE)
     if convention not in CONVENTIONS:
         raise ConfigError(

@@ -400,6 +400,16 @@ def _auto_with_backslash_dir(shop: Path) -> dict:
         (_auto_with_backslash_dir, (),
          "services auto-discovery: directory 'a\\\\b' cannot be a service name, which "
          "must not be '.' or '..' or contain '/', '\\' or a NUL byte"),
+        ({"services": [{"name": "users", "root_dir": "users", "include_globs": ["../*.java"]}]},
+         (), "services[0].include_globs[0] must be a non-empty relative pattern with no "
+         "'..' segment"),
+        ({"services": [{"name": "users", "root_dir": "users",
+                        "include_globs": ["**/*.java", "/etc/*.java"]}]},
+         (), "services[0].include_globs[1] must be a non-empty relative pattern with no "
+         "'..' segment"),
+        ({"services": [{"name": "users", "root_dir": "users", "include_globs": [""]}]},
+         (), "services[0].include_globs[0] must be a non-empty relative pattern with no "
+         "'..' segment"),
     ],
     ids=["root_dir", "tau", "disable", "ruleset", "services", "jobs", "format",
          "thresholds_key", "service_key", "top_level_key", "checks_key", "rule_key",
@@ -407,7 +417,8 @@ def _auto_with_backslash_dir(shop: Path) -> dict:
          "rule_suffixes_string", "rule_priority_float", "rule_priority_string",
          "rule_priority_bool", "deep_nesting", "int_digit_limit", "tau_beyond_float",
          "root_dir_nul", "root_nul", "taxonomy_nul", "compose_nul", "output_dir_nul",
-         "name_traversal", "name_dotdot", "auto_name_backslash"],
+         "name_traversal", "name_dotdot", "auto_name_backslash", "glob_parent",
+         "glob_absolute", "glob_empty"],
 )
 def test_configuration_error_line_names_field_once(shop, capsys, patch, argv, message):
     """``patch`` updates the fixture's config, or as a string replaces its text,

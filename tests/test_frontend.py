@@ -17,21 +17,23 @@ from microweave.frontend import (
     URL_WILDCARD,
     SourceTree,
     _HTTP_ENUM_RE,
+    _TYPE_PAT,
     _JavaLikeParser,
     _balanced_parens,
     _call_node,
     _masked_views,
+    _read_annotations,
     _read_chain,
     _split_args,
     _unquote,
     _url_template_from_expr,
     extract,
-    recognize_annotation,
 )
 from microweave.laast import (
     CALL_KIND_EVENT_PUBLISH,
     CALL_KIND_LOCAL,
     CALL_KIND_REMOTE,
+    LaastNode,
     NodeKind,
     SourceSpan,
     load_laast,
@@ -61,24 +63,33 @@ def _types(root):
     return out
 
 
+def _annotations(window):
+    """``(name, start, end, args)`` of each top-level annotation in ``window``."""
+    text, struct, _starts = _masked_views(window)
+    return [(a.name, a.start, a.end, a.args) for a in _read_annotations(text, struct)]
+
+
 def test_recognize_annotation_simple_and_valued():
-    found, warnings = recognize_annotation('@RestController\npublic class A {')
-    assert [name for name, _args in found] == ["RestController"]
-    assert warnings == []
-    found, _ = recognize_annotation('@GetMapping("/x/{id}")')
-    assert found == [("GetMapping", {"value": "/x/{id}"})]
+    assert _annotations('@RestController\npublic class A {') == [("RestController", 0, 15, {})]
+    assert _annotations('@GetMapping("/x/{id}")') == [("GetMapping", 0, 22, {"value": "/x/{id}"})]
 
 
 def test_recognize_annotation_multi_value_and_named_args():
-    found, _ = recognize_annotation(
-        '@RequestMapping(value = {"/a", "/b"}, method = RequestMethod.GET)'
-    )
-    assert found == [("RequestMapping", {"value": "/a|/b", "method": "GET"})]
+    window = '@RequestMapping(value = {"/a", "/b"}, method = RequestMethod.GET)'
+    assert _annotations(window) == [
+        ("RequestMapping", 0, len(window), {"value": "/a|/b", "method": "GET"})
+    ]
 
 
 def test_recognize_annotation_class_argument_kept_verbatim():
-    found, _ = recognize_annotation("@Autowired(required = Foo.class)")
-    assert found == [("Autowired", {"required": "Foo.class"})]
+    window = "@Autowired(required = Foo.class)"
+    assert _annotations(window) == [("Autowired", 0, len(window), {"required": "Foo.class"})]
+
+
+def test_read_annotations_marks_unclosed_and_unparseable_arguments():
+    assert _annotations('@A(@B("x"), k = v = w) @C(') == [
+        ("A", 0, 22, None), ("C", 23, None, None)
+    ]
 
 
 def _remote_calls(tmp_path, *statements):
@@ -414,13 +425,14 @@ def test_parse_work_grows_linearly_with_file_size():
     assert all(g <= 2.2 for g in growth), (counts, growth)
 
 
-# The character-loop maskers the one-pass lexer replaced, kept as its oracle.
+# The character-loop maskers the one-pass lexer replaced, kept as its oracle,
+# with a state added for text blocks.
 
 
 def _oracle_mask_comments(text: str) -> str:
     out = list(text)
     i, n = 0, len(text)
-    state = "code"  # code | line | block | str | char
+    state = "code"  # code | line | block | text block | str | char
     while i < n:
         c = text[i]
         nxt = text[i + 1] if i + 1 < n else ""
@@ -434,6 +446,10 @@ def _oracle_mask_comments(text: str) -> str:
                 state = "block"
                 out[i] = out[i + 1] = " "
                 i += 2
+                continue
+            if text.startswith('"""', i):
+                state = "text block"
+                i += 3
                 continue
             if c == '"':
                 state = "str"
@@ -454,6 +470,15 @@ def _oracle_mask_comments(text: str) -> str:
                 continue
             if c != "\n":
                 out[i] = " "
+            i += 1
+        elif state == "text block":
+            if c == "\\":
+                i += 2
+                continue
+            if text.startswith('"""', i):
+                state = "code"
+                i += 3
+                continue
             i += 1
         elif state == "str":
             if c == "\\":
@@ -479,10 +504,28 @@ def _oracle_mask_strings(text: str) -> str:
     while i < n:
         c = text[i]
         if state == "code":
+            if text.startswith('"""', i):
+                state = "text block"
+                i += 3
+                continue
             if c == '"':
                 state = "str"
             elif c == "'":
                 state = "char"
+            i += 1
+        elif state == "text block":
+            if c == "\\" and i + 1 < n:
+                out[i] = " "
+                if text[i + 1] != "\n":
+                    out[i + 1] = " "
+                i += 2
+                continue
+            if text.startswith('"""', i):
+                state = "code"
+                i += 3
+                continue
+            if c != "\n":
+                out[i] = " "
             i += 1
         elif state == "str":
             if c == "\\" and i + 1 < n:
@@ -525,7 +568,7 @@ def _oracle_depths(struct: str) -> list[int]:
 _LEXER_TEXT = st.lists(
     st.sampled_from(
         ["//", "/*", "*/", "/", "*", '"', "'", "\\", "\n", '"\\\n', "{", "}", "(", ")", "@",
-         "a", " ", "\t", "é"]
+         "a", " ", "\t", "é", '"""']
     ),
     max_size=60,
 ).map("".join)
@@ -596,7 +639,8 @@ def test_extract_survives_random_java_like_text(tmp_path_factory, head, fragment
 
 # The per-receiver client-call scanners the idiom table replaced, kept as its
 # oracle.  They matched heads on the text view, so a head inside a literal was
-# a call; the differential test below leaves such heads out.
+# a call; the differential test below leaves such heads out.  They call the
+# current argument helpers, which take the structural view beside the text.
 
 _OLD_TEMPLATE_RECEIVERS = {
     "restTemplate": {
@@ -631,27 +675,27 @@ _OLD_REMOTE_HEAD_RE = _old_receiver_call_re(
 _OLD_PUBLISH_HEAD_RE = _old_receiver_call_re(_OLD_PUBLISH_RECEIVERS)
 
 
-def _old_find_remote(text, line_of):
+def _old_find_remote(text, struct, line_of):
     calls = []
     warnings = []
     for m in _OLD_REMOTE_HEAD_RE.finditer(text):
         receiver, method = m.group(1), m.group(2)
         open_idx = m.end() - 1
-        close = _balanced_parens(text, open_idx)
+        close = _balanced_parens(struct, open_idx)
         if close is None:
             continue
-        args = _split_args(text[open_idx + 1 : close - 1])
+        args = _split_args(text[open_idx + 1 : close - 1], struct[open_idx + 1 : close - 1])
 
         if receiver in _OLD_TEMPLATE_RECEIVERS:
             table = _OLD_TEMPLATE_RECEIVERS[receiver]
             if method not in table or not args:
                 continue
             http = table[method]
-            template, clean = _url_template_from_expr(args[0])
+            template, clean = _url_template_from_expr(*args[0])
             if http == "EXCHANGE":
                 http = HTTP_UNKNOWN
                 if len(args) >= 2:
-                    enum = _HTTP_ENUM_RE.fullmatch(args[1])
+                    enum = _HTTP_ENUM_RE.fullmatch(args[1][0])
                     if enum:
                         http = enum.group(1)
             if not clean:
@@ -675,20 +719,20 @@ def _old_find_remote(text, line_of):
                 continue
             http = method.upper() if method != "method" else HTTP_UNKNOWN
             if method == "method" and args:
-                enum = _HTTP_ENUM_RE.fullmatch(args[0])
+                enum = _HTTP_ENUM_RE.fullmatch(args[0][0])
                 if enum:
                     http = enum.group(1)
             uri_args = []
             body_args = []
             end = close
-            for link, largs, link_end in _read_chain(text, close):
+            for link, largs, link_end in _read_chain(text, struct, close):
                 end = link_end
                 if link == "uri" and not uri_args:
                     uri_args = largs
                 elif link in ("body", "bodyValue"):
                     body_args.extend(largs)
             if uri_args:
-                template, clean = _url_template_from_expr(uri_args[0])
+                template, clean = _url_template_from_expr(*uri_args[0])
             else:
                 template, clean = URL_WILDCARD, False
             if not clean:
@@ -710,14 +754,14 @@ def _old_find_remote(text, line_of):
         elif receiver in _OLD_TARGET_RECEIVERS:
             if method != "target" or not args:
                 continue
-            template, clean = _url_template_from_expr(args[0])
+            template, clean = _url_template_from_expr(*args[0])
             arg_count = len(args)
             http = HTTP_UNKNOWN
             end = close
-            for link, largs, link_end in _read_chain(text, close):
+            for link, largs, link_end in _read_chain(text, struct, close):
                 end = link_end
                 if link == "path" and largs:
-                    part, part_clean = _url_template_from_expr(largs[0])
+                    part, part_clean = _url_template_from_expr(*largs[0])
                     template = template.rstrip("/") + "/" + part.lstrip("/")
                     clean = clean and part_clean
                 elif link in ("get", "post", "put", "delete", "patch"):
@@ -742,7 +786,7 @@ def _old_find_remote(text, line_of):
     return calls, warnings
 
 
-def _old_find_publish(text, line_of):
+def _old_find_publish(text, struct, line_of):
     calls = []
     warnings = []
     for m in _OLD_PUBLISH_HEAD_RE.finditer(text):
@@ -750,11 +794,11 @@ def _old_find_publish(text, line_of):
         if method not in _OLD_PUBLISH_RECEIVERS[receiver]:
             continue
         open_idx = m.end() - 1
-        close = _balanced_parens(text, open_idx)
+        close = _balanced_parens(struct, open_idx)
         if close is None:
             continue
-        args = _split_args(text[open_idx + 1 : close - 1])
-        topic = _unquote(args[0]) if args else None
+        args = _split_args(text[open_idx + 1 : close - 1], struct[open_idx + 1 : close - 1])
+        topic = _unquote(*args[0]) if args else None
         if topic is None:
             topic = URL_WILDCARD
             warnings.append((m.start(), f"non-literal topic in {receiver}.{method}(...)"))
@@ -781,13 +825,13 @@ def _oracle_client_calls(source):
     warning before every topic warning; these come in source order."""
     text, struct, starts = _masked_views(source)
     start = len(_METHOD_HEAD)
-    body = text[start : struct.index("}", start)]
+    body = slice(start, struct.index("}", start))
 
     def line_of(pos):
         return bisect_right(starts, start + pos)
 
-    remote, remote_warnings = _old_find_remote(body, line_of)
-    publish, publish_warnings = _old_find_publish(body, line_of)
+    remote, remote_warnings = _old_find_remote(text[body], struct[body], line_of)
+    publish, publish_warnings = _old_find_publish(text[body], struct[body], line_of)
     calls = sorted(remote + publish, key=lambda c: (c.span.line_start, c.span.line_end, c.name))
     warnings = sorted(remote_warnings + publish_warnings, key=lambda w: w[0])
     return (
@@ -878,3 +922,381 @@ def test_client_calls_match_old_scanners(statements):
     ]
     warnings = [(line, message) for _file, line, message in parser.warnings]
     assert (calls, warnings) == _oracle_client_calls(source)
+
+
+# The annotation scanners the one-walk reader replaced, kept as its oracle: the
+# old helpers, which scanned the text view and honored string literals only,
+# and the old class-level and parameter consumers around them.  The windows
+# below hold no char literal, no ``@`` in a literal and no unterminated
+# literal, where the old scanners and the lexer disagree.
+
+def _old_split_top_level(text: str, sep: str) -> list[str]:
+    """Split on a separator character, ignoring separators nested inside
+    brackets or string literals."""
+    parts: list[str] = []
+    depth = 0
+    in_str = False
+    cur: list[str] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if in_str:
+            if c == "\\":
+                cur.append(text[i : i + 2])
+                i += 2
+                continue
+            if c == '"':
+                in_str = False
+            cur.append(c)
+        elif c == '"':
+            in_str = True
+            cur.append(c)
+        elif c in "([{":
+            depth += 1
+            cur.append(c)
+        elif c in ")]}":
+            depth -= 1
+            cur.append(c)
+        elif c == sep and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(c)
+        i += 1
+    parts.append("".join(cur))
+    return parts
+
+
+def _old_balanced_parens(text: str, open_idx: int) -> int | None:
+    """Given the index of ``(`` in ``text``, return the index just past the
+    matching ``)``, honoring nested parens and string literals."""
+    depth = 0
+    in_str = False
+    i, n = open_idx, len(text)
+    while i < n:
+        c = text[i]
+        if in_str:
+            if c == "\\":
+                i += 2
+                continue
+            if c == '"':
+                in_str = False
+        elif c == '"':
+            in_str = True
+        elif c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+        i += 1
+    return None
+
+
+_OLD_STRING_LIT_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"$')
+
+
+def _old_unquote(text: str) -> str | None:
+    m = _OLD_STRING_LIT_RE.match(text.strip())
+    if m is None:
+        return None
+    return m.group(1).replace('\\"', '"').replace("\\\\", "\\")
+
+
+def _old_encode_annotation_value(text: str) -> str:
+    """Render one annotation argument value as its flat string form.
+
+    String literals lose their quotes; ``{a, b}`` arrays join with ``|``;
+    dotted enum references keep only the last segment (``RequestMethod.GET``
+    becomes ``GET``); class literals and anything else stay verbatim.
+    """
+    text = text.strip()
+    lit = _old_unquote(text)
+    if lit is not None:
+        return lit
+    if text.startswith("{") and text.endswith("}"):
+        inner = text[1:-1]
+        return "|".join(
+            _old_encode_annotation_value(p) for p in _old_split_top_level(inner, ",") if p.strip()
+        )
+    if text.endswith(".class"):
+        return text
+    if re.fullmatch(r"[\w$]+(?:\.[\w$]+)+", text):
+        return text.rsplit(".", 1)[1]
+    return text
+
+
+_OLD_ANNOTATION_RE = re.compile(r"@\s*([A-Za-z_][\w$]*)")
+
+
+def _old_annotation_extents(window: str) -> list[tuple[int, int, str, str | None]]:
+    """``(start, end, name, args text or None)`` for each top-level
+    annotation occurrence; nested ones are folded into their parent."""
+    extents: list[tuple[int, int, str, str | None]] = []
+    for m in _OLD_ANNOTATION_RE.finditer(window):
+        if m.group(1) == "interface":
+            continue
+        if extents and m.start() < extents[-1][1]:
+            continue
+        rest = window[m.end() :]
+        stripped = rest.lstrip()
+        if not stripped.startswith("("):
+            extents.append((m.start(), m.end(), m.group(1), None))
+            continue
+        open_idx = m.end() + (len(rest) - len(stripped))
+        close = _old_balanced_parens(window, open_idx)
+        if close is None:
+            continue  # reported separately as an error
+        extents.append((m.start(), close, m.group(1), window[open_idx + 1 : close - 1].strip()))
+    return extents
+
+
+def _old_annotation_errors(window: str) -> list[tuple[str, str]]:
+    """Annotations whose argument list never closes inside the window."""
+    errors: list[tuple[str, str]] = []
+    for m in _OLD_ANNOTATION_RE.finditer(window):
+        if m.group(1) == "interface":
+            continue
+        rest = window[m.end() :]
+        stripped = rest.lstrip()
+        if stripped.startswith("("):
+            open_idx = m.end() + (len(rest) - len(stripped))
+            if _old_balanced_parens(window, open_idx) is None:
+                errors.append((m.group(1), f"unparseable arguments for @{m.group(1)}"))
+    return errors
+
+
+def _old_recognize_annotation(window: str) -> tuple[list[tuple[str, dict[str, str]]], list[str]]:
+    """Recognize every ``@Name``/``@Name(...)`` occurrence in a text window.
+
+    Returns the recognized ``(name, argument map)`` pairs plus warning
+    messages; an annotation whose argument body cannot be parsed still
+    yields its name, with empty arguments.
+    """
+    found: list[tuple[str, dict[str, str]]] = []
+    warnings: list[str] = []
+    for _start, _end, name, args_text in _old_annotation_extents(window):
+        args: dict[str, str] = {}
+        ok = True
+        for part in _old_split_top_level(args_text or "", ","):
+            part = part.strip()
+            if not part:
+                continue
+            kv = _old_split_top_level(part, "=")
+            if len(kv) == 2 and re.fullmatch(r"[\w$]+", kv[0].strip()):
+                args[kv[0].strip()] = _old_encode_annotation_value(kv[1])
+            elif len(kv) == 1:
+                args["value"] = _old_encode_annotation_value(part)
+            else:
+                warnings.append(f"unparseable arguments for @{name}")
+                args = {}
+                ok = False
+                break
+        found.append((name, args if ok else {}))
+    for name, msg in _old_annotation_errors(window):
+        warnings.append(msg)
+        found.append((name, {}))
+    return found, warnings
+
+
+def _old_consume_annotations(self, lineno: int, pending: list[LaastNode]) -> bool:
+    """If the line begins with an annotation, parse the (possibly
+    multi-line) window into ``pending``, blank those characters out of
+    the working text, and return True so the caller re-examines the
+    line (now annotation-free)."""
+    struct_line = self.lines[lineno - 1]
+    if not struct_line.lstrip().startswith("@"):
+        return False
+    end = lineno
+    window_struct = struct_line
+    while (
+        end < len(self.lines)
+        and window_struct.count("(") > window_struct.count(")")
+        and end - lineno < 20
+    ):
+        end += 1
+        window_struct += "\n" + self.lines[end - 1]
+    extents = _old_annotation_extents(window_struct)
+    start_off = self._offset_of_line(lineno)
+    window_text = "".join(self._text[start_off : start_off + len(window_struct)])
+    if not extents:
+        errors = _old_annotation_errors(window_struct)
+        if not errors:
+            return False
+        for name, msg in errors:
+            self._warn(lineno, msg)
+            pending.append(
+                LaastNode(kind=NodeKind.ANNOTATION, name=name, span=self._span(lineno, end))
+            )
+        self._mask_range(start_off, start_off + len(window_struct))
+        return True
+    for ext_start, ext_end, _name, _args in extents:
+        found, warns = _old_recognize_annotation(window_text[ext_start:ext_end])
+        for msg in warns:
+            self._warn(lineno, msg)
+        for name, args in found[:1]:
+            pending.append(
+                LaastNode(
+                    kind=NodeKind.ANNOTATION,
+                    name=name,
+                    attributes=dict(args),
+                    span=self._span(
+                        self._line_of(start_off + ext_start),
+                        self._line_of(start_off + max(ext_start, ext_end - 1)),
+                    ),
+                )
+            )
+    last_end = max(e for _s, e, _n, _a in extents)
+    self._mask_range(start_off, start_off + last_end)
+    return True
+
+
+def _old_params(self, params_raw, name, start_line):
+    method = LaastNode(kind=NodeKind.METHOD_DECL)
+    for param in _old_split_top_level(params_raw, ","):
+        param = param.strip()
+        if not param:
+            continue
+        anns, warns = _old_recognize_annotation(param)
+        for msg in warns:
+            self._warn(start_line, msg)
+        bare = param
+        for ext_start, ext_end, _n, _a in reversed(_old_annotation_extents(param)):
+            bare = bare[:ext_start] + bare[ext_end:]
+        bare = " ".join(bare.split())
+        pm = re.match(rf"^(?:final\s+)?({_TYPE_PAT})\s+([A-Za-z_][\w$]*)$", bare)
+        if pm is None:
+            self._warn(start_line, f"unparseable parameter {param!r} in {name}")
+            continue
+        method.children.append(
+            LaastNode(
+                kind=NodeKind.PARAM,
+                name=pm.group(2),
+                attributes={"declared_type": " ".join(pm.group(1).split())},
+                children=[
+                    LaastNode(
+                        kind=NodeKind.ANNOTATION,
+                        name=an,
+                        attributes=dict(aa),
+                        span=self._span(start_line, start_line),
+                    )
+                    for an, aa in anns
+                ],
+                span=self._span(start_line, start_line),
+            )
+        )
+    return method.children
+
+
+_ANNOTATION_SCALARS = st.sampled_from([
+    '"/a/{id}"', '"a,b"', '"k = v"', '"(x"', '"x)"', '"{y"', '"}"', '"q\\"r"', '"\\\\"', '""',
+    '"a = (b, c)"', '"{\\"k\\": [1, 2]}"', "RequestMethod.GET", "org.x.Kind.A", "Foo.class",
+    "java.lang.String.class", "42", "x", "",
+])
+
+
+@st.composite
+def _annotation_text(draw, values):
+    """``@Name``, or ``@Name(..)`` with values and ``k = v`` pairs, its
+    argument list sometimes left open."""
+    name = draw(st.sampled_from(["A", "GetMapping", "PathVariable", "interface"]))
+    head = "@" + draw(st.sampled_from(["", " "])) + name
+    if draw(st.booleans()):
+        return head
+    keys = st.sampled_from(["", "", "value = ", "path=", "a.b = ", "k = v = "])
+    args = draw(st.lists(st.tuples(keys, values), max_size=3))
+    sep = draw(st.sampled_from([", ", ",", ",\n        ", "\n, "]))
+    close = draw(st.sampled_from([")", ")", ""]))
+    gap = draw(st.sampled_from(["", " ", "\n"]))
+    return f"{head}{gap}(" + sep.join(key + value for key, value in args) + close
+
+
+_ANNOTATION_VALUES = st.recursive(
+    _ANNOTATION_SCALARS,
+    lambda inner: st.lists(inner, max_size=3).map(lambda vs: "{" + ", ".join(vs) + "}")
+    | _annotation_text(inner),
+    max_leaves=8,
+)
+_ANNOTATION_WINDOWS = st.builds(
+    lambda items, tail: "".join(a + sep for a, sep in items) + tail,
+    st.lists(st.tuples(_annotation_text(_ANNOTATION_VALUES),
+                       st.sampled_from([" ", "", "\n", "\n    "])), min_size=1, max_size=4),
+    st.sampled_from(["", "public class A {", "String id", "final Long id", "\nclass B {}"]),
+)
+
+
+def _rows(nodes):
+    return [
+        (n.kind, n.name, list(n.attributes.items()), n.span, _rows(n.children)) for n in nodes
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_ANNOTATION_WINDOWS)
+def test_annotation_reader_matches_old_scanners(window):
+    old, new = _JavaLikeParser(window, "W.java"), _JavaLikeParser(window, "W.java")
+    old_pending, new_pending = [], []
+    assert new._consume_annotations(1, new_pending) == _old_consume_annotations(old, 1, old_pending)
+    assert _rows(new_pending) == _rows(old_pending)
+    assert new.warnings == old.warnings
+    assert (new._text, new._struct) == (old._text, old._struct)
+
+    old, new = _JavaLikeParser(window, "W.java"), _JavaLikeParser(window, "W.java")
+    text, struct, _starts = _masked_views(window)
+    method = LaastNode(kind=NodeKind.METHOD_DECL, name="m")
+    for param in _split_args(text, struct):
+        new._add_param(method, *param, 1)
+    assert _rows(method.children) == _rows(_old_params(old, text, "m", 1))
+    assert new.warnings == old.warnings
+
+
+def test_extract_char_literal_paren_does_not_end_client_call(tmp_path):
+    assert _remote_calls(
+        tmp_path, "restTemplate.postForObject(\"http://a/api/x\", wrap(')'), X.class)"
+    ) == [("POST", "http://a/api/x", "3")]
+
+
+def test_extract_annotation_text_in_string_literal_is_no_annotation(tmp_path):
+    root = _service_dir(tmp_path)
+    _write(root, "src/V.java", 'class V {\n    @Value("@x(")\n    private String v;\n}\n')
+    tree_root, report = extract(SourceTree(service_name="svc", root_dir=root))
+    (field,) = [n for n in _types(tree_root)["V"].children if n.kind == NodeKind.FIELD_DECL]
+    assert [(a.name, a.attributes) for a in field.children] == [("Value", {"value": "@x("})]
+    assert report.warnings == []
+
+
+def test_extract_char_literal_comma_in_parameter_annotation(tmp_path):
+    root = _service_dir(tmp_path)
+    _write(root, "src/P.java", """class P {
+    @GetMapping("/{id}")
+    public String get(@PathVariable(',') String id, int n) { return id; }
+}
+""")
+    tree_root, report = extract(SourceTree(service_name="svc", root_dir=root))
+    (get,) = [n for n in _types(tree_root)["P"].children if n.kind == NodeKind.METHOD_DECL]
+    params = [n for n in get.children if n.kind == NodeKind.PARAM]
+    assert [(p.name, [(a.name, a.attributes) for a in p.children]) for p in params] == [
+        ("id", [("PathVariable", {"value": "','"})]), ("n", []),
+    ]
+    assert report.warnings == []
+
+
+def test_extract_text_block_braces_do_not_hide_later_handler(tmp_path):
+    root = _service_dir(tmp_path)
+    _write(root, "src/Q.java", """class Q {
+    String q = \"\"\"
+      select {
+      \"\"\";
+    @GetMapping("/x")
+    public String get() { return q; }
+}
+""")
+    tree_root, report = extract(SourceTree(service_name="svc", root_dir=root))
+    members = _types(tree_root)["Q"].children
+    assert [(n.kind, n.name) for n in members] == [
+        (NodeKind.FIELD_DECL, "q"), (NodeKind.METHOD_DECL, "get"),
+    ]
+    get = members[1]
+    assert (get.span.line_start, get.span.line_end) == (6, 6)
+    assert [(a.name, a.attributes) for a in get.children] == [("GetMapping", {"value": "/x"})]
+    assert report.warnings == []

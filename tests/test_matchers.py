@@ -273,6 +273,23 @@ public class LooseController {
     assert "{itemId}" in message and "LooseController.get" in message
 
 
+def test_unbound_variable_warns_once_for_same_named_controllers(tmp_path):
+    controller = """
+@RestController
+public class OrderController {
+    @GetMapping("/orders/{id}")
+    public Order get(long id) {
+        return null;
+    }
+}
+"""
+    out = _extract(tmp_path, {"a/OrderController.java": controller,
+                              "b/OrderController.java": controller})
+    assert [(file, line) for file, line, _message in out.warnings] == [
+        ("a/OrderController.java", 5), ("b/OrderController.java", 5),
+    ]
+
+
 def test_remote_calls_carry_caller_context(tmp_path):
     out = _extract(
         tmp_path,
