@@ -44,7 +44,7 @@ RULE_IDS = tuple(sorted(DEFAULT_SEVERITIES))
 ARG_COUNT_TOLERANCE = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subject:
     service: str
     ref: str
@@ -55,7 +55,7 @@ class Subject:
         return (self.service, self.ref, self.file, self.line)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     rule_id: str
     severity: str

@@ -9,6 +9,8 @@ order, so identical systems always serialize to identical bytes.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from microweave.analysis import (
     CouplingReport,
     Finding,
@@ -18,7 +20,7 @@ from microweave.analysis import (
     coupling_to_json_obj,
     finding_to_json_obj,
 )
-from microweave.jsonio import canonical_bytes
+from microweave.jsonio import array_chunks, canonical_bytes, join_chunks
 from microweave.weave import SystemIr
 
 VIEWS = ("services", "context", "full")
@@ -185,11 +187,11 @@ def export_report(
     """Serialize findings and coupling metrics as canonical JSON or as the
     grouped one-line-per-finding text form."""
     if fmt == "json":
-        obj = {
-            "findings": [finding_to_json_obj(f) for f in findings],
-            "coupling": coupling_to_json_obj(metrics) if metrics is not None else None,
-        }
-        return canonical_bytes(obj)
+        coupling = coupling_to_json_obj(metrics) if metrics is not None else None
+        return join_chunks(chain(
+            (b'{"findings":',), array_chunks(finding_to_json_obj(f) for f in findings),
+            (b',"coupling":', canonical_bytes(coupling), b"}"),
+        ))
     if fmt == "text":
         return _text_report(findings, metrics).encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}")

@@ -9,12 +9,13 @@ values serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
 from microweave.errors import DuplicateServiceError, MalformedDocument, SchemaViolation
 from microweave.frontend import ExtractionReport
-from microweave.jsonio import canonical_bytes
+from microweave.jsonio import array_chunks, canonical_bytes, join_chunks
 from microweave.laast import SourceSpan
 from microweave.matchers import (
     ROLE_ENTITY,
@@ -151,6 +152,8 @@ class _Codec(NamedTuple):
     #: ``load(obj, path)`` checks one parsed JSON value and rebuilds it;
     #: a violation raises SchemaViolation naming ``path``.
     load: Callable[[Any, str], Any]
+    item: _Codec | None = None  # each element's codec, for an array
+    fields: tuple[tuple[str, _Codec], ...] | None = None  # the key table, for a record
 
 
 def _scalar(check: Callable[[Any], bool], what: str) -> _Codec:
@@ -183,7 +186,7 @@ def _array(item: _Codec) -> _Codec:
             raise SchemaViolation("expected an array", path=path)
         return [item.load(value, f"{path}[{i}]") for i, value in enumerate(obj)]
 
-    return _Codec(lambda values: [item.dump(v) for v in values], load)
+    return _Codec(lambda values: [item.dump(v) for v in values], load, item)
 
 
 def _load_fields(fields: tuple[tuple[str, _Codec], ...], obj, path: str) -> list:
@@ -211,7 +214,7 @@ def _record(cls, *fields: tuple[str, _Codec]) -> _Codec:
         values = _load_fields(fields, obj, path)
         return cls(**{key: v for (key, _codec), v in zip(fields, values)})
 
-    return _Codec(dump, load)
+    return _Codec(dump, load, fields=fields)
 
 
 def _row(*fields: tuple[str, _Codec]) -> _Codec:
@@ -296,13 +299,25 @@ _SERVICE_IR = _record(
 )
 
 
-def ir_to_json_obj(ir: ServiceIr) -> dict:
-    return _SERVICE_IR.dump(ir)
+def _record_chunks(fields: tuple[tuple[str, _Codec], ...], value) -> Iterator[bytes]:
+    """A record as chunks of its canonical encoding, each array one element
+    at a time; an element that is a record holding an array of records (a
+    component and its methods) is written the same way."""
+    for i, (key, codec) in enumerate(fields):
+        yield f'{"," if i else "{"}"{key}":'.encode()
+        item, values = codec.item, getattr(value, key)
+        if item is None:
+            yield canonical_bytes(codec.dump(values))
+        elif item.fields and any(c.item and c.item.fields for _key, c in item.fields):
+            yield from array_chunks(_record_chunks(item.fields, v) for v in values)
+        else:
+            yield from array_chunks(item.dump(v) for v in values)
+    yield b"}"
 
 
 def save_service_ir(ir: ServiceIr) -> bytes:
     """Canonical `.ir.json` bytes: equal IRs always give identical bytes."""
-    return canonical_bytes(ir_to_json_obj(ir))
+    return join_chunks(_record_chunks(_SERVICE_IR.fields, ir))
 
 
 def load_service_ir(data: bytes | str) -> ServiceIr:

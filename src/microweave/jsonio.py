@@ -7,14 +7,42 @@ equal in-memory values always serialize to identical bytes.
 
 from __future__ import annotations
 
+import io
 import json
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
+from types import GeneratorType
+
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 def canonical_bytes(obj) -> bytes:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(obj).encode("utf-8")
+
+
+def array_chunks(elements: Iterable) -> Iterator[bytes]:
+    """One JSON array as chunks of its canonical bytes.  Each element is a
+    JSON value, encoded on its own, or its encoding already made: one
+    ``bytes`` or a generator of chunks.  Elements given lazily are never
+    all alive as objects at once."""
+    yield b"["
+    for i, element in enumerate(elements):
+        if i:
+            yield b","
+        if isinstance(element, GeneratorType):
+            yield from element
+        else:
+            yield element if isinstance(element, bytes) else canonical_bytes(element)
+    yield b"]"
+
+
+def join_chunks(chunks: Iterable[bytes]) -> bytes:
+    """The concatenation of ``chunks``, each appended to one growing buffer
+    as it comes, so that the chunks are never all held at once."""
+    buffer = io.BytesIO()
+    buffer.writelines(chunks)
+    return buffer.getvalue()
 
 
 def atomic_write(path: str | Path, data: bytes | Iterable[bytes]) -> None:

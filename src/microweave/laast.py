@@ -11,11 +11,13 @@ when synthetic), ``children`` (omitted when empty).  File extension:
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 from microweave.errors import MalformedDocument, SchemaViolation
+from microweave.jsonio import array_chunks, canonical_bytes, join_chunks
 
 
 class NodeKind(str, Enum):
@@ -51,7 +53,7 @@ CALL_KIND_EVENT_PUBLISH = "event_publish"
 CALL_KIND_LOCAL = "local"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceSpan:
     """Location of a node in its originating source file.
 
@@ -64,7 +66,7 @@ class SourceSpan:
     line_end: int
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LaastNode:
     """One tree node.  Immutable by convention after construction.
 
@@ -119,8 +121,15 @@ def _validate_span(obj: object, path: str) -> SourceSpan:
 
 _NODE_FIELDS = ("kind", "name", "attributes", "span", "children")
 
+#: The deepest a document may nest, the root being level 1: decoding takes
+#: about two of the interpreter's 1,000 recursion levels per level.
+MAX_DEPTH = 480
+_TOO_DEEP = f"document nests deeper than {MAX_DEPTH} levels"
 
-def _validate_node(obj: object, path: str) -> LaastNode:
+
+def _validate_node(obj: object, path: str, depth: int = 1) -> LaastNode:
+    if depth > MAX_DEPTH:
+        raise MalformedDocument(_TOO_DEEP)
     if not isinstance(obj, dict):
         raise _fail("node must be a JSON object", path)
     extra = set(obj) - set(_NODE_FIELDS)
@@ -162,7 +171,7 @@ def _validate_node(obj: object, path: str) -> LaastNode:
         if kind in LEAF_KINDS and raw_children:
             raise _fail(f"leaf kind {kind.value} must not have children", path)
         for i, child in enumerate(raw_children):
-            children.append(_validate_node(child, f"{path}.children[{i}]"))
+            children.append(_validate_node(child, f"{path}.children[{i}]", depth + 1))
 
     return LaastNode(kind=kind, name=name, attributes=attributes, children=children, span=span)
 
@@ -172,7 +181,8 @@ def load_laast(document: bytes | str) -> LaastNode:
 
     Raises :class:`MalformedDocument` for syntax errors and
     :class:`SchemaViolation` for schema errors; both name where the problem
-    is.  Attribute and child order are preserved exactly.
+    is.  Attribute and child order are preserved exactly.  A document too
+    deep to decode (see :data:`MAX_DEPTH`) is malformed.
     """
     if isinstance(document, bytes):
         try:
@@ -182,13 +192,14 @@ def load_laast(document: bytes | str) -> LaastNode:
     else:
         text = document
     try:
-        obj = json.loads(text)
+        return _validate_node(json.loads(text), "$")
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"document is not valid JSON: {exc}") from exc
-    return _validate_node(obj, "$")
+    except RecursionError:
+        raise MalformedDocument(_TOO_DEEP) from None
 
 
-def _node_to_obj(node: LaastNode) -> dict:
+def _node_to_obj(node: LaastNode, children: bool = True) -> dict:
     obj: dict = {"kind": node.kind.value}
     if node.name is not None:
         obj["name"] = node.name
@@ -200,9 +211,21 @@ def _node_to_obj(node: LaastNode) -> dict:
             "line_start": node.span.line_start,
             "line_end": node.span.line_end,
         }
-    if node.children:
+    if children and node.children:
         obj["children"] = [_node_to_obj(c) for c in node.children]
     return obj
+
+
+def _node_chunks(node: LaastNode, depth: int) -> Iterator[bytes]:
+    """The canonical encoding of ``node``, ``depth`` levels below the root, as
+    chunks; a type's members (service, file, type, member) are encoded whole."""
+    if depth == 3 or not node.children:
+        yield canonical_bytes(_node_to_obj(node))
+        return
+    # ``children`` is the last key, so it goes where the head's brace was.
+    yield canonical_bytes(_node_to_obj(node, children=False))[:-1] + b',"children":'
+    yield from array_chunks(_node_chunks(c, depth + 1) for c in node.children)
+    yield b"}"
 
 
 def save_laast(root: LaastNode) -> bytes:
@@ -212,7 +235,7 @@ def save_laast(root: LaastNode) -> bytes:
     insignificant whitespace.  ``load_laast(save_laast(t))`` reproduces ``t``
     exactly, and structurally equal trees serialize identically.
     """
-    return json.dumps(_node_to_obj(root), ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return join_chunks(_node_chunks(root, 0))
 
 
 def walk(root: LaastNode, visitor: Callable[[LaastNode, tuple[LaastNode, ...]], None]) -> int:

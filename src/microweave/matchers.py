@@ -80,7 +80,7 @@ def default_ruleset(convention: str = SPRING_LIKE) -> list[MatcherRule]:
     ]
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodSig:
     name: str
     params: list[tuple[str, str]]  # (name, declared_type)
@@ -88,7 +88,7 @@ class MethodSig:
     annotations: list[tuple[str, dict[str, str]]]
 
 
-@dataclass
+@dataclass(slots=True)
 class Component:
     role: str
     name: str
@@ -99,7 +99,7 @@ class Component:
     span: SourceSpan
 
 
-@dataclass
+@dataclass(slots=True)
 class Endpoint:
     owner: str
     service: str
@@ -110,7 +110,7 @@ class Endpoint:
     span: SourceSpan
 
 
-@dataclass
+@dataclass(slots=True)
 class RemoteCall:
     caller_service: str
     caller_component: str
@@ -121,7 +121,7 @@ class RemoteCall:
     span: SourceSpan
 
 
-@dataclass
+@dataclass(slots=True)
 class EventOp:
     direction: str
     topic: str
@@ -131,7 +131,7 @@ class EventOp:
     span: SourceSpan
 
 
-@dataclass
+@dataclass(slots=True)
 class LocalCall:
     """A resolved-in-type invocation, kept for internal call-graph building."""
 
@@ -142,7 +142,7 @@ class LocalCall:
     span: SourceSpan
 
 
-@dataclass
+@dataclass(slots=True)
 class PlainType:
     """A type no rule classified; kept for the record, creates no component."""
 

@@ -35,8 +35,8 @@ from microweave.frontend import (
     extract,
 )
 from microweave.ir import build_service_ir, save_service_ir
-from microweave.jsonio import atomic_write, canonical_bytes
-from microweave.laast import save_laast
+from microweave.jsonio import array_chunks, atomic_write, canonical_bytes
+from microweave.laast import LaastNode, save_laast
 from microweave.matchers import MatcherRule, default_ruleset, run_matchers, validate_ruleset
 from microweave.similarity import load_taxonomy_file
 from microweave.topology import load_compose_file, merge_topologies
@@ -46,7 +46,8 @@ from microweave.weave import (
     DEFAULT_PATH_THRESHOLD,
     SystemIr,
     WeaveConfig,
-    context_map_to_json_obj,
+    comm_edge_to_json_obj,
+    save_context_map,
     system_to_json_obj,
     weave,
 )
@@ -371,11 +372,11 @@ def load_config(
     )
 
 
-def build_system(config: RunConfig, log=None) -> tuple[SystemIr, dict[str, bytes]]:
+def build_system(config: RunConfig, log=None, on_service=None) -> SystemIr:
     """Extract, match, and weave per ``config``; no files are written.
 
-    Returns the woven system plus each service's serialized syntax tree
-    (the latter so callers can persist exactly what was analyzed)."""
+    ``on_service(name, tree)``, when given, receives each service's syntax
+    tree once that service is matched; the tree is dropped on its return."""
     log = log if log is not None else sys.stderr
 
     def progress(message: str):
@@ -383,7 +384,6 @@ def build_system(config: RunConfig, log=None) -> tuple[SystemIr, dict[str, bytes
 
     progress(f"extracting {len(config.services)} service(s)")
     irs = []
-    laast_blobs = {}
     for tree in config.services:
         root, report = extract(tree)
         name = tree.service_name
@@ -394,8 +394,10 @@ def build_system(config: RunConfig, log=None) -> tuple[SystemIr, dict[str, bytes
         ruleset = config.ruleset if config.ruleset is not None \
             else default_ruleset(tree.convention)
         output = run_matchers(root, ruleset, name, convention=tree.convention)
+        if on_service is not None:
+            on_service(name, root)
         irs.append(build_service_ir(output, report, name))
-        laast_blobs[name] = save_laast(root)
+        del root, output  # not held while the next service is extracted
 
     taxonomy = None
     if config.taxonomy_path is not None:
@@ -407,8 +409,7 @@ def build_system(config: RunConfig, log=None) -> tuple[SystemIr, dict[str, bytes
         )
 
     progress("weaving system model")
-    system = weave(irs, taxonomy=taxonomy, topology=topology, config=config.weave)
-    return system, laast_blobs
+    return weave(irs, taxonomy=taxonomy, topology=topology, config=config.weave)
 
 
 def system_json_chunks(system: SystemIr, ir_blobs: list[bytes],
@@ -418,25 +419,25 @@ def system_json_chunks(system: SystemIr, ir_blobs: list[bytes],
     (``ir_blobs``, in ``system.services`` order) and its ``context_map``
     member is the ``context-map.json`` bytes, each spliced in as it is
     rather than encoded a second time."""
-    chunks = [b'{"services":[']
-    for i, blob in enumerate(ir_blobs):
-        chunks += (b",", blob) if i else (blob,)
     rest = canonical_bytes(system_to_json_obj(system))
-    # ``rest`` opens with the brace of its own object; the slice is a view.
-    chunks += (b'],"context_map":', context_map, b",", memoryview(rest)[1:])
-    return chunks
+    return [
+        b'{"services":', *array_chunks(ir_blobs),
+        b',"context_map":', context_map,
+        b',"comm_edges":', *array_chunks(comm_edge_to_json_obj(e) for e in system.comm_edges),
+        # ``rest`` opens with the brace of its own object; the slice is a view.
+        b",", memoryview(rest)[1:],
+    ]
 
 
-def _write_json_outputs(out: Path, system: SystemIr, laast_blobs: dict[str, bytes]) -> None:
-    """Write every JSON output but ``report.json``, encoding each document
-    once.  Each syntax-tree blob is popped from ``laast_blobs`` as it is
-    written; the IR and context-map bytes are freed on return."""
+def _write_json_outputs(out: Path, system: SystemIr) -> None:
+    """Write every JSON output but ``report.json`` and the ``.laast.json``
+    files (written as each service finished), encoding each document once;
+    the IR and context-map bytes are freed on return."""
     ir_blobs = []
     for ir in system.services:
-        atomic_write(out / f"{ir.service_name}.laast.json", laast_blobs.pop(ir.service_name))
         ir_blobs.append(save_service_ir(ir))
         atomic_write(out / f"{ir.service_name}.ir.json", ir_blobs[-1])
-    context_map = canonical_bytes(context_map_to_json_obj(system.context_map))
+    context_map = save_context_map(system.context_map)
     atomic_write(out / "system.json", system_json_chunks(system, ir_blobs, context_map))
     atomic_write(out / "context-map.json", context_map)
 
@@ -451,15 +452,19 @@ def run(config: RunConfig, formats: set[str] | None = None, log=None) -> int:
     def progress(message: str):
         print(f"[analyze] {message}", file=log)
 
-    system, laast_blobs = build_system(config, log=log)
+    out = config.output_dir
+    out.mkdir(parents=True, exist_ok=True)
+
+    def write_laast(name: str, tree: LaastNode) -> None:
+        atomic_write(out / f"{name}.laast.json", save_laast(tree))
+
+    system = build_system(config, log=log, on_service=write_laast if "json" in formats else None)
     findings = run_checks(system, config.checks)
     metrics = coupling_metrics(system)
     progress(f"analysis: {len(findings)} finding(s)")
 
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     if "json" in formats:
-        _write_json_outputs(out, system, laast_blobs)
+        _write_json_outputs(out, system)
         atomic_write(out / "report.json", export_report(findings, metrics, "json"))
     if "dot" in formats:
         for view in ("services", "context", "full"):

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from microweave import __version__, similarity
 from microweave.errors import DuplicateServiceError
 from microweave.frontend import HTTP_UNKNOWN, URL_WILDCARD
 from microweave.ir import DataModel, ServiceIr, derive_data_model, unwrap_collection
+from microweave.jsonio import array_chunks, canonical_bytes, join_chunks
 from microweave.matchers import DIRECTION_PUBLISH, DIRECTION_SUBSCRIBE, Endpoint, RemoteCall
 from microweave.similarity import Taxonomy, entity_similarity
 from microweave.topology import Inventory, TopologyModel, build_inventory
@@ -48,7 +49,7 @@ class WeaveConfig:
     config_digest: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldMatch:
     field_a: str
     field_b: str
@@ -56,7 +57,7 @@ class FieldMatch:
     type_compatible: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityMatch:
     service_a: str
     entity_a: str
@@ -74,7 +75,7 @@ class ContextMap:
     matches: list[EntityMatch]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommEdge:
     call: RemoteCall
     endpoint: Endpoint
@@ -618,8 +619,9 @@ def entity_match_to_json_obj(match: EntityMatch) -> dict:
     }
 
 
-def context_map_to_json_obj(context_map: ContextMap) -> dict:
-    return {
+def save_context_map(context_map: ContextMap) -> bytes:
+    """Canonical ``context-map.json`` bytes."""
+    head = canonical_bytes({
         "bounded_contexts": [
             {
                 "service": model.service_name,
@@ -640,8 +642,12 @@ def context_map_to_json_obj(context_map: ContextMap) -> dict:
             }
             for model in context_map.bounded_contexts
         ],
-        "matches": [entity_match_to_json_obj(m) for m in context_map.matches],
-    }
+    })
+    return join_chunks(chain(
+        (memoryview(head)[:-1], b',"matches":'),
+        array_chunks(entity_match_to_json_obj(m) for m in context_map.matches),
+        (b"}",),
+    ))
 
 
 def comm_edge_to_json_obj(edge: CommEdge) -> dict:
@@ -674,11 +680,10 @@ def comm_edge_to_json_obj(edge: CommEdge) -> dict:
 
 
 def system_to_json_obj(system: SystemIr) -> dict:
-    """``system.json`` without its leading ``services`` array, which holds
-    each service's ``.ir.json`` document, and without the ``context_map``
-    member after it, which is the ``context-map.json`` document."""
+    """``system.json`` after its ``services`` array (each ``.ir.json``
+    document), ``context_map`` (the ``context-map.json`` document) and
+    ``comm_edges``, which are written apart."""
     return {
-        "comm_edges": [comm_edge_to_json_obj(e) for e in system.comm_edges],
         "event_edges": [
             {"publisher": pub, "subscriber": sub, "topic": topic}
             for pub, sub, topic in system.event_edges

@@ -47,5 +47,4 @@ def shop_system(tmp_path_factory):
 
     dest = copy_shop(tmp_path_factory.mktemp("shop system") / "shop")
     config = load_config(dest / "config.json")
-    system, _blobs = build_system(config, log=io.StringIO())
-    return system, GOLDEN_DIR
+    return build_system(config, log=io.StringIO()), GOLDEN_DIR

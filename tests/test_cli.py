@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from microweave import __version__
 from microweave.cli import main
 from microweave.errors import ConfigError
+from microweave.laast import MAX_DEPTH
 from microweave.runner import load_config
 
 from conftest import GOLDEN_DIR
@@ -490,3 +495,84 @@ def test_load_config_raises_only_config_error(fuzz_dir, document):
         load_config(path)
     except ConfigError:
         pass
+
+
+def _deep_document(levels: int) -> str:
+    """A canonical CompilationUnit over a chain of Blocks, ``levels`` nodes
+    deep with the root as level 1; built as text, since encoding it as a
+    nested object would itself recurse once per level."""
+    return ('{"kind":"CompilationUnit","children":['
+            + '{"kind":"Block","children":[' * (levels - 2)
+            + '{"kind":"Block"}' + "]}" * (levels - 1))
+
+
+@pytest.mark.parametrize("levels", [500, 2_000, 100_000])
+def test_too_deep_passthrough_document_is_skipped_with_one_warning(tmp_path, capsys, levels):
+    config = _write_project(
+        tmp_path,
+        {"deep": {"deep.laast.json": _deep_document(levels)},
+         "beta": {"src/Ctl.java": _CONTROLLER}},
+        conventions={"deep": "LaastPassthrough"},
+    )
+    code = _run("--config", str(config))
+    capsys.readouterr()
+    assert code == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_bytes())
+    assert {f["rule_id"] for f in report["findings"]} == {"W03"}
+    extraction = json.loads((tmp_path / "out" / "deep.ir.json").read_bytes())["extraction_report"]
+    reason = f"invalid document: document nests deeper than {MAX_DEPTH} levels"
+    assert extraction["files_skipped"] == [{"file": "deep.laast.json", "reason": reason}]
+    assert extraction["warnings"] == [
+        {"file": "deep.laast.json", "line": 0, "message": f"skipped: {reason}"}]
+
+
+def test_passthrough_documents_up_to_the_depth_limit_load_and_round_trip(tmp_path):
+    """Run in a fresh interpreter: the limit is stated for the command line,
+    whose stack is shallower than a test runner's."""
+    documents = {f"d{levels}.laast.json": _deep_document(levels)
+                 for levels in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1)}
+    config = _write_project(tmp_path, {"deep": documents},
+                            conventions={"deep": "LaastPassthrough"})
+    src = Path(__file__).parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "microweave", "--config", str(config)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    out = tmp_path / "out"
+    kept = [documents[f"d{levels}.laast.json"] for levels in (MAX_DEPTH - 1, MAX_DEPTH)]
+    expected = '{"kind":"CompilationUnit","name":"deep","children":[' + ",".join(kept) + "]}"
+    assert (out / "deep.laast.json").read_bytes() == expected.encode()
+    extraction = json.loads((out / "deep.ir.json").read_bytes())["extraction_report"]
+    assert extraction["files_scanned"] == 2
+    assert extraction["files_skipped"] == [{
+        "file": f"d{MAX_DEPTH + 1}.laast.json",
+        "reason": f"invalid document: document nests deeper than {MAX_DEPTH} levels",
+    }]
+
+
+def test_each_syntax_tree_is_written_before_weaving(shop, monkeypatch):
+    import microweave.runner as runner
+
+    out = shop / "out"
+    present = []
+    real_weave = runner.weave
+
+    def weave_after_trees(*args, **kwargs):
+        present.append(sorted(p.name for p in out.glob("*.laast.json")))
+        return real_weave(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "weave", weave_after_trees)
+    runner.run(load_config(shop / "config.json"), log=io.StringIO())
+    assert present == [["orders.laast.json", "shipping.laast.json", "users.laast.json"]]
+
+
+def test_text_only_run_encodes_no_syntax_tree_and_writes_no_json(shop, monkeypatch):
+    import microweave.runner as runner
+
+    saved = []
+    monkeypatch.setattr(runner, "save_laast", lambda tree: saved.append(tree))
+    code = runner.run(load_config(shop / "config.json"), formats={"text"}, log=io.StringIO())
+    assert code == 2
+    assert saved == []
+    assert sorted(p.name for p in (shop / "out").iterdir()) == ["report.txt"]

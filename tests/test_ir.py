@@ -9,7 +9,6 @@ from microweave.frontend import ExtractionReport, SourceTree, extract
 from microweave.ir import (
     build_service_ir,
     derive_data_model,
-    ir_to_json_obj,
     load_service_ir,
     save_service_ir,
 )
@@ -205,7 +204,6 @@ def test_save_is_canonical_json(tmp_path):
     assert b": " not in blob
     obj = json.loads(blob)
     assert obj["service_name"] == "svc"
-    assert json.dumps(ir_to_json_obj(ir), sort_keys=False) is not None
 
 
 def test_load_rejects_bad_bytes():
@@ -217,7 +215,7 @@ def test_load_rejects_bad_bytes():
 
 def test_load_rejects_missing_key(tmp_path):
     ir = _round_trip_ir(tmp_path)
-    obj = ir_to_json_obj(ir)
+    obj = json.loads(save_service_ir(ir))
     del obj["endpoints"]
     with pytest.raises(SchemaViolation) as excinfo:
         load_service_ir(json.dumps(obj))
@@ -227,7 +225,7 @@ def test_load_rejects_missing_key(tmp_path):
 
 def test_load_rejects_unknown_key(tmp_path):
     ir = _round_trip_ir(tmp_path)
-    obj = ir_to_json_obj(ir)
+    obj = json.loads(save_service_ir(ir))
     obj["favorite_color"] = "blue"
     with pytest.raises(SchemaViolation, match="favorite_color"):
         load_service_ir(json.dumps(obj))
@@ -250,7 +248,7 @@ def test_load_rejects_unknown_key(tmp_path):
     ids=["component_span", "endpoint_param", "internal_call", "skipped_file", "warning"],
 )
 def test_load_reports_nested_path(tmp_path, location, value, message):
-    obj = ir_to_json_obj(_round_trip_ir(tmp_path))
+    obj = json.loads(save_service_ir(_round_trip_ir(tmp_path)))
     target = obj
     for key in location[:-1]:
         target = target[key]
@@ -262,7 +260,7 @@ def test_load_reports_nested_path(tmp_path, location, value, message):
 
 def test_load_rejects_wrong_container_type(tmp_path):
     ir = _round_trip_ir(tmp_path)
-    obj = ir_to_json_obj(ir)
+    obj = json.loads(save_service_ir(ir))
     obj["remote_calls"] = {}
     with pytest.raises(SchemaViolation) as excinfo:
         load_service_ir(json.dumps(obj))
