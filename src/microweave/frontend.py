@@ -234,6 +234,23 @@ def _balanced_parens(struct: str | list[str], open_idx: int) -> int | None:
     return None
 
 
+_PAREN_RE = re.compile(r"[()]")
+
+
+def _paren_closes(struct: str) -> dict[int, int]:
+    """Index of each ``(`` in a structural view that closes -> the index
+    just past its matching ``)``, from one walk on a stack: what
+    ``_balanced_parens`` returns for it, for all of them at once."""
+    closes: dict[int, int] = {}
+    opens: list[int] = []
+    for m in _PAREN_RE.finditer(struct):
+        if m.group() == "(":
+            opens.append(m.start())
+        elif opens:
+            closes[opens.pop()] = m.end()
+    return closes
+
+
 def _unquote(text: str, struct: str) -> str | None:
     """The value of a stripped piece that is one string literal, else None."""
     if len(struct) < 2 or struct[0] != '"' or struct[-1] != '"' or struct[1:-1].strip(" "):
@@ -364,8 +381,11 @@ def _call_node(name: str, attrs: dict[str, str], span: SourceSpan) -> LaastNode:
 _CHAIN_LINK_RE = re.compile(r"\s*\.\s*([A-Za-z_][\w$]*)\s*")
 
 
-def _read_chain(text: str, struct: str, start: int) -> list[tuple[str, list[_Piece], int]]:
-    """Read a fluent chain ``.a(args).b(args)...`` starting at ``start``.
+def _read_chain(
+    text: str, struct: str, closes: dict[int, int], start: int
+) -> list[tuple[str, list[_Piece], int]]:
+    """Read a fluent chain ``.a(args).b(args)...`` starting at ``start``;
+    ``closes`` is ``_paren_closes(struct)``.
 
     Returns ``(method, argument list, end offset)`` per link.
     """
@@ -373,9 +393,9 @@ def _read_chain(text: str, struct: str, start: int) -> list[tuple[str, list[_Pie
     pos = start
     while True:
         m = _CHAIN_LINK_RE.match(struct, pos)
-        if m is None or m.end() >= len(struct) or struct[m.end()] != "(":
+        if m is None:
             break
-        close = _balanced_parens(struct, m.end())
+        close = closes.get(m.end())
         if close is None:
             break
         args = _split_args(text[m.end() + 1 : close - 1], struct[m.end() + 1 : close - 1])
@@ -830,12 +850,13 @@ class _JavaLikeParser:
             return self._line_of(start_off + pos)
 
         calls = []
+        closes = _paren_closes(body_struct)
         for m in _CLIENT_HEAD_RE.finditer(body_struct):
             receiver, head = m.groups()
             idiom = _CLIENT_IDIOMS[receiver]
             if head not in idiom.heads:
                 continue
-            close = _balanced_parens(body_struct, m.end() - 1)
+            close = closes.get(m.end() - 1)
             if close is None:
                 continue
             args = _split_args(body_text[m.end() : close - 1], body_struct[m.end() : close - 1])
@@ -851,7 +872,7 @@ class _JavaLikeParser:
             url_args, counted = ([], []) if uri_link else (args, list(args))
             paths: list[_Piece] = []
             end = close
-            chain = _read_chain(body_text, body_struct, close) if roles else ()
+            chain = _read_chain(body_text, body_struct, closes, close) if roles else ()
             for link, link_args, link_end in chain:
                 end = link_end
                 role = roles.get(link)

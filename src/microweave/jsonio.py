@@ -14,6 +14,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 from types import GeneratorType
 
+_BYTES = (bytes, bytearray, memoryview)
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
@@ -45,20 +46,29 @@ def join_chunks(chunks: Iterable[bytes]) -> bytes:
     return buffer.getvalue()
 
 
-def atomic_write(path: str | Path, data: bytes | Iterable[bytes]) -> None:
-    """Write ``data``, one bytes object or the chunks of one in order, via a
-    temp file in the same directory, then rename over the target, so
-    readers never observe a half-written file.
+def atomic_write(path: str | Path, data: bytes | Iterable) -> None:
+    """Write ``data`` via a temp file in the same directory, then rename over
+    the target, so readers never observe a half-written file.
+
+    ``data`` is one ``bytes`` object or the parts of one in order, each part
+    ``bytes`` or a generator of chunks (the element rule of
+    ``array_chunks``); a generator part is drawn one chunk at a time while
+    it is written, so its chunks are never all held at once.  Callers pass
+    parts as a ``list``, whose ``len`` counts them.
 
     The temp file is created with mode 0o666 less the umask, as a plain
     ``open`` would create the target."""
     path = Path(path)
-    chunks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
+    parts = (data,) if isinstance(data, _BYTES) else data
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.writelines(chunks)
+            for part in parts:
+                if isinstance(part, _BYTES):
+                    handle.write(part)
+                else:
+                    handle.writelines(part)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -11,6 +11,7 @@ when synthetic), ``children`` (omitted when empty).  File extension:
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -100,6 +101,16 @@ def _fail(message: str, path: str) -> SchemaViolation:
     return SchemaViolation(message, path=path)
 
 
+# A ``\uD800``-``\uDFFF`` escape outside a pair decodes to a lone surrogate,
+# which no output can encode as UTF-8.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def _check_text(value: str, what: str, path: str) -> None:
+    if not value.isascii() and _SURROGATE_RE.search(value):
+        raise _fail(f"{what} holds a lone surrogate", path)
+
+
 def _validate_span(obj: object, path: str) -> SourceSpan:
     if not isinstance(obj, dict):
         raise _fail("span must be an object", path)
@@ -111,6 +122,7 @@ def _validate_span(obj: object, path: str) -> SourceSpan:
         raise _fail("span.file must be a non-empty string", path)
     if "\\" in file:
         raise _fail("span.file must use forward slashes", path)
+    _check_text(file, "span.file", path)
     start, end = obj.get("line_start"), obj.get("line_end")
     if not isinstance(start, int) or isinstance(start, bool) or start < 1:
         raise _fail("span.line_start must be an integer >= 1", path)
@@ -146,6 +158,8 @@ def _validate_node(obj: object, path: str, depth: int = 1) -> LaastNode:
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise _fail("'name' must be a string when present", path)
+    if name is not None:
+        _check_text(name, "'name'", path)
 
     attributes: dict[str, str] = {}
     if "attributes" in obj:
@@ -155,11 +169,15 @@ def _validate_node(obj: object, path: str, depth: int = 1) -> LaastNode:
         for key, value in raw_attrs.items():
             if not isinstance(value, str):
                 raise _fail(f"attribute {key!r} must map to a string", path)
+            _check_text(key, f"attribute {key!r}", path)
+            _check_text(value, f"attribute {key!r}", path)
             attributes[key] = value
     if kind == NodeKind.CALL and attributes.get(CALL_KIND_ATTR) == CALL_KIND_REMOTE:
         arg_count = attributes.get("arg_count", "0")
         if not (arg_count.isascii() and arg_count.isdigit()):
             raise _fail("attribute 'arg_count' of a remote call must be a decimal integer", path)
+        if len(arg_count) > 4300:  # the longest digit string int() converts by default
+            raise _fail("attribute 'arg_count' of a remote call has more than 4300 digits", path)
 
     span = _validate_span(obj["span"], path) if "span" in obj else None
 

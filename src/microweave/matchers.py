@@ -327,6 +327,7 @@ def run_matchers(
         if rule is None:
             out.plain_types.append(PlainType(type_node.name or "", service, span))
             continue
+        method_nodes = [m for m in type_node.children if m.kind == NodeKind.METHOD_DECL]
         component = Component(
             role=rule.component_role,
             name=type_node.name or "",
@@ -336,9 +337,7 @@ def run_matchers(
                 for f in type_node.children
                 if f.kind == NodeKind.FIELD_DECL
             ],
-            methods=[
-                _method_sig(m) for m in type_node.children if m.kind == NodeKind.METHOD_DECL
-            ],
+            methods=[_method_sig(m) for m in method_nodes],
             annotations=[
                 (a.name or "", dict(a.attributes))
                 for a in type_node.children
@@ -350,12 +349,11 @@ def run_matchers(
 
         prefixes = _class_prefixes(type_node)
         first_endpoint = len(out.endpoints)
-        for method_node in type_node.children:
-            if method_node.kind != NodeKind.METHOD_DECL:
-                continue
+        # a handler's endpoints share its signature with the component
+        for method_node, sig in zip(method_nodes, component.methods):
             m_span = method_node.span or span
             if component.role == ROLE_CONTROLLER:
-                _lift_endpoints(out, component, method_node, prefixes, convention, m_span)
+                _lift_endpoints(out, component, method_node, sig, prefixes, convention, m_span)
             _lift_calls(out, component, method_node)
         out.warnings.extend(
             _unbound_variable_warnings(out.endpoints[first_endpoint:], component)
@@ -384,6 +382,7 @@ def _lift_endpoints(
     out: MatcherOutput,
     component: Component,
     method_node: LaastNode,
+    handler: MethodSig,
     prefixes: list[str],
     convention: str,
     span: SourceSpan,
@@ -391,7 +390,6 @@ def _lift_endpoints(
     mappings = _method_mappings(method_node)
     if not mappings:
         return
-    handler = _method_sig(method_node)
     params = _endpoint_params(method_node, convention)
     for http_method, paths in mappings:
         templates = [join_path(prefix, path) for prefix in prefixes for path in paths]

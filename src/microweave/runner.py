@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from microweave.analysis import (
@@ -302,6 +304,15 @@ def load_config(
     if len(set(names)) != len(names):
         dupe = sorted({n for n in names if names.count(n) > 1})[0]
         raise ConfigError(f"services: duplicate service name {dupe!r}", field="services")
+    folded: dict[str, str] = {}
+    for name in names:
+        other = folded.setdefault(name.casefold(), name)
+        if other != name:
+            raise ConfigError(
+                f"services: names {other!r} and {name!r} differ only in case, so their "
+                "output files would collide on a case-insensitive file system",
+                field="services",
+            )
 
     if services_filter:
         unknown = sorted(set(services_filter) - set(names))
@@ -412,33 +423,41 @@ def build_system(config: RunConfig, log=None, on_service=None) -> SystemIr:
     return weave(irs, taxonomy=taxonomy, topology=topology, config=config.weave)
 
 
-def system_json_chunks(system: SystemIr, ir_blobs: list[bytes],
-                       context_map: bytes) -> list[bytes]:
-    """Canonical ``system.json`` as chunks whose concatenation is the
-    document.  Its ``services`` array is the services' ``.ir.json`` bytes
-    (``ir_blobs``, in ``system.services`` order) and its ``context_map``
-    member is the ``context-map.json`` bytes, each spliced in as it is
-    rather than encoded a second time."""
+def system_json_parts(system: SystemIr, ir_documents: Iterable,
+                      context_map: bytes) -> list:
+    """Canonical ``system.json`` as parts whose concatenation is the
+    document, each ``bytes`` or a generator of chunks.  Its ``services``
+    array is the services' ``.ir.json`` documents (``ir_documents``, in
+    ``system.services`` order, each ``bytes`` or a generator of chunks) and
+    its ``context_map`` member is the ``context-map.json`` bytes, each
+    spliced in as it is rather than encoded a second time; the comm edges
+    are encoded one at a time as the parts are drawn."""
     rest = canonical_bytes(system_to_json_obj(system))
     return [
-        b'{"services":', *array_chunks(ir_blobs),
+        b'{"services":', array_chunks(ir_documents),
         b',"context_map":', context_map,
-        b',"comm_edges":', *array_chunks(comm_edge_to_json_obj(e) for e in system.comm_edges),
+        b',"comm_edges":', array_chunks(comm_edge_to_json_obj(e) for e in system.comm_edges),
         # ``rest`` opens with the brace of its own object; the slice is a view.
         b",", memoryview(rest)[1:],
     ]
 
 
+def _file_chunks(path: Path) -> Iterator[bytes]:
+    with path.open("rb") as handle:
+        yield from iter(partial(handle.read, 1 << 16), b"")
+
+
 def _write_json_outputs(out: Path, system: SystemIr) -> None:
     """Write every JSON output but ``report.json`` and the ``.laast.json``
-    files (written as each service finished), encoding each document once;
-    the IR and context-map bytes are freed on return."""
-    ir_blobs = []
-    for ir in system.services:
-        ir_blobs.append(save_service_ir(ir))
-        atomic_write(out / f"{ir.service_name}.ir.json", ir_blobs[-1])
+    files (written as each service finished), encoding each document once.
+    Each ``.ir.json`` is freed once written; ``system.json`` reads them back
+    one chunk at a time."""
+    ir_paths = [out / f"{ir.service_name}.ir.json" for ir in system.services]
+    for ir, path in zip(system.services, ir_paths):
+        atomic_write(path, save_service_ir(ir))
     context_map = save_context_map(system.context_map)
-    atomic_write(out / "system.json", system_json_chunks(system, ir_blobs, context_map))
+    atomic_write(out / "system.json",
+                 system_json_parts(system, map(_file_chunks, ir_paths), context_map))
     atomic_write(out / "context-map.json", context_map)
 
 

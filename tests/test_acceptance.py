@@ -33,7 +33,7 @@ from microweave.ir import (
 from microweave.jsonio import canonical_bytes
 from microweave.laast import LEAF_KINDS, LaastNode, NodeKind, load_laast, save_laast
 from microweave.matchers import MethodSig, SourceSpan
-from microweave.runner import build_system, load_config, system_json_chunks
+from microweave.runner import build_system, load_config, system_json_parts
 from microweave.similarity import parse_taxonomy, wu_palmer
 from microweave.topology import Inventory
 from microweave.weave import (
@@ -743,6 +743,16 @@ def _whole_system_json(system) -> bytes:
     )
 
 
+def _flatten(parts) -> bytes:
+    """The document an ``atomic_write`` data argument stands for."""
+    if isinstance(parts, bytes):
+        return parts
+    return b"".join(
+        bytes(part) if isinstance(part, (bytes, memoryview)) else b"".join(part)
+        for part in parts
+    )
+
+
 def test_system_json_splices_each_ir_encoding_into_one_canonical_document(fixture_run):
     dest, _code, _elapsed = fixture_run
     system = build_system(load_config(dest / "config.json"), log=io.StringIO())
@@ -758,36 +768,46 @@ def test_system_json_splices_each_ir_encoding_into_one_canonical_document(fixtur
         systems.append(weave(list(irs.values())))
     for system in systems:
         blobs = [save_service_ir(ir) for ir in system.services]
-        chunks = system_json_chunks(system, blobs, save_context_map(system.context_map))
-        assert b"".join(chunks) == _whole_system_json(system)
+        parts = system_json_parts(system, blobs, save_context_map(system.context_map))
+        assert _flatten(parts) == _whole_system_json(system)
 
 
 def test_each_output_is_encoded_once_and_system_json_is_written_in_chunks(
     shop, monkeypatch
 ):
     written = {}
+    flat = {}
     real_write = runner.atomic_write
+    encoded = []
+    real_save = runner.save_service_ir
 
     def capture(path, data):
         written[path.name] = data
-        real_write(path, data)
+        # Flattening draws the generator parts, so write what was drawn.
+        flat[path.name] = _flatten(data)
+        real_write(path, flat[path.name])
+
+    def save(ir):
+        encoded.append(ir.service_name)
+        return real_save(ir)
 
     monkeypatch.setattr(runner, "atomic_write", capture)
+    monkeypatch.setattr(runner, "save_service_ir", save)
     config = load_config(shop / "config.json")
     runner.run(config, log=io.StringIO())
 
-    chunks = written["system.json"]
-    assert isinstance(chunks, list)
+    parts = written["system.json"]
+    assert isinstance(parts, list)
     # perfbench/tracer.py takes the len() of each data argument.
     assert all(isinstance(data, (bytes, list)) for data in written.values())
     system = build_system(config, log=io.StringIO())
     whole = _whole_system_json(system)
-    assert b"".join(chunks) == whole
+    assert flat["system.json"] == whole
     assert (shop / "out" / "system.json").read_bytes() == whole
     services = [name for name in written if name.endswith(".ir.json")]
     assert len(services) == len(system.services) == 3
-    for name in services + ["context-map.json"]:
-        assert any(written[name] is chunk for chunk in chunks), name
+    assert encoded == [ir.service_name for ir in system.services]
+    assert any(written["context-map.json"] is part for part in parts)
 
 
 def test_criterion_8_coupling_recount(fixture_run, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -329,6 +330,35 @@ def test_internal_fault_exits_3_with_one_line(shop, capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("encoder", ["save_service_ir", "comm_edge_to_json_obj"])
+def test_failure_in_the_middle_of_the_write_leaves_no_temp_file(
+    shop, capsys, monkeypatch, encoder
+):
+    """The second ``.ir.json`` fails before its write starts; the second comm
+    edge fails while ``system.json`` is being written."""
+    import microweave.runner
+
+    real = getattr(microweave.runner, encoder)
+    calls = []
+
+    def fail_second(record):
+        calls.append(record)
+        if len(calls) == 2:
+            raise ValueError("encoder\nfailed")
+        return real(record)
+
+    monkeypatch.setattr(microweave.runner, encoder, fail_second)
+    code = _run("--config", str(shop / "config.json"))
+    captured = capsys.readouterr()
+    assert code == 3
+    errors = [line for line in captured.err.splitlines() if not line.startswith("[analyze]")]
+    assert errors == ["analyze: internal error: ValueError: encoder failed"]
+    names = sorted(p.name for p in (shop / "out").iterdir())
+    assert not [name for name in names if name.endswith(".tmp")]
+    assert "system.json" not in names
+    assert "orders.ir.json" in names
+
+
 def test_documented_example_ruleset_runs(tmp_path, capsys):
     docs = (Path(__file__).parents[1] / "docs" / "config.md").read_text(encoding="utf-8")
     example = next(block for block in docs.split("```json")[1:] if '"ruleset"' in block)
@@ -400,6 +430,10 @@ def _auto_with_backslash_dir(shop: Path) -> dict:
         ({"output_dir": "o\0ut"}, (), "output_dir must not contain a NUL byte"),
         ({"services": [{"name": "../escaped", "root_dir": "users"}]}, (),
          "services[0].name must not be '.' or '..' or contain '/', '\\' or a NUL byte"),
+        ({"services": [{"name": "users", "root_dir": "users"},
+                       {"name": "Users", "root_dir": "users"}]}, (),
+         "services: names 'users' and 'Users' differ only in case, so their output files "
+         "would collide on a case-insensitive file system"),
         ({"services": [{"name": "..", "root_dir": "users"}]}, (),
          "services[0].name must not be '.' or '..' or contain '/', '\\' or a NUL byte"),
         (_auto_with_backslash_dir, (),
@@ -422,7 +456,7 @@ def _auto_with_backslash_dir(shop: Path) -> dict:
          "rule_suffixes_string", "rule_priority_float", "rule_priority_string",
          "rule_priority_bool", "deep_nesting", "int_digit_limit", "tau_beyond_float",
          "root_dir_nul", "root_nul", "taxonomy_nul", "compose_nul", "output_dir_nul",
-         "name_traversal", "name_dotdot", "auto_name_backslash", "glob_parent",
+         "name_traversal", "name_case", "name_dotdot", "auto_name_backslash", "glob_parent",
          "glob_absolute", "glob_empty"],
 )
 def test_configuration_error_line_names_field_once(shop, capsys, patch, argv, message):
@@ -576,3 +610,118 @@ def test_text_only_run_encodes_no_syntax_tree_and_writes_no_json(shop, monkeypat
     assert code == 2
     assert saved == []
     assert sorted(p.name for p in (shop / "out").iterdir()) == ["report.txt"]
+
+
+# Hostile passthrough documents: deep, wide, wrong-typed, or holding huge
+# strings.  Deep and wide ones are built as text: encoding a deep one as an
+# object would recurse once per level.
+
+_NODE_KINDS = st.sampled_from(
+    ["CompilationUnit", "TypeDecl", "MethodDecl", "Param", "Annotation", "Call", "Literal",
+     "Block", "Unknown", "Nope"])
+_JSON_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+_STRINGS = st.sampled_from(["CtlService", "get", "", "remote", "local", "GET", "/api/x/{id}",
+                            "http://b/api/x", "2", "-1", "\ud800", "a\\b", "\0"])
+_HUGE_STRINGS = st.builds(
+    lambda piece, n: piece * n,
+    st.sampled_from(["a", "9", "/", "{x}", "\ud800", "\udfff\ud83d", "é", "\0", "\n"]),
+    st.sampled_from([1_000, 100_000, 1_000_000]),
+)
+
+
+@st.composite
+def _hostile_node(draw, depth=0):
+    node = {"kind": draw(_NODE_KINDS)}
+    if draw(st.booleans()):
+        node["name"] = draw(_STRINGS)
+    if draw(st.booleans()):
+        node["attributes"] = draw(st.dictionaries(
+            st.sampled_from(["call_kind", "arg_count", "url_template", "http_method", "value",
+                             "declared_type"]), _STRINGS, max_size=4))
+    if draw(st.booleans()):
+        line = draw(st.integers(min_value=-1, max_value=10**30))
+        node["span"] = {"file": draw(_STRINGS), "line_start": line,
+                        "line_end": line + draw(st.integers(-1, 3))}
+    if depth < 3 and draw(st.booleans()):
+        node["children"] = draw(st.lists(_hostile_node(depth + 1), max_size=3))
+    if draw(st.integers(0, 4)) == 0:  # one member of the wrong type
+        node[draw(st.sampled_from(["kind", "name", "attributes", "span", "children", "x"]))] = (
+            draw(_JSON_ANY))
+    return node
+
+
+@st.composite
+def _huge_string_document(draw):
+    """A remote call one of whose strings is huge."""
+    node = {"kind": "Call", "name": "get", "span": {"file": "A.java", "line_start": 1,
+                                                   "line_end": 1},
+            "attributes": {"call_kind": "remote", "http_method": "GET",
+                           "url_template": "http://b/api/x/{id}", "arg_count": "1"}}
+    huge = draw(_HUGE_STRINGS)
+    where = draw(st.sampled_from(["name", "file", "key", "call_kind", "http_method",
+                                  "url_template", "arg_count"]))
+    if where == "name":
+        node["name"] = huge
+    elif where == "file":
+        node["span"]["file"] = huge
+    elif where == "key":
+        node["attributes"][huge] = "x"
+    else:
+        node["attributes"][where] = huge
+    return json.dumps({"kind": "CompilationUnit", "children": [
+        {"kind": "TypeDecl", "name": "CtlService", "children": [
+            {"kind": "MethodDecl", "name": "m", "children": [node]}]}]})
+
+
+def _wide_document(width: int, child: dict) -> str:
+    return ('{"kind":"CompilationUnit","children":['
+            + ",".join([json.dumps(child)] * width) + "]}")
+
+
+_HOSTILE_DOCUMENTS = st.one_of(
+    st.builds(_deep_document, st.integers(min_value=2, max_value=3_000)),
+    st.builds(lambda n: '{"kind":"Block","attributes":{"a":' + "[" * n + "]" * n + "}}",
+              st.integers(min_value=1, max_value=100_000)),
+    st.builds(_wide_document, st.sampled_from([1, 1_000, 20_000]), _hostile_node(depth=2)),
+    _hostile_node().map(json.dumps),
+    _huge_string_document(),
+    _JSON_ANY.map(json.dumps),
+)
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("hostile")
+    _write_project(root, {"hostile": {"h.laast.json": "{}"}, "beta": {"src/Ctl.java": _CONTROLLER}},
+                   conventions={"hostile": "LaastPassthrough"})
+    return root
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_HOSTILE_DOCUMENTS)
+def test_hostile_passthrough_document_is_skipped_or_loaded_never_a_fault(hostile_dir, document):
+    from microweave.errors import MicroweaveError
+    from microweave.laast import load_laast
+
+    (hostile_dir / "hostile" / "h.laast.json").write_text(document, encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = _run("--config", str(hostile_dir / "config.json"))
+    errors = [line for line in stderr.getvalue().splitlines() if not line.startswith("[analyze]")]
+    if code == 3:
+        assert len(errors) == 1 and errors[0].startswith("analyze: configuration error:"), errors
+        return
+    assert code in (0, 1, 2) and not errors, errors
+    try:
+        load_laast(document.encode("utf-8"))
+        reason = None
+    except MicroweaveError as exc:
+        reason = f"invalid document: {exc}"
+    ir = json.loads((hostile_dir / "out" / "hostile.ir.json").read_bytes())
+    skipped = ir["extraction_report"]["files_skipped"]
+    assert skipped == ([] if reason is None else [{"file": "h.laast.json", "reason": reason}])

@@ -22,8 +22,8 @@ from microweave.frontend import (
     _balanced_parens,
     _call_node,
     _masked_views,
+    _paren_closes,
     _read_annotations,
-    _read_chain,
     _split_args,
     _unquote,
     _url_template_from_expr,
@@ -425,6 +425,47 @@ def test_parse_work_grows_linearly_with_file_size():
     assert all(g <= 2.2 for g in growth), (counts, growth)
 
 
+@settings(derandomize=True, max_examples=300)
+@given(st.text(alphabet="(()) x\n", max_size=40))
+def test_paren_table_matches_scanning_from_each_open(struct):
+    closes = _paren_closes(struct)
+    opens = [i for i, c in enumerate(struct) if c == "("]
+    assert {i: closes.get(i) for i in opens} == {i: _balanced_parens(struct, i) for i in opens}
+    assert set(closes) <= set(opens)
+
+
+def _parse_line_count(text: str) -> int:
+    """Python lines executed while parsing ``text``: unlike calls, these
+    also count the steps of a loop inside one call."""
+    count = 0
+
+    def trace(_frame, _event, _arg):
+        nonlocal count
+        count += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        _JavaLikeParser(text, "F.java").parse()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_unclosed_client_call_heads_parse_in_linear_work():
+    # Each head's ( never closes, so matching it from the head would scan to
+    # the end of the body: a loop of no calls, which only the line count sees.
+    def source(n):
+        body = "        restTemplate.getForObject(\n" * n
+        return f"public class F {{\n    public void m() {{\n{body}    }}\n}}\n"
+
+    for counter in (_parse_op_count, _parse_line_count):
+        counts = [counter(source(n)) for n in (500, 1000, 2000)]
+        growth = [later / earlier for earlier, later in zip(counts, counts[1:])]
+        assert all(g <= 2.2 for g in growth), (counter.__name__, counts, growth)
+
+
 # The character-loop maskers the one-pass lexer replaced, kept as its oracle,
 # with a state added for text blocks.
 
@@ -640,7 +681,8 @@ def test_extract_survives_random_java_like_text(tmp_path_factory, head, fragment
 # The per-receiver client-call scanners the idiom table replaced, kept as its
 # oracle.  They matched heads on the text view, so a head inside a literal was
 # a call; the differential test below leaves such heads out.  They call the
-# current argument helpers, which take the structural view beside the text.
+# current argument helpers, which take the structural view beside the text,
+# and the chain reader that matched each link's parens from its head.
 
 _OLD_TEMPLATE_RECEIVERS = {
     "restTemplate": {
@@ -667,6 +709,26 @@ def _old_receiver_call_re(receivers) -> re.Pattern:
         + "|".join(re.escape(r) for r in sorted(receivers))
         + r")\s*\.\s*([A-Za-z_][\w$]*)\s*\("
     )
+
+
+_OLD_CHAIN_LINK_RE = re.compile(r"\s*\.\s*([A-Za-z_][\w$]*)\s*")
+
+
+def _old_read_chain(text, struct, start):
+    """The chain reader that matched each link's parens from its head."""
+    links = []
+    pos = start
+    while True:
+        m = _OLD_CHAIN_LINK_RE.match(struct, pos)
+        if m is None or m.end() >= len(struct) or struct[m.end()] != "(":
+            break
+        close = _balanced_parens(struct, m.end())
+        if close is None:
+            break
+        args = _split_args(text[m.end() + 1 : close - 1], struct[m.end() + 1 : close - 1])
+        links.append((m.group(1), args, close))
+        pos = close
+    return links
 
 
 _OLD_REMOTE_HEAD_RE = _old_receiver_call_re(
@@ -725,7 +787,7 @@ def _old_find_remote(text, struct, line_of):
             uri_args = []
             body_args = []
             end = close
-            for link, largs, link_end in _read_chain(text, struct, close):
+            for link, largs, link_end in _old_read_chain(text, struct, close):
                 end = link_end
                 if link == "uri" and not uri_args:
                     uri_args = largs
@@ -758,7 +820,7 @@ def _old_find_remote(text, struct, line_of):
             arg_count = len(args)
             http = HTTP_UNKNOWN
             end = close
-            for link, largs, link_end in _read_chain(text, struct, close):
+            for link, largs, link_end in _old_read_chain(text, struct, close):
                 end = link_end
                 if link == "path" and largs:
                     part, part_clean = _url_template_from_expr(*largs[0])

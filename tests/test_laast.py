@@ -121,6 +121,30 @@ def test_span_validation():
         load_laast(json.dumps(doc))
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "CompilationUnit", "name": "a\ud800"},
+    {"kind": "CompilationUnit", "attributes": {"\udfff": "x"}},
+    {"kind": "CompilationUnit", "attributes": {"k": "\ud83d"}},
+    {"kind": "CompilationUnit", "span": {"file": "\udc00.java", "line_start": 1, "line_end": 1}},
+], ids=["name", "key", "value", "file"])
+def test_load_rejects_lone_surrogates(doc):
+    with pytest.raises(SchemaViolation, match="holds a lone surrogate"):
+        load_laast(json.dumps(doc))
+    # a pair of escapes is one character, which UTF-8 encodes
+    loaded = load_laast(json.dumps({"kind": "CompilationUnit", "name": "\U0001F600"}))
+    assert save_laast(loaded).decode("utf-8") == '{"kind":"CompilationUnit","name":"\U0001F600"}'
+
+
+def test_load_rejects_remote_arg_counts_int_cannot_convert():
+    def call(arg_count):
+        return json.dumps({"kind": "Call", "attributes": {
+            "call_kind": "remote", "arg_count": arg_count}})
+
+    assert load_laast(call("9" * 4300)).attributes["arg_count"] == "9" * 4300
+    with pytest.raises(SchemaViolation, match="more than 4300 digits"):
+        load_laast(call("9" * 4301))
+
+
 def test_walk_is_preorder_and_counts_nodes():
     leaf1 = LaastNode(kind=NodeKind.LITERAL, name="l1")
     leaf2 = LaastNode(kind=NodeKind.LITERAL, name="l2")

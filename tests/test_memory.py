@@ -1,12 +1,15 @@
 """Memory bounds of the serializers: each output is encoded one record at a
-time into one growing buffer, so encoding holds little beyond the result."""
+time into one growing buffer, so encoding holds little beyond the result,
+and the write phase holds one service's encoding at a time."""
 
 from __future__ import annotations
 
+import io
 import tracemalloc
 
 import pytest
 
+from microweave import runner
 from microweave.frontend import SourceTree, extract
 from microweave.ir import build_service_ir, save_service_ir
 from microweave.laast import save_laast
@@ -15,9 +18,9 @@ from microweave.matchers import default_ruleset, run_matchers
 HANDLERS = 800
 
 
-def _controller(handlers: int) -> str:
+def _controller(handlers: int, callee: str = "other") -> str:
     """One Spring controller with ``handlers`` GET handlers, every tenth
-    calling out."""
+    calling out to service ``callee``."""
     lines = [
         "package big;", "",
         "@RestController", '@RequestMapping("/api/big")',
@@ -28,8 +31,8 @@ def _controller(handlers: int) -> str:
         lines += [f'    @GetMapping("/items{i}/{{id}}")',
                   f'    public String items{i}(@PathVariable("id") long id) {{']
         if i % 10 == 0:
-            lines.append(f'        return restTemplate.getForObject("http://other/api/x{i}/" + id, '
-                         "String.class);")
+            lines.append("        return restTemplate.getForObject("
+                         f'"http://{callee}/api/big/items{i}/" + id, String.class);')
         else:
             lines.append(f'        return "items{i}" + id;')
         lines.append("    }")
@@ -66,3 +69,43 @@ def test_encoding_peak_stays_within_three_times_the_output(big_service, which):
     peak, blob = _peak_above_start(fn, arg)
     assert len(blob) > 200_000
     assert peak <= 3 * len(blob), f"{which}: peak {peak} for {len(blob)} bytes"
+
+
+SERVICES = 8
+
+
+@pytest.fixture(scope="module")
+def ring_system(tmp_path_factory):
+    """A woven system of ``SERVICES`` services, each a 200-handler controller
+    calling into the next one."""
+    base = tmp_path_factory.mktemp("ring")
+    trees = []
+    for k in range(SERVICES):
+        root = base / f"svc{k}"
+        root.mkdir()
+        (root / "BigController.java").write_text(
+            _controller(200, callee=f"svc{(k + 1) % SERVICES}"), encoding="utf-8")
+        trees.append(SourceTree(service_name=f"svc{k}", root_dir=root,
+                                include_globs=("*.java",)))
+    config = runner.RunConfig(services=trees, output_dir=base / "out")
+    return runner.build_system(config, log=io.StringIO()), base / "out"
+
+
+def test_write_phase_holds_one_service_encoding_at_a_time(ring_system):
+    system, out = ring_system
+    out.mkdir(exist_ok=True)
+    assert len(system.comm_edges) == SERVICES * 20
+    peak, _ = _peak_above_start(lambda s: runner._write_json_outputs(out, s), system)
+    largest = max((out / f"{ir.service_name}.ir.json").stat().st_size for ir in system.services)
+    context_map = (out / "context-map.json").stat().st_size
+    assert (out / "system.json").stat().st_size > SERVICES * largest // 2
+    assert peak <= 3 * (largest + context_map), (peak, largest, context_map)
+
+
+def test_each_handler_signature_is_its_component_method(ring_system):
+    system, _out = ring_system
+    for ir in system.services:
+        methods = {c.name: c.methods for c in ir.components}
+        assert ir.endpoints
+        for endpoint in ir.endpoints:
+            assert any(endpoint.handler is m for m in methods[endpoint.owner])
