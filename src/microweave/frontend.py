@@ -927,22 +927,29 @@ class _JavaLikeParser:
 # whole-tree extraction
 
 
-def _matched_files(root: Path, include_globs: tuple[str, ...]) -> list[Path]:
+def source_files(tree: SourceTree) -> list[Path]:
+    """The files ``tree``'s include globs match, in sorted path order."""
+    root = Path(tree.root_dir)
+    globs = tuple(tree.include_globs)
+    if tree.convention == LAAST_PASSTHROUGH and globs == DEFAULT_INCLUDE_GLOBS:
+        globs = PASSTHROUGH_INCLUDE_GLOBS
     seen: set[Path] = set()
-    for pattern in include_globs:
+    for pattern in globs:
         for path in root.glob(pattern):
             if path.is_file():
                 seen.add(path)
     return sorted(seen, key=lambda p: p.relative_to(root).as_posix())
 
 
-def extract(tree: SourceTree) -> tuple[LaastNode, ExtractionReport]:
+def extract(tree: SourceTree, files: list[Path] | None = None
+            ) -> tuple[LaastNode, ExtractionReport]:
     """Extract one service tree into a language-agnostic tree.
 
     The root is a synthetic CompilationUnit named after the service, holding
     one CompilationUnit child per scanned file in sorted path order, so the
     result is deterministic for a given tree.  Bad files are skipped with a
-    warning; extraction itself never fails on file content.
+    warning; extraction itself never fails on file content.  ``files``, when
+    given, is ``source_files(tree)`` already listed.
     """
     if not tree.service_name:
         raise MicroweaveError("service_name must be non-empty")
@@ -951,13 +958,10 @@ def extract(tree: SourceTree) -> tuple[LaastNode, ExtractionReport]:
         raise MicroweaveError(f"root_dir {root_dir} does not exist")
     if tree.convention not in CONVENTIONS:
         raise MicroweaveError(f"unknown convention {tree.convention!r}")
-    globs = tuple(tree.include_globs)
-    if tree.convention == LAAST_PASSTHROUGH and globs == DEFAULT_INCLUDE_GLOBS:
-        globs = PASSTHROUGH_INCLUDE_GLOBS
 
     report = ExtractionReport()
     root = LaastNode(kind=NodeKind.COMPILATION_UNIT, name=tree.service_name)
-    for path in _matched_files(root_dir, globs):
+    for path in source_files(tree) if files is None else files:
         rel = path.relative_to(root_dir).as_posix()
         try:
             data = path.read_bytes()

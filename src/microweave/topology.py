@@ -13,8 +13,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from microweave.errors import MalformedDocument
 
 ORIGIN_DEPENDS_ON = "depends_on"
@@ -108,6 +106,8 @@ def parse_compose(data: bytes | str, source: str = "<compose>") -> TopologyModel
     Unknown dependency targets become warnings rather than edges, and an
     unrecognized version is a warning, never an error.
     """
+    import yaml  # here, not at the top: only runs with a compose file pay its import
+
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")

@@ -791,8 +791,17 @@ def test_each_output_is_encoded_once_and_system_json_is_written_in_chunks(
         encoded.append(ir.service_name)
         return real_save(ir)
 
+    # Each ``.ir.json`` is encoded as its service is built, before weaving.
+    encoded_at_weave = []
+    real_weave = runner.weave
+
+    def weave_after_encoding(*args, **kwargs):
+        encoded_at_weave.append(list(encoded))
+        return real_weave(*args, **kwargs)
+
     monkeypatch.setattr(runner, "atomic_write", capture)
     monkeypatch.setattr(runner, "save_service_ir", save)
+    monkeypatch.setattr(runner, "weave", weave_after_encoding)
     config = load_config(shop / "config.json")
     runner.run(config, log=io.StringIO())
 
@@ -806,7 +815,7 @@ def test_each_output_is_encoded_once_and_system_json_is_written_in_chunks(
     assert (shop / "out" / "system.json").read_bytes() == whole
     services = [name for name in written if name.endswith(".ir.json")]
     assert len(services) == len(system.services) == 3
-    assert encoded == [ir.service_name for ir in system.services]
+    assert encoded == encoded_at_weave[0] == [ir.service_name for ir in system.services]
     assert any(written["context-map.json"] is part for part in parts)
 
 

@@ -477,11 +477,13 @@ def test_configuration_error_line_names_field_once(shop, capsys, patch, argv, me
     assert captured.err == f"analyze: configuration error: {message}\n"
 
 
+# "\ud800" and "\udfff" are lone surrogates, which no UTF-8 encode accepts.
 _WORDS = st.sampled_from(
     ["auto", "SpringLike", "LaastPassthrough", "Service", "Controller", "E01", "S01",
-     "warning", "error", "**/*.java", "x"]
+     "warning", "error", "**/*.java", "x", "\ud800", "x\udfff"]
 )
-_PATHS = st.sampled_from([".", "a", "missing.txt"]) | st.text(alphabet="ab\0", max_size=3)
+_PATHS = st.sampled_from([".", "a", "missing.txt"]) | st.text(alphabet="ab\0\udfff",
+                                                              max_size=3)
 _NUMBERS = st.integers() | st.floats() | st.sampled_from([0.5, 10**400])
 _ANY = st.recursive(
     st.none() | st.booleans() | _NUMBERS | _WORDS | _PATHS,

@@ -12,6 +12,7 @@ import pytest
 from microweave import runner
 from microweave.frontend import SourceTree, extract
 from microweave.ir import build_service_ir, save_service_ir
+from microweave.jsonio import atomic_write
 from microweave.laast import save_laast
 from microweave.matchers import default_ruleset, run_matchers
 
@@ -87,13 +88,20 @@ def ring_system(tmp_path_factory):
             _controller(200, callee=f"svc{(k + 1) % SERVICES}"), encoding="utf-8")
         trees.append(SourceTree(service_name=f"svc{k}", root_dir=root,
                                 include_globs=("*.java",)))
-    config = runner.RunConfig(services=trees, output_dir=base / "out")
-    return runner.build_system(config, log=io.StringIO()), base / "out"
+    out = base / "out"
+    out.mkdir()
+
+    def write_ir(name, _tree, ir):  # as ``run`` writes each ``.ir.json``
+        atomic_write(out / f"{name}.ir.json", save_service_ir(ir))
+
+    config = runner.RunConfig(services=trees, output_dir=out)
+    return runner.build_system(config, log=io.StringIO(), on_service=write_ir), out
 
 
 def test_write_phase_holds_one_service_encoding_at_a_time(ring_system):
+    """``system.json`` reads the ``.ir.json`` files, written as each service
+    was built, back one chunk at a time."""
     system, out = ring_system
-    out.mkdir(exist_ok=True)
     assert len(system.comm_edges) == SERVICES * 20
     peak, _ = _peak_above_start(lambda s: runner._write_json_outputs(out, s), system)
     largest = max((out / f"{ir.service_name}.ir.json").stat().st_size for ir in system.services)
