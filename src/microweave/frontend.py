@@ -10,7 +10,8 @@ aborts on a bad input file; every anomaly becomes a warning or a skip.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
@@ -173,124 +174,145 @@ def _masked_views(source: str) -> tuple[str, str, list[int]]:
     return "".join(text), "".join(struct), starts
 
 
-def _line_depths(lines: list[str], depth: int) -> tuple[list[int], int]:
-    """Brace depth at the start of each of ``lines``, the first starting at
-    ``depth``, and the depth after the last."""
-    depths = []
-    for line in lines:
-        depths.append(depth)
-        depth += line.count("{") - line.count("}")
-    return depths, depth
-
-
 # Every helper below takes a piece of source as its two views, ``text`` and
-# ``struct``, sliced at the same offsets: it finds structure in ``struct``,
-# where no literal holds a bracket or a separator, and reads values from
-# ``text``.
+# ``struct``, sliced at the same offsets, and the offset of their first
+# character in the views the bracket table was built from: it finds structure
+# in ``struct``, where no literal holds a bracket or a separator, and reads
+# values from ``text``.
 
-_Piece = tuple[str, str]
+_Piece = tuple[str, str, int]
 _NESTING = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
+_OPENER_OF = {")": "(", "]": "[", "}": "{"}
+
+#: The characters the bracket table records: brackets, the terminator ``;``,
+#: and the separators the helpers split on.
+_MARK_RE = re.compile(r"[()\[\]{};,=+]")
 
 
-def _strip(text: str, struct: str) -> _Piece:
-    """Both views without the whitespace around ``text``."""
+class _Brackets:
+    """The bracket table of one structural view, from one walk over it.
+
+    Each kind of bracket is matched on its own stack, so ``close`` gives what
+    scanning forward from an opener and counting only its kind finds.  ``at``
+    holds the sorted offsets of each ``{``, ``}``, ``(`` and ``;``.  Each
+    separator's offsets are grouped by the depth before them, counted over
+    every bracket of any kind (a stray closer can make it negative), so a
+    split reads the separators at its piece's own depth and never visits what
+    is nested inside it.
+    """
+
+    def __init__(self, struct: str):
+        self._closes: dict[int, int | None] = {}
+        self.at: dict[str, list[int]] = {char: [] for char in "{}(;"}
+        self._seps: dict[str, dict[int, list[int]]] = {sep: {} for sep in ",=+"}
+        self._bracket_offsets: list[int] = []
+        self._depths_after: list[int] = []
+        stacks: dict[str, list[int]] = {"(": [], "[": [], "{": []}
+        depth = 0
+        for m in _MARK_RE.finditer(struct):
+            char, offset = m.group(), m.start()
+            if char in self._seps:
+                self._seps[char].setdefault(depth, []).append(offset)
+                continue
+            if char in self.at:
+                self.at[char].append(offset)
+            if char == ";":
+                continue
+            if char in stacks:
+                stacks[char].append(offset)
+                self._closes[offset] = None
+            elif stacks[_OPENER_OF[char]]:
+                self._closes[stacks[_OPENER_OF[char]].pop()] = offset
+            depth += _NESTING[char]
+            self._bracket_offsets.append(offset)
+            self._depths_after.append(depth)
+
+    def close(self, offset: int) -> int | None:
+        """Offset of the closer matching the opener at ``offset``, or None
+        when it never closes or ``offset`` holds no opener."""
+        return self._closes.get(offset)
+
+    def split_top_level(self, piece: _Piece, sep: str) -> list[_Piece]:
+        """Split a piece on a separator character at its starting depth."""
+        start = piece[2]
+        before = bisect_left(self._bracket_offsets, start)
+        offsets = self._seps[sep].get(self._depths_after[before - 1] if before else 0, [])
+        parts: list[_Piece] = []
+        pos = 0
+        for i in offsets[bisect_left(offsets, start) : bisect_left(offsets, start + len(piece[1]))]:
+            parts.append(_sub(piece, pos, i - start))
+            pos = i - start + 1
+        parts.append(_sub(piece, pos, len(piece[1])))
+        return parts
+
+
+def _sub(piece: _Piece, start: int, end: int) -> _Piece:
+    """Characters [start, end) of ``piece``."""
+    text, struct, offset = piece
+    return text[start:end], struct[start:end], offset + start
+
+
+def _strip(piece: _Piece) -> _Piece:
+    """``piece`` without the whitespace around its text."""
+    text = piece[0]
     end = len(text.rstrip())
-    start = end - len(text[:end].lstrip())
-    return text[start:end], struct[start:end]
+    return _sub(piece, end - len(text[:end].lstrip()), end)
 
 
-def _split_top_level(text: str, struct: str, sep: str) -> list[_Piece]:
-    """Split both views on a separator character outside brackets."""
-    parts: list[_Piece] = []
-    depth = start = 0
-    for i, c in enumerate(struct):
-        if c == sep and depth == 0:
-            parts.append((text[start:i], struct[start:i]))
-            start = i + 1
-        else:
-            depth += _NESTING.get(c, 0)
-    parts.append((text[start:], struct[start:]))
-    return parts
-
-
-def _split_args(text: str, struct: str, sep: str = ",") -> list[_Piece]:
+def _split_args(brackets: _Brackets, piece: _Piece, sep: str = ",") -> list[_Piece]:
     """The non-blank pieces between top-level separators, stripped."""
-    pieces = (_strip(*part) for part in _split_top_level(text, struct, sep))
+    pieces = (_strip(part) for part in brackets.split_top_level(piece, sep))
     return [piece for piece in pieces if piece[0]]
 
 
-def _balanced_parens(struct: str | list[str], open_idx: int) -> int | None:
-    """Given the index of ``(`` in a structural view, return the index just
-    past the matching ``)``."""
-    depth = 0
-    for i in range(open_idx, len(struct)):
-        c = struct[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return None
-
-
-_PAREN_RE = re.compile(r"[()]")
-
-
-def _paren_closes(struct: str) -> dict[int, int]:
-    """Index of each ``(`` in a structural view that closes -> the index
-    just past its matching ``)``, from one walk on a stack: what
-    ``_balanced_parens`` returns for it, for all of them at once."""
-    closes: dict[int, int] = {}
-    opens: list[int] = []
-    for m in _PAREN_RE.finditer(struct):
-        if m.group() == "(":
-            opens.append(m.start())
-        elif opens:
-            closes[opens.pop()] = m.end()
-    return closes
-
-
-def _unquote(text: str, struct: str) -> str | None:
+def _unquote(piece: _Piece) -> str | None:
     """The value of a stripped piece that is one string literal, else None."""
+    text, struct, _ = piece
     if len(struct) < 2 or struct[0] != '"' or struct[-1] != '"' or struct[1:-1].strip(" "):
         return None
     return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
 
 
-def _encode_annotation_value(text: str, struct: str) -> str:
+def _encode_annotation_value(brackets: _Brackets, piece: _Piece) -> str:
     """Render one annotation argument value as its flat string form.
 
-    String literals lose their quotes; ``{a, b}`` arrays join with ``|``;
-    dotted enum references keep only the last segment (``RequestMethod.GET``
-    becomes ``GET``); class literals and anything else stay verbatim.
+    String literals lose their quotes; ``{a, b}`` arrays join with ``|``, and
+    nested arrays flatten at any depth (``{{a, b}, c}`` gives ``a|b|c``, an
+    empty array an empty value); dotted enum references keep only the last
+    segment (``RequestMethod.GET`` becomes ``GET``); class literals and
+    anything else stay verbatim.
     """
-    text, struct = _strip(text, struct)
-    lit = _unquote(text, struct)
-    if lit is not None:
-        return lit
-    if struct.startswith("{") and struct.endswith("}"):
-        return "|".join(
-            _encode_annotation_value(*part) for part in _split_args(text[1:-1], struct[1:-1])
-        )
-    if text.endswith(".class"):
-        return text
-    if re.fullmatch(r"[\w$]+(?:\.[\w$]+)+", text):
-        return text.rsplit(".", 1)[1]
-    return text
+    values: list[str] = []
+    todo = [piece]
+    while todo:
+        piece = _strip(todo.pop())
+        text, struct, _ = piece
+        lit = _unquote(piece)
+        if lit is not None:
+            values.append(lit)
+        elif struct.startswith("{") and struct.endswith("}"):
+            items = _split_args(brackets, _sub(piece, 1, len(struct) - 1))
+            todo.extend(reversed(items))
+            if not items:
+                values.append("")
+        elif not text.endswith(".class") and re.fullmatch(r"[\w$]+(?:\.[\w$]+)+", text):
+            values.append(text.rsplit(".", 1)[1])
+        else:
+            values.append(text)
+    return "|".join(values)
 
 
-def _annotation_args(text: str, struct: str) -> dict[str, str] | None:
+def _annotation_args(brackets: _Brackets, piece: _Piece) -> dict[str, str] | None:
     """The argument map of an annotation's argument list, or None when the
     list does not read as one ``value`` or as ``key = value`` pairs."""
     args: dict[str, str] = {}
-    for part in _split_args(text, struct):
-        kv = _split_top_level(*part, "=")
+    for part in _split_args(brackets, piece):
+        kv = brackets.split_top_level(part, "=")
         key = kv[0][0].strip()
         if len(kv) == 2 and re.fullmatch(r"[\w$]+", key):
-            args[key] = _encode_annotation_value(*kv[1])
+            args[key] = _encode_annotation_value(brackets, kv[1])
         elif len(kv) == 1:
-            args["value"] = _encode_annotation_value(*part)
+            args["value"] = _encode_annotation_value(brackets, part)
         else:
             return None
     return args
@@ -300,8 +322,9 @@ def _annotation_args(text: str, struct: str) -> dict[str, str] | None:
 class _Annotation:
     """One top-level ``@Name`` or ``@Name(..)`` in a window.
 
-    ``end`` is the offset just past it, or None when its argument list never
-    closes in the window; ``args`` is None when the list is unparseable.
+    ``start`` and ``end`` are offsets in the window; ``end`` is the offset
+    just past it, or None when its argument list never closes in the window;
+    ``args`` is None when the list is unparseable.
     """
 
     name: str
@@ -310,43 +333,34 @@ class _Annotation:
     args: dict[str, str] | None
 
 
-#: An annotation's name with the ``(`` opening its arguments, or a lone paren.
-_ANNOTATION_TOKEN_RE = re.compile(r"@\s*([A-Za-z_][\w$]*)(\s*\()?|[()]")
+#: An annotation's name with the ``(`` opening its arguments.
+_ANNOTATION_HEAD_RE = re.compile(r"@\s*([A-Za-z_][\w$]*)(\s*\()?")
 
 
-def _read_annotations(text: str, struct: str) -> list[_Annotation]:
-    """The top-level annotations of a window in source order, from one walk
-    over its structural view.
+def _read_annotations(brackets: _Brackets, window: _Piece) -> list[_Annotation]:
+    """The top-level annotations of a window in source order.
 
     An annotation inside the arguments of one that closes is folded into it;
-    the annotations inside an argument list that never closes are top-level
-    too.  ``@interface`` is no annotation.
+    the annotations inside an argument list that never closes in the window
+    are top-level too.  ``@interface`` is no annotation.
     """
-    heads: list[tuple[str, int, int, bool]] = []
-    closes: dict[int, int] = {}
-    opens: list[int] = []
-    for m in _ANNOTATION_TOKEN_RE.finditer(struct):
-        name, paren = m.groups()
-        if m.group() == ")":
-            if opens:
-                closes[opens.pop()] = m.end()
-            continue
-        if paren or not name:
-            opens.append(m.end() - 1)
-        if name and name != "interface":
-            heads.append((name, m.start(), m.end(), paren is not None))
+    struct, base = window[1], window[2]
     found: list[_Annotation] = []
     folded_until = 0
-    for name, start, end, has_args in heads:
-        if start < folded_until:
+    for m in _ANNOTATION_HEAD_RE.finditer(struct):
+        name, end = m.group(1), m.end()
+        if name == "interface" or m.start() < folded_until:
             continue
-        close = closes.get(end - 1) if has_args else end
-        if close is None:
-            found.append(_Annotation(name, start, None, None))
-            continue
-        args = _annotation_args(text[end : close - 1], struct[end : close - 1]) if has_args else {}
-        found.append(_Annotation(name, start, close, args))
-        folded_until = close
+        args: dict[str, str] | None = {}
+        if m.group(2):
+            close = brackets.close(base + end - 1)
+            if close is None or close >= base + len(struct):
+                found.append(_Annotation(name, m.start(), None, None))
+                continue
+            args = _annotation_args(brackets, _sub(window, end, close - base))
+            end = close - base + 1
+        found.append(_Annotation(name, m.start(), end, args))
+        folded_until = end
     return found
 
 
@@ -354,7 +368,7 @@ def _read_annotations(text: str, struct: str) -> list[_Annotation]:
 # remote-call / event recognition
 
 
-def _url_template_from_expr(text: str, struct: str) -> tuple[str, bool]:
+def _url_template_from_expr(brackets: _Brackets, expr: _Piece) -> tuple[str, bool]:
     """Build a URL template from a (possibly concatenated) argument expression.
 
     Literal fragments keep their text; every non-literal operand becomes the
@@ -362,8 +376,8 @@ def _url_template_from_expr(text: str, struct: str) -> tuple[str, bool]:
     """
     fragments: list[str] = []
     had_literal = False
-    for part in _split_args(text, struct, "+"):
-        lit = _unquote(*part)
+    for part in _split_args(brackets, expr, "+"):
+        lit = _unquote(part)
         if lit is not None:
             fragments.append(lit)
             had_literal = True
@@ -378,27 +392,28 @@ def _call_node(name: str, attrs: dict[str, str], span: SourceSpan) -> LaastNode:
     return LaastNode(kind=NodeKind.CALL, name=name, attributes=attrs, span=span)
 
 
-_CHAIN_LINK_RE = re.compile(r"\s*\.\s*([A-Za-z_][\w$]*)\s*")
+_CHAIN_LINK_RE = re.compile(r"\s*\.\s*([A-Za-z_][\w$]*)\s*(?=\()")
 
 
 def _read_chain(
-    text: str, struct: str, closes: dict[int, int], start: int
+    brackets: _Brackets, body: _Piece, close_of: Callable[[int], int | None], start: int
 ) -> list[tuple[str, list[_Piece], int]]:
-    """Read a fluent chain ``.a(args).b(args)...`` starting at ``start``;
-    ``closes`` is ``_paren_closes(struct)``.
+    """Read a fluent chain ``.a(args).b(args)...`` starting at offset
+    ``start`` of ``body``; ``close_of`` maps the offset of a ``(`` in it to
+    the offset just past its ``)``, or None.
 
     Returns ``(method, argument list, end offset)`` per link.
     """
     links: list[tuple[str, list[_Piece], int]] = []
     pos = start
     while True:
-        m = _CHAIN_LINK_RE.match(struct, pos)
+        m = _CHAIN_LINK_RE.match(body[1], pos)
         if m is None:
             break
-        close = closes.get(m.end())
+        close = close_of(m.end())
         if close is None:
             break
-        args = _split_args(text[m.end() + 1 : close - 1], struct[m.end() + 1 : close - 1])
+        args = _split_args(brackets, _sub(body, m.end() + 1, close - 1))
         links.append((m.group(1), args, close))
         pos = close
     return links
@@ -415,7 +430,9 @@ _CLIENT_HEAD_RE = re.compile(
 )
 
 
-def _url_template(url_args: list[_Piece], paths: list[_Piece]) -> tuple[str, bool]:
+def _url_template(
+    brackets: _Brackets, url_args: list[_Piece], paths: list[_Piece]
+) -> tuple[str, bool]:
     """URL template of the first of ``url_args`` with each of ``paths``
     (``.path(..)`` arguments) appended as one more piece.
 
@@ -424,9 +441,9 @@ def _url_template(url_args: list[_Piece], paths: list[_Piece]) -> tuple[str, boo
     """
     if not url_args:
         return URL_WILDCARD, False
-    template, clean = _url_template_from_expr(*url_args[0])
+    template, clean = _url_template_from_expr(brackets, url_args[0])
     for expr in paths:
-        part, part_clean = _url_template_from_expr(*expr)
+        part, part_clean = _url_template_from_expr(brackets, expr)
         template = template.rstrip("/") + "/" + part.lstrip("/")
         clean = clean and part_clean
     return template, clean
@@ -459,6 +476,8 @@ _PARAM_RE = re.compile(rf"(?:final\s+)?({_TYPE_PAT})\s+([A-Za-z_][\w$]*)")
 _LOCAL_CALL_RE = re.compile(
     r"(?<![\w.$@])(?:([A-Za-z_][\w$]*)\s*\.\s*)?([A-Za-z_][\w$]*)\s*\("
 )
+#: What a declaration head's extent is read from: parens and terminators.
+_HEAD_MARK_RE = re.compile(r"[(){;]")
 
 
 class _JavaLikeParser:
@@ -468,23 +487,28 @@ class _JavaLikeParser:
     comment-masked text (string literals intact, for value extraction) and
     additionally string-masked text (for structural scans, so braces or
     parens inside literals never confuse depth tracking).  Both preserve
-    offsets and line breaks.  ``lines`` splits the structural view at its
-    newlines and ``_depth_at`` holds the brace depth at the start of each.
-    Consumed annotations are blanked out of both views so a declaration
-    sharing their line is still seen; the views are mutable buffers of one
-    character per slot, so blanking rewrites only the annotation, re-splits
-    only the lines it touches, and shifts later depths only when the blanked
-    characters held unbalanced braces.  Parsing is linear in file size.
+    offsets and line breaks and are kept split at their newlines: ``lines``
+    is the structural view.  Consumed annotations are blanked out of both
+    views, rewriting only the lines they touch, so a declaration sharing
+    their line is still seen.
+
+    One bracket table per file, built from the structural view before any
+    blanking, answers every "where does this bracket close" and "where is
+    the next ``{``, ``(`` or ``;``".  Blanking never invalidates it: a
+    bracket's match depends only on the text after it, and the parser only
+    looks up brackets past every blanked range.  The brace depth at a line
+    start is the file's braces before it less the braces blanked so far.
     """
 
     def __init__(self, text: str, relpath: str):
         self.relpath = relpath
         text, struct, self._line_starts = _masked_views(text)
-        self._text = list(text)
-        self._struct = list(struct)
+        self._size = len(struct)
+        self._brackets = _Brackets(struct)
+        self._blanked: dict[str, list[int]] = {"{": [], "}": []}
         self.warnings: list[tuple[str, int, str]] = []
         self.lines = struct.split("\n")
-        self._depth_at, _ = _line_depths(self.lines, 0)
+        self._text_lines = text.split("\n")
 
     def _line_of(self, offset: int) -> int:
         return bisect_right(self._line_starts, offset)
@@ -495,46 +519,56 @@ class _JavaLikeParser:
     def _warn(self, line: int, message: str) -> None:
         self.warnings.append((self.relpath, line, message))
 
-    def _find(self, char: str, start: int) -> int:
-        """Offset of the first ``char`` at or after ``start`` in the
-        structural view, or -1."""
-        try:
-            return self._struct.index(char, start)
-        except ValueError:
-            return -1
+    def _piece(self, start: int, end: int) -> _Piece:
+        """Characters [start, end) of both views as they are now."""
+        first, last = self._line_of(start) - 1, self._line_of(end)
+        cut = slice(start - self._line_starts[first], end - self._line_starts[first])
+        views = ("\n".join(lines[first:last])[cut] for lines in (self._text_lines, self.lines))
+        return (*views, start)
+
+    def _holds(self, offset: int, char: str) -> bool:
+        """Whether the structural view still holds ``char`` at ``offset``."""
+        n = self._line_of(offset) - 1
+        col = offset - self._line_starts[n]
+        return self.lines[n][col : col + 1] == char
+
+    def _next(self, chars: str, start: int) -> tuple[int, str] | None:
+        """The first of ``chars`` at or after ``start`` in the structural
+        view, as ``(offset, char)``, or None."""
+        found = None
+        for char in chars:
+            offsets = self._brackets.at[char]
+            i = bisect_left(offsets, start)
+            while i < len(offsets) and not self._holds(offsets[i], char):
+                i += 1
+            if i < len(offsets) and (found is None or offsets[i] < found[0]):
+                found = (offsets[i], char)
+        return found
+
+    def _depth_at(self, lineno: int) -> int:
+        """Brace depth of the structural view at the start of a line."""
+        start = self._line_starts[lineno - 1]
+        opens, closes = (
+            bisect_left(self._brackets.at[c], start) - bisect_left(self._blanked[c], start)
+            for c in "{}"
+        )
+        return opens - closes
 
     def _mask_range(self, start: int, end: int) -> None:
-        """Blank chars [start, end) in both views, keeping newlines, and
-        bring ``lines`` and ``_depth_at`` up to date."""
+        """Blank chars [start, end) in both views, keeping newlines; log blanked braces."""
         if start >= end:
             return
-        masked = [c if c == "\n" else " " for c in self._text[start:end]]
-        self._text[start:end] = masked
-        self._struct[start:end] = masked
-        starts = self._line_starts
-        first = bisect_right(starts, start) - 1
-        stop = bisect_right(starts, end - 1)
-        seg_end = starts[stop] - 1 if stop < len(starts) else len(self._struct)
-        lines = "".join(self._struct[starts[first] : seg_end]).split("\n")
-        depths, after = _line_depths(lines, self._depth_at[first])
-        shift = after - self._depth_at[stop] if stop < len(starts) else 0
-        self.lines[first:stop] = lines
-        self._depth_at[first:stop] = depths
-        if shift:
-            for j in range(stop, len(self._depth_at)):
-                self._depth_at[j] += shift
-
-    def _find_close_brace(self, open_offset: int) -> int | None:
-        depth = 0
-        for i in range(open_offset, len(self._struct)):
-            c = self._struct[i]
-            if c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    return i
-        return None
+        for char, blanked in self._blanked.items():
+            offsets = self._brackets.at[char]
+            for k in offsets[bisect_left(offsets, start) : bisect_left(offsets, end)]:
+                if self._holds(k, char):
+                    insort(blanked, k)
+        for n in range(self._line_of(start) - 1, self._line_of(end - 1)):
+            base = self._line_starts[n]
+            for lines in (self.lines, self._text_lines):
+                line = lines[n]
+                a, b = max(start - base, 0), min(end - base, len(line))
+                lines[n] = line[:a] + " " * (b - a) + line[b:]
 
     def _span(self, line_start: int, line_end: int) -> SourceSpan:
         return SourceSpan(
@@ -551,7 +585,7 @@ class _JavaLikeParser:
         i = 1
         pending: list[LaastNode] = []
         while i <= n_lines:
-            if self._depth_at[i - 1] != 0:
+            if self._depth_at(i) != 0:
                 i += 1
                 continue
             if self._consume_annotations(i, pending):
@@ -572,44 +606,28 @@ class _JavaLikeParser:
         struct_line = self.lines[lineno - 1]
         if not struct_line.lstrip().startswith("@"):
             return False
-        end = lineno
-        window_struct = struct_line
-        while (
-            end < len(self.lines)
-            and window_struct.count("(") > window_struct.count(")")
-            and end - lineno < 20
-        ):
+        end, open_parens = lineno, struct_line.count("(") - struct_line.count(")")
+        while end < len(self.lines) and open_parens > 0 and end - lineno < 20:
+            open_parens += self.lines[end].count("(") - self.lines[end].count(")")
             end += 1
-            window_struct += "\n" + self.lines[end - 1]
+        window_struct = "\n".join(self.lines[lineno - 1 : end])
         start_off = self._offset_of_line(lineno)
-        window_text = "".join(self._text[start_off : start_off + len(window_struct)])
-        found = _read_annotations(window_text, window_struct)
+        window_text = "\n".join(self._text_lines[lineno - 1 : end])
+        found = _read_annotations(self._brackets, (window_text, window_struct, start_off))
+        if not found:
+            return False
+        # When no annotation closes, each is kept by name over the whole window.
         closed = [ann for ann in found if ann.end is not None]
-        if not closed:
-            if not found:
-                return False
-            for ann in found:
-                self._warn(lineno, f"unparseable arguments for @{ann.name}")
-                pending.append(
-                    LaastNode(kind=NodeKind.ANNOTATION, name=ann.name, span=self._span(lineno, end))
-                )
-            self._mask_range(start_off, start_off + len(window_struct))
-            return True
-        for ann in closed:
+        for ann in closed or found:
             if ann.args is None:
                 self._warn(lineno, f"unparseable arguments for @{ann.name}")
-            pending.append(
-                LaastNode(
-                    kind=NodeKind.ANNOTATION,
-                    name=ann.name,
-                    attributes=ann.args or {},
-                    span=self._span(
-                        self._line_of(start_off + ann.start),
-                        self._line_of(start_off + ann.end - 1),
-                    ),
-                )
+            span = self._span(lineno, end) if not closed else self._span(
+                self._line_of(start_off + ann.start), self._line_of(start_off + ann.end - 1)
             )
-        self._mask_range(start_off, start_off + closed[-1].end)
+            pending.append(LaastNode(
+                kind=NodeKind.ANNOTATION, name=ann.name, attributes=ann.args or {}, span=span
+            ))
+        self._mask_range(start_off, start_off + (closed[-1].end if closed else len(window_struct)))
         return True
 
     def _parse_type(
@@ -617,15 +635,16 @@ class _JavaLikeParser:
     ) -> int:
         type_kind, name = m.group(1), m.group(2)
         head_off = self._offset_of_line(lineno)
-        open_off = self._find("{", head_off)
-        if open_off == -1:
+        brace = self._next("{", head_off)
+        if brace is None:
             self._warn(lineno, f"type {name} has no body")
             return lineno + 1
-        close_off = self._find_close_brace(open_off)
+        open_off = brace[0]
+        close_off = self._brackets.close(open_off)
         if close_off is None:
             self._warn(lineno, f"unbalanced braces in type {name}")
-            close_off = len(self._struct) - 1
-        head_struct = "".join(self._struct[head_off:open_off])
+            close_off = self._size - 1
+        head_struct = self._piece(head_off, open_off)[1]
         attrs = {"type_kind": type_kind}
         em = re.search(r"\bextends\s+(.+?)(?:\bimplements\b|$)", head_struct, re.S)
         if em and em.group(1).strip():
@@ -669,15 +688,11 @@ class _JavaLikeParser:
     def _parse_members(
         self, type_node: LaastNode, open_line: int, close_line: int, type_name: str
     ) -> None:
-        open_off = self._find("{", self._offset_of_line(open_line))
-        body_depth = (
-            self._depth_at[open_line - 1]
-            + self._struct[self._offset_of_line(open_line) : open_off + 1].count("{")
-        )
+        body_depth = self._depth_at(open_line) + 1
         i = open_line + 1
         pending: list[LaastNode] = []
         while i < close_line:
-            if self._depth_at[i - 1] != body_depth:
+            if self._depth_at(i) != body_depth:
                 i += 1
                 continue
             struct_line = self.lines[i - 1]
@@ -704,7 +719,8 @@ class _JavaLikeParser:
                     continue
                 if re.match(rf"^\s*(?:{_MODIFIER}\s+)*{re.escape(type_name)}\s*\(", sig_struct):
                     # constructor: no endpoint semantics, skip its body
-                    i = self._skip_past(sig_end)
+                    end = self._head_end(self._offset_of_line(sig_end))
+                    i = sig_end + 1 if end is None else self._line_of(end[0]) + 1
                     pending = []
                     continue
             fm = _FIELD_RE.match(struct_line)
@@ -736,29 +752,23 @@ class _JavaLikeParser:
             return None
         depth = 0
         for j in range(lineno, min(limit, lineno + 30) + 1):
-            for ch in self.lines[j - 1]:
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                elif depth == 0 and ch in "{;":
+            for m in _HEAD_MARK_RE.finditer(self.lines[j - 1]):
+                char = m.group()
+                if char in "()":
+                    depth += _NESTING[char]
+                elif depth == 0:
                     return j
         return None
 
-    def _skip_past(self, sig_end: int) -> int:
-        """Next line after the body (or bare terminator) ending a head whose
-        last signature line is ``sig_end``."""
-        off = self._offset_of_line(sig_end)
-        for k in range(off, len(self._struct)):
-            c = self._struct[k]
-            if c == ";":
-                return self._line_of(k) + 1
-            if c == "{":
-                close = self._find_close_brace(k)
-                if close is None:
-                    return len(self.lines) + 1
-                return self._line_of(close) + 1
-        return sig_end + 1
+    def _head_end(self, start: int) -> tuple[int, int | None] | None:
+        """``(end, open)`` of the declaration head searched from ``start``:
+        its ``;`` and None, or the ``}`` closing its body (the file's last
+        character if none does) and the ``{`` opening it; None if neither."""
+        term = self._next("{;", start)
+        if term is None or term[1] == ";":
+            return None if term is None else (term[0], None)
+        close = self._brackets.close(term[0])
+        return self._size - 1 if close is None else close, term[0]
 
     def _parse_method(
         self, start_line: int, mm: re.Match, pending: list[LaastNode], type_node: LaastNode
@@ -766,8 +776,8 @@ class _JavaLikeParser:
         return_type = " ".join(mm.group(1).split())
         name = mm.group(2)
         sig_off = self._offset_of_line(start_line)
-        paren_off = self._find("(", sig_off)
-        paren_close = _balanced_parens(self._struct, paren_off)
+        paren_off = self._next("(", sig_off)[0]
+        paren_close = self._brackets.close(paren_off)
 
         method = LaastNode(
             kind=NodeKind.METHOD_DECL,
@@ -776,39 +786,25 @@ class _JavaLikeParser:
             children=list(pending),
             span=self._span(start_line, start_line),
         )
-        if paren_close:
-            params = slice(paren_off + 1, paren_close - 1)
-            params_text = "".join(self._text[params])
-            params_struct = "".join(self._struct[params])
-            for param in _split_args(params_text, params_struct):
-                self._add_param(method, *param, start_line)
+        if paren_close is not None:
+            for param in _split_args(self._brackets, self._piece(paren_off + 1, paren_close)):
+                self._add_param(method, param, start_line)
 
-        # find the character ending the head: `{` opens a body, `;` does not
-        end_line = start_line
-        term_off = None
-        search_from = paren_close if paren_close else sig_off
-        for k in range(search_from, len(self._struct)):
-            if self._struct[k] in "{;":
-                term_off = k
-                break
-        if term_off is not None:
-            end_line = self._line_of(term_off)
-            if self._struct[term_off] == "{":
-                close_off = self._find_close_brace(term_off)
-                if close_off is None:
-                    close_off = len(self._struct) - 1
-                end_line = self._line_of(close_off)
-                self._scan_body(method, term_off + 1, close_off)
+        end = self._head_end(sig_off if paren_close is None else paren_close + 1)
+        end_line = start_line if end is None else self._line_of(end[0])
+        if end is not None and end[1] is not None:
+            self._scan_body(method, end[1] + 1, end[0])
         method.span = self._span(start_line, end_line)
         type_node.children.append(method)
         return end_line + 1
 
-    def _add_param(self, method: LaastNode, text: str, struct: str, line: int) -> None:
+    def _add_param(self, method: LaastNode, param: _Piece, line: int) -> None:
         """Append the Param node of one stripped parameter to ``method``, or
         warn when it is not a type and a name after its annotations.
 
         Annotations whose arguments never close come after the others."""
-        found = sorted(_read_annotations(text, struct), key=lambda ann: ann.end is None)
+        text = param[0]
+        found = sorted(_read_annotations(self._brackets, param), key=lambda ann: ann.end is None)
         for ann in found:
             if ann.args is None:
                 self._warn(line, f"unparseable arguments for @{ann.name}")
@@ -843,23 +839,26 @@ class _JavaLikeParser:
         delimited on the structural view and read from the text view, where
         literals are intact.
         """
-        body_text = "".join(self._text[start_off:end_off])
-        body_struct = "".join(self._struct[start_off:end_off])
+        body = self._piece(start_off, end_off)
+        body_struct = body[1]
 
         def line_of(pos: int) -> int:
             return self._line_of(start_off + pos)
 
+        def close_of(pos: int) -> int | None:  # just past the ) closing in the body
+            close = self._brackets.close(start_off + pos)
+            return None if close is None or close >= end_off else close - start_off + 1
+
         calls = []
-        closes = _paren_closes(body_struct)
         for m in _CLIENT_HEAD_RE.finditer(body_struct):
             receiver, head = m.groups()
             idiom = _CLIENT_IDIOMS[receiver]
             if head not in idiom.heads:
                 continue
-            close = closes.get(m.end() - 1)
+            close = close_of(m.end() - 1)
             if close is None:
                 continue
-            args = _split_args(body_text[m.end() : close - 1], body_struct[m.end() : close - 1])
+            args = _split_args(self._brackets, _sub(body, m.end(), close - 1))
             roles = idiom.links or {}
             uri_link = "uri" in roles.values()
             if idiom.kind == CALL_KIND_REMOTE and not uri_link and not args:
@@ -872,7 +871,7 @@ class _JavaLikeParser:
             url_args, counted = ([], []) if uri_link else (args, list(args))
             paths: list[_Piece] = []
             end = close
-            chain = _read_chain(body_text, body_struct, closes, close) if roles else ()
+            chain = _read_chain(self._brackets, body, close_of, close) if roles else ()
             for link, link_args, link_end in chain:
                 end = link_end
                 role = roles.get(link)
@@ -886,11 +885,11 @@ class _JavaLikeParser:
                     if role == "verb":
                         http = link.upper()
             if idiom.kind == CALL_KIND_REMOTE:
-                template, clean = _url_template(url_args, paths)
+                template, clean = _url_template(self._brackets, url_args, paths)
                 attrs = {"http_method": http, "url_template": template}
                 problem = "unparseable URL expression"
             else:
-                topic = _unquote(*args[0]) if args else None
+                topic = _unquote(args[0]) if args else None
                 clean = topic is not None
                 attrs = {"topic": topic if clean else URL_WILDCARD}
                 problem = "non-literal topic"

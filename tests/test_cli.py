@@ -727,3 +727,49 @@ def test_hostile_passthrough_document_is_skipped_or_loaded_never_a_fault(hostile
     ir = json.loads((hostile_dir / "out" / "hostile.ir.json").read_bytes())
     skipped = ir["extraction_report"]["files_skipped"]
     assert skipped == ([] if reason is None else [{"file": "h.laast.json", "reason": reason}])
+
+
+def _in_class(members: str) -> str:
+    return f"@RestController\npublic class F {{\n{members}}}\n"
+
+
+def _in_method(body: str) -> str:
+    return _in_class(f"    @GetMapping(\"/a\")\n    public String get() {{\n{body}\n    }}\n")
+
+
+def _nested_array_handler(levels: int, on_param: bool) -> str:
+    value = "{" * levels + '"/x"' + "}" * levels
+    if on_param:
+        return _in_class(f'    @GetMapping("/a")\n    public String get(@RequestParam({value}) '
+                         "String q) { return q; }\n")
+    return _in_class(f"    @GetMapping(value = {value})\n"
+                     '    public String get() { return ""; }\n')
+
+
+_HOSTILE_JAVA = {
+    "nested classes": "".join(f"class C{i} {{\n" for i in range(2_000)) + "}\n" * 2_000,
+    "nested braces in a method body": _in_method("{" * 100_000 + "}" * 100_000),
+    "nested parens in a client-call argument": _in_method(
+        '        restTemplate.getForObject(' + "(" * 100_000 + '"http://beta/api/items/1"'
+        + ")" * 100_000 + ", String.class);"),
+    "nested generics": _in_class("    " + "Map<" * 20_000 + "String" + ">" * 20_000 + " m;\n"),
+    "annotated parameters": _in_class(
+        '    @GetMapping("/a")\n    public String get('
+        + ", ".join(f'@RequestParam("p{i}") String p{i}' for i in range(5_000))
+        + ") { return p0; }\n"),
+    "string literal": _in_class('    String s = "' + "x" * 5_000_000 + '";\n'),
+    "nested annotations": _in_class("    " + "@A(" * 5_000 + ")" * 5_000 + " int x;\n"),
+    "annotations with an unclosed brace": _in_class("    @A(x = {)\n" * 4_000),
+    "annotated fields with an unclosed brace": _in_class("    @A({) int x;\n" * 4_000),
+    **{f"array annotation nested {levels} deep{on}": _nested_array_handler(levels, bool(on))
+       for levels in (500, 2_000) for on in ("", " on a parameter")},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_HOSTILE_JAVA))
+def test_hostile_java_source_ends_in_a_report(tmp_path, capsys, shape):
+    config = _write_project(tmp_path, {"hostile": {"src/F.java": _HOSTILE_JAVA[shape]},
+                                       "beta": {"src/Ctl.java": _CONTROLLER}})
+    code = _run("--config", str(config))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "internal error" not in err, err

@@ -18,11 +18,10 @@ from microweave.frontend import (
     SourceTree,
     _HTTP_ENUM_RE,
     _TYPE_PAT,
+    _Brackets,
     _JavaLikeParser,
-    _balanced_parens,
     _call_node,
     _masked_views,
-    _paren_closes,
     _read_annotations,
     _split_args,
     _unquote,
@@ -66,7 +65,8 @@ def _types(root):
 def _annotations(window):
     """``(name, start, end, args)`` of each top-level annotation in ``window``."""
     text, struct, _starts = _masked_views(window)
-    return [(a.name, a.start, a.end, a.args) for a in _read_annotations(text, struct)]
+    found = _read_annotations(_Brackets(struct), (text, struct, 0))
+    return [(a.name, a.start, a.end, a.args) for a in found]
 
 
 def test_recognize_annotation_simple_and_valued():
@@ -425,15 +425,6 @@ def test_parse_work_grows_linearly_with_file_size():
     assert all(g <= 2.2 for g in growth), (counts, growth)
 
 
-@settings(derandomize=True, max_examples=300)
-@given(st.text(alphabet="(()) x\n", max_size=40))
-def test_paren_table_matches_scanning_from_each_open(struct):
-    closes = _paren_closes(struct)
-    opens = [i for i, c in enumerate(struct) if c == "("]
-    assert {i: closes.get(i) for i in opens} == {i: _balanced_parens(struct, i) for i in opens}
-    assert set(closes) <= set(opens)
-
-
 def _parse_line_count(text: str) -> int:
     """Python lines executed while parsing ``text``: unlike calls, these
     also count the steps of a loop inside one call."""
@@ -464,6 +455,176 @@ def test_unclosed_client_call_heads_parse_in_linear_work():
         counts = [counter(source(n)) for n in (500, 1000, 2000)]
         growth = [later / earlier for earlier, later in zip(counts, counts[1:])]
         assert all(g <= 2.2 for g in growth), (counter.__name__, counts, growth)
+
+
+@pytest.mark.parametrize("member", ["    @A(x = {)\n", "    @A({) int x;\n"])
+def test_annotations_holding_an_unclosed_brace_parse_in_linear_work(member):
+    # Blanking each annotation removes a { that every later line's depth had
+    # counted, so the depths of all later lines change with each blank.
+    counts = [_parse_line_count(f"public class F {{\n{member * n}}}\n") for n in (1000, 2000, 4000)]
+    growth = [later / earlier for earlier, later in zip(counts, counts[1:])]
+    assert all(g <= 2.2 for g in growth), (counts, growth)
+
+
+def _nested_array_annotation(levels: int, on_param: bool) -> str:
+    """A handler whose ``@GetMapping`` (or whose parameter's
+    ``@RequestParam``) holds ``"/x"`` in arrays nested ``levels`` deep."""
+    value = "{" * levels + '"/x", "/y"' + "}" * levels
+    if on_param:
+        head = (f'    @GetMapping("/a")\n'
+                f"    public String get(@RequestParam(value = {value}) String q)")
+    else:
+        head = f"    @GetMapping(value = {value})\n    public String get(String q)"
+    return f'@RestController\npublic class F {{\n{head} {{\n        return q;\n    }}\n}}\n'
+
+
+@pytest.mark.parametrize("on_param", [False, True])
+def test_nested_annotation_arrays_flatten_in_linear_work(on_param):
+    counts = [_parse_line_count(_nested_array_annotation(n, on_param)) for n in (250, 500, 1000)]
+    growth = [later / earlier for earlier, later in zip(counts, counts[1:])]
+    assert all(g <= 2.2 for g in growth), (counts, growth)
+    unit = _JavaLikeParser(_nested_array_annotation(2000, on_param), "F.java").parse()
+    (method,) = [n for n, _a in _iter(unit) if n.kind == NodeKind.METHOD_DECL]
+    holder = method.children[1] if on_param else method
+    assert holder.children[0].attributes == {"value": "/x|/y"}
+
+
+@pytest.mark.parametrize("value, expected", [
+    ('{{"a", "b"}, "c"}', "a|b|c"),
+    ('{{}, "c"}', "|c"),
+    ('{{}, {}}', "|"),
+    ("{}", ""),
+    ('{{{"a"}}, {x.Y.Z, Foo.class}}', "a|Z|Foo.class"),
+])
+def test_nested_annotation_arrays_join_every_value(value, expected):
+    window = f"@A(v = {value})"
+    assert _annotations(window) == [("A", 0, len(window), {"v": expected})]
+
+
+# The character loops the bracket table replaced, as they were, kept as its
+# oracles.  ``_find_close_brace`` and ``_signature_extent`` were parser
+# methods; here they take the view they read.
+
+def _oracle_balanced_parens(struct: str, open_idx: int) -> int | None:
+    """Given the index of ``(`` in a structural view, return the index just
+    past the matching ``)``."""
+    depth = 0
+    for i in range(open_idx, len(struct)):
+        c = struct[i]
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    return None
+
+
+def _oracle_find_close_brace(struct: str, open_offset: int) -> int | None:
+    depth = 0
+    for i in range(open_offset, len(struct)):
+        c = struct[i]
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    return None
+
+
+_ORACLE_NESTING = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
+
+
+def _oracle_split_top_level(text: str, struct: str, sep: str) -> list[tuple[str, str]]:
+    """Split both views on a separator character outside brackets."""
+    parts: list[tuple[str, str]] = []
+    depth = start = 0
+    for i, c in enumerate(struct):
+        if c == sep and depth == 0:
+            parts.append((text[start:i], struct[start:i]))
+            start = i + 1
+        else:
+            depth += _ORACLE_NESTING.get(c, 0)
+    parts.append((text[start:], struct[start:]))
+    return parts
+
+
+def _oracle_signature_extent(lines: list[str], lineno: int, limit: int) -> int | None:
+    """Last line of a declaration head starting at ``lineno``: the line
+    carrying ``{`` or ``;`` at paren depth 0.  None when the line has no
+    call-shaped head."""
+    if "(" not in lines[lineno - 1]:
+        return None
+    depth = 0
+    for j in range(lineno, min(limit, lineno + 30) + 1):
+        for ch in lines[j - 1]:
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            elif depth == 0 and ch in "{;":
+                return j
+    return None
+
+
+def _past(close: int | None) -> int | None:
+    return None if close is None else close + 1
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.text(alphabet="(()) x\n", max_size=40))
+def test_paren_table_matches_scanning_from_each_open(struct):
+    brackets = _Brackets(struct)
+    opens = [i for i, c in enumerate(struct) if c == "("]
+    assert [_past(brackets.close(i)) for i in opens] == [
+        _oracle_balanced_parens(struct, i) for i in opens
+    ]
+    assert all(brackets.close(i) is None for i, c in enumerate(struct) if c != "(")
+
+
+# Unclosed brackets, mismatched kinds, extra closers, separators, literals
+# holding brackets and separators, comments, and annotation windows.
+_BRACKET_TEXT = st.lists(
+    st.sampled_from([
+        "(", ")", "[", "]", "{", "}", "( { ) }", "} ) ]", ",", "=", "+", ";", "a", " ", "\n",
+        '"(,{"', "'}'", "/* ) */", "// ,}\n", "@A(", '@B(x = {"a", ("b")})', "@C({)",
+        "@D(v = {{1, 2}, 3})", "void m(int a, String b) {", "f(x);",
+    ]),
+    max_size=40,
+).map("".join)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_BRACKET_TEXT, st.data())
+def test_bracket_table_matches_old_loops(source, data):
+    text, struct, _starts = _masked_views(source)
+    brackets = _Brackets(struct)
+    swapped = struct.translate(str.maketrans("[]()", "()  "))
+    for i, c in enumerate(struct):
+        if c == "{":
+            assert brackets.close(i) == _oracle_find_close_brace(struct, i)
+        elif c == "(":
+            assert _past(brackets.close(i)) == _oracle_balanced_parens(struct, i)
+        elif c == "[":
+            assert _past(brackets.close(i)) == _oracle_balanced_parens(swapped, i)
+        else:
+            assert brackets.close(i) is None
+    start = data.draw(st.integers(0, len(struct)))
+    end = data.draw(st.integers(start, len(struct)))
+    for sep in ",=+":
+        parts = brackets.split_top_level((text[start:end], struct[start:end], start), sep)
+        assert [(t, s) for t, s, _o in parts] == _oracle_split_top_level(
+            text[start:end], struct[start:end], sep
+        )
+        assert all(struct[o : o + len(s)] == s for _t, s, o in parts)
+    lines = struct.split("\n")
+    parser = _JavaLikeParser(source, "F.java")
+    for lineno in range(1, len(lines) + 1):
+        for limit in (lineno, len(lines)):
+            assert parser._signature_extent(lineno, limit) == _oracle_signature_extent(
+                lines, lineno, limit
+            )
 
 
 # The character-loop maskers the one-pass lexer replaced, kept as its oracle,
@@ -637,10 +798,10 @@ def test_mask_range_matches_full_recompute(source, data):
         text = text[:start] + masked + text[end:]
         struct = struct[:start] + masked + struct[end:]
         parser._mask_range(start, end)
-        assert "".join(parser._text) == text
-        assert "".join(parser._struct) == struct
+        assert parser._text_lines == text.split("\n")
         assert parser.lines == struct.split("\n")
-        assert parser._depth_at == _oracle_depths(struct)
+        depths = [parser._depth_at(lineno) for lineno in range(1, len(parser.lines) + 1)]
+        assert depths == _oracle_depths(struct)
 
 
 _JAVA_FRAGMENTS = st.sampled_from([
@@ -676,6 +837,75 @@ def test_extract_survives_random_java_like_text(tmp_path_factory, head, fragment
         if node.span is not None:
             assert 1 <= node.span.line_start <= node.span.line_end <= n_lines, node
     assert load_laast(save_laast(tree)) == tree
+
+
+class _CheckedBrackets:
+    """A parser's bracket table that checks each answer against the old
+    character loops run on the parser's structural view as it is then."""
+
+    def __init__(self, parser):
+        self._parser = parser
+        self._table = parser._brackets
+        self.at = self._table.at
+
+    def close(self, offset):
+        got = self._table.close(offset)
+        struct = "\n".join(self._parser.lines)
+        assert struct[offset] in "{("
+        if struct[offset] == "{":
+            assert got == _oracle_find_close_brace(struct, offset)
+        else:
+            assert _past(got) == _oracle_balanced_parens(struct, offset)
+        return got
+
+    def split_top_level(self, piece, sep):
+        parts = self._table.split_top_level(piece, sep)
+        text, struct, start = piece
+        assert "\n".join(self._parser.lines)[start : start + len(struct)] == struct
+        assert [(t, s) for t, s, _o in parts] == _oracle_split_top_level(text, struct, sep)
+        return parts
+
+
+class _CheckedParser(_JavaLikeParser):
+    """A parser whose table lookups, searches and depths are each checked
+    against the old loops on the structural view as blanking has left it."""
+
+    def __init__(self, text, relpath):
+        super().__init__(text, relpath)
+        self._brackets = _CheckedBrackets(self)
+
+    def _next(self, chars, start):
+        struct = "\n".join(self.lines)
+        expected = next(((k, c) for k, c in enumerate(struct) if k >= start and c in chars), None)
+        assert super()._next(chars, start) == expected
+        return expected
+
+    def _depth_at(self, lineno):
+        depth = super()._depth_at(lineno)
+        assert depth == _oracle_depths("\n".join(self.lines))[lineno - 1]
+        return depth
+
+    def _signature_extent(self, lineno, limit):
+        extent = super()._signature_extent(lineno, limit)
+        assert extent == _oracle_signature_extent(self.lines, lineno, limit)
+        return extent
+
+
+_UNBALANCED_ANNOTATIONS = st.sampled_from([
+    "@A(x = {)", "@A({) int x;", "@A(})", "@B(", '@C(v = {{"a"}, {}, "b"})', "@D({( } , )})",
+    "@E([)", "@F(a = {x, (y}, z)",
+])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_JAVA_HEADS, st.lists(_JAVA_FRAGMENTS | _UNBALANCED_ANNOTATIONS, max_size=60),
+       st.sampled_from(["", " "]))
+def test_table_stays_valid_while_annotations_are_blanked(head, fragments, sep):
+    source = head + sep.join(fragments)
+    checked = _CheckedParser(source, "F.java")
+    plain = _JavaLikeParser(source, "F.java")
+    assert save_laast(checked.parse()) == save_laast(plain.parse())
+    assert checked.warnings == plain.warnings
 
 
 # The per-receiver client-call scanners the idiom table replaced, kept as its
@@ -714,7 +944,7 @@ def _old_receiver_call_re(receivers) -> re.Pattern:
 _OLD_CHAIN_LINK_RE = re.compile(r"\s*\.\s*([A-Za-z_][\w$]*)\s*")
 
 
-def _old_read_chain(text, struct, start):
+def _old_read_chain(brackets, text, struct, start):
     """The chain reader that matched each link's parens from its head."""
     links = []
     pos = start
@@ -722,10 +952,10 @@ def _old_read_chain(text, struct, start):
         m = _OLD_CHAIN_LINK_RE.match(struct, pos)
         if m is None or m.end() >= len(struct) or struct[m.end()] != "(":
             break
-        close = _balanced_parens(struct, m.end())
+        close = _oracle_balanced_parens(struct, m.end())
         if close is None:
             break
-        args = _split_args(text[m.end() + 1 : close - 1], struct[m.end() + 1 : close - 1])
+        args = _split_args(brackets, _piece(text, struct, m.end() + 1, close - 1))
         links.append((m.group(1), args, close))
         pos = close
     return links
@@ -738,22 +968,23 @@ _OLD_PUBLISH_HEAD_RE = _old_receiver_call_re(_OLD_PUBLISH_RECEIVERS)
 
 
 def _old_find_remote(text, struct, line_of):
+    brackets = _Brackets(struct)
     calls = []
     warnings = []
     for m in _OLD_REMOTE_HEAD_RE.finditer(text):
         receiver, method = m.group(1), m.group(2)
         open_idx = m.end() - 1
-        close = _balanced_parens(struct, open_idx)
+        close = _oracle_balanced_parens(struct, open_idx)
         if close is None:
             continue
-        args = _split_args(text[open_idx + 1 : close - 1], struct[open_idx + 1 : close - 1])
+        args = _split_args(brackets, _piece(text, struct, open_idx + 1, close - 1))
 
         if receiver in _OLD_TEMPLATE_RECEIVERS:
             table = _OLD_TEMPLATE_RECEIVERS[receiver]
             if method not in table or not args:
                 continue
             http = table[method]
-            template, clean = _url_template_from_expr(*args[0])
+            template, clean = _url_template_from_expr(brackets, args[0])
             if http == "EXCHANGE":
                 http = HTTP_UNKNOWN
                 if len(args) >= 2:
@@ -787,14 +1018,14 @@ def _old_find_remote(text, struct, line_of):
             uri_args = []
             body_args = []
             end = close
-            for link, largs, link_end in _old_read_chain(text, struct, close):
+            for link, largs, link_end in _old_read_chain(brackets, text, struct, close):
                 end = link_end
                 if link == "uri" and not uri_args:
                     uri_args = largs
                 elif link in ("body", "bodyValue"):
                     body_args.extend(largs)
             if uri_args:
-                template, clean = _url_template_from_expr(*uri_args[0])
+                template, clean = _url_template_from_expr(brackets, uri_args[0])
             else:
                 template, clean = URL_WILDCARD, False
             if not clean:
@@ -816,14 +1047,14 @@ def _old_find_remote(text, struct, line_of):
         elif receiver in _OLD_TARGET_RECEIVERS:
             if method != "target" or not args:
                 continue
-            template, clean = _url_template_from_expr(*args[0])
+            template, clean = _url_template_from_expr(brackets, args[0])
             arg_count = len(args)
             http = HTTP_UNKNOWN
             end = close
-            for link, largs, link_end in _old_read_chain(text, struct, close):
+            for link, largs, link_end in _old_read_chain(brackets, text, struct, close):
                 end = link_end
                 if link == "path" and largs:
-                    part, part_clean = _url_template_from_expr(*largs[0])
+                    part, part_clean = _url_template_from_expr(brackets, largs[0])
                     template = template.rstrip("/") + "/" + part.lstrip("/")
                     clean = clean and part_clean
                 elif link in ("get", "post", "put", "delete", "patch"):
@@ -849,6 +1080,7 @@ def _old_find_remote(text, struct, line_of):
 
 
 def _old_find_publish(text, struct, line_of):
+    brackets = _Brackets(struct)
     calls = []
     warnings = []
     for m in _OLD_PUBLISH_HEAD_RE.finditer(text):
@@ -856,11 +1088,11 @@ def _old_find_publish(text, struct, line_of):
         if method not in _OLD_PUBLISH_RECEIVERS[receiver]:
             continue
         open_idx = m.end() - 1
-        close = _balanced_parens(struct, open_idx)
+        close = _oracle_balanced_parens(struct, open_idx)
         if close is None:
             continue
-        args = _split_args(text[open_idx + 1 : close - 1], struct[open_idx + 1 : close - 1])
-        topic = _unquote(*args[0]) if args else None
+        args = _split_args(brackets, _piece(text, struct, open_idx + 1, close - 1))
+        topic = _unquote(args[0]) if args else None
         if topic is None:
             topic = URL_WILDCARD
             warnings.append((m.start(), f"non-literal topic in {receiver}.{method}(...)"))
@@ -876,6 +1108,10 @@ def _old_find_publish(text, struct, line_of):
             )
         )
     return calls, warnings
+
+
+def _piece(text, struct, start, end):
+    return text[start:end], struct[start:end], start
 
 
 _METHOD_HEAD = "public class F {\n    public void m() {\n        "
@@ -1180,7 +1416,7 @@ def _old_consume_annotations(self, lineno: int, pending: list[LaastNode]) -> boo
         window_struct += "\n" + self.lines[end - 1]
     extents = _old_annotation_extents(window_struct)
     start_off = self._offset_of_line(lineno)
-    window_text = "".join(self._text[start_off : start_off + len(window_struct)])
+    window_text = "\n".join(self._text_lines[lineno - 1 : end])
     if not extents:
         errors = _old_annotation_errors(window_struct)
         if not errors:
@@ -1301,13 +1537,13 @@ def test_annotation_reader_matches_old_scanners(window):
     assert new._consume_annotations(1, new_pending) == _old_consume_annotations(old, 1, old_pending)
     assert _rows(new_pending) == _rows(old_pending)
     assert new.warnings == old.warnings
-    assert (new._text, new._struct) == (old._text, old._struct)
+    assert (new._text_lines, new.lines) == (old._text_lines, old.lines)
 
     old, new = _JavaLikeParser(window, "W.java"), _JavaLikeParser(window, "W.java")
     text, struct, _starts = _masked_views(window)
     method = LaastNode(kind=NodeKind.METHOD_DECL, name="m")
-    for param in _split_args(text, struct):
-        new._add_param(method, *param, 1)
+    for param in _split_args(new._brackets, (text, struct, 0)):
+        new._add_param(method, param, 1)
     assert _rows(method.children) == _rows(_old_params(old, text, "m", 1))
     assert new.warnings == old.warnings
 
