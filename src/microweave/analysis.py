@@ -10,6 +10,7 @@ cannot be introduced from outside.
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from microweave.matchers import PARAM_BODY, PARAM_PATH, Endpoint, RemoteCall
@@ -66,6 +67,8 @@ class Finding:
         return (self.rule_id, tuple(s.sort_key() for s in self.subjects))
 
 
+# report.json writes a CouplingReport with dataclasses.asdict, so the field
+# names and order of these two classes are its "coupling" keys.
 @dataclass
 class ServiceCoupling:
     service: str
@@ -91,6 +94,10 @@ class CheckSettings:
         return self.severity_overrides.get(rule_id, DEFAULT_SEVERITIES[rule_id])
 
 
+#: ``emit(rule_id, message, *subjects)`` records one finding of a check.
+Emit = Callable[..., None]
+
+
 def _emits(*rule_ids: str):
     """Tag a check with the rules it can emit; run_checks skips a check
     whose every rule is disabled."""
@@ -100,6 +107,22 @@ def _emits(*rule_ids: str):
         return check
 
     return tag
+
+
+def _call_pairs(system: SystemIr) -> set[tuple[str, str]]:
+    """Distinct (caller, callee) service pairs of the comm edges; a
+    service calling itself is no dependency."""
+    return {
+        (e.from_service, e.to_service)
+        for e in system.comm_edges
+        if e.from_service != e.to_service
+    }
+
+
+def _event_pairs(system: SystemIr) -> set[tuple[str, str]]:
+    """Distinct (publisher, subscriber) service pairs of the event edges,
+    self-subscriptions dropped."""
+    return {(pub, sub) for pub, sub, _topic in system.event_edges if pub != sub}
 
 
 def _call_subject(call: RemoteCall) -> Subject:
@@ -121,7 +144,7 @@ def _endpoint_subject(endpoint: Endpoint) -> Subject:
 
 
 @_emits(RULE_DANGLING_CALL, RULE_SIGNATURE_MISMATCH)
-def _check_calls(system: SystemIr, settings: CheckSettings, findings: list[Finding]):
+def _check_calls(system: SystemIr, emit: Emit):
     """E01 and the method-mismatch arm of E02 over the calls weave left
     without an edge.
 
@@ -131,113 +154,79 @@ def _check_calls(system: SystemIr, settings: CheckSettings, findings: list[Findi
     """
     for call, endpoint in system.unmatched_calls:
         if endpoint is not None:
-            findings.append(
-                Finding(
-                    rule_id=RULE_SIGNATURE_MISMATCH,
-                    severity=settings.severity(RULE_SIGNATURE_MISMATCH),
-                    message=(
-                        f"{call.http_method} {call.url_template} matches the "
-                        f"path of {endpoint.service} "
-                        f"{' '.join(endpoint.url_templates)} but that endpoint "
-                        f"only accepts {endpoint.http_method}"
-                    ),
-                    subjects=(_call_subject(call), _endpoint_subject(endpoint)),
-                )
+            emit(
+                RULE_SIGNATURE_MISMATCH,
+                f"{call.http_method} {call.url_template} matches the path of "
+                f"{endpoint.service} {' '.join(endpoint.url_templates)} but that "
+                f"endpoint only accepts {endpoint.http_method}",
+                _call_subject(call),
+                _endpoint_subject(endpoint),
             )
         else:
-            findings.append(
-                Finding(
-                    rule_id=RULE_DANGLING_CALL,
-                    severity=settings.severity(RULE_DANGLING_CALL),
-                    message=(
-                        f"{call.http_method} {call.url_template} from "
-                        f"{call.caller_component}.{call.caller_method} matches "
-                        f"no endpoint of any analyzed service"
-                    ),
-                    subjects=(_call_subject(call),),
-                )
+            emit(
+                RULE_DANGLING_CALL,
+                f"{call.http_method} {call.url_template} from "
+                f"{call.caller_component}.{call.caller_method} matches no endpoint "
+                f"of any analyzed service",
+                _call_subject(call),
             )
 
 
 @_emits(RULE_SIGNATURE_MISMATCH)
-def _check_arg_counts(system: SystemIr, settings: CheckSettings, findings: list[Finding]):
+def _check_arg_counts(system: SystemIr, emit: Emit):
     """Arg-count arm of E02 over matched edges."""
     for edge in system.comm_edges:
         call, endpoint = edge.call, edge.endpoint
         expected = sum(1 for _n, kind, _t in endpoint.params if kind in (PARAM_PATH, PARAM_BODY))
         if abs(call.arg_count - expected) > ARG_COUNT_TOLERANCE:
-            findings.append(
-                Finding(
-                    rule_id=RULE_SIGNATURE_MISMATCH,
-                    severity=settings.severity(RULE_SIGNATURE_MISMATCH),
-                    message=(
-                        f"call {call.caller_component}.{call.caller_method} passes "
-                        f"{call.arg_count} argument(s) but endpoint "
-                        f"{endpoint.owner}.{endpoint.handler.name} declares "
-                        f"{expected} path/body parameter(s)"
-                    ),
-                    subjects=(_call_subject(call), _endpoint_subject(endpoint)),
-                )
+            emit(
+                RULE_SIGNATURE_MISMATCH,
+                f"call {call.caller_component}.{call.caller_method} passes "
+                f"{call.arg_count} argument(s) but endpoint "
+                f"{endpoint.owner}.{endpoint.handler.name} declares "
+                f"{expected} path/body parameter(s)",
+                _call_subject(call),
+                _endpoint_subject(endpoint),
             )
 
 
 @_emits(RULE_ENTITY_DRIFT)
-def _check_entity_drift(system: SystemIr, settings: CheckSettings, findings: list[Finding]):
-    fields_by_entity: dict[tuple[str, str], list[str]] = {}
-    for model in system.context_map.bounded_contexts:
-        for entity in model.entities:
-            fields_by_entity[(model.service_name, entity.name)] = [
-                name for name, _t in entity.fields
-            ]
+def _check_entity_drift(system: SystemIr, emit: Emit):
+    """One W01 per entity match whose two entities leave a field unmatched
+    or pair fields of incompatible types."""
     for match in system.context_map.matches:
-        matched_a = {f.field_a for f in match.field_matches}
-        matched_b = {f.field_b for f in match.field_matches}
-        extra_a = sorted(
-            set(fields_by_entity.get((match.service_a, match.entity_a), [])) - matched_a
-        )
-        extra_b = sorted(
-            set(fields_by_entity.get((match.service_b, match.entity_b), [])) - matched_b
-        )
+        parts = []
+        for entity, matched in (
+            (match.a, {f.field_a for f in match.field_matches}),
+            (match.b, {f.field_b for f in match.field_matches}),
+        ):
+            extra = sorted({name for name, _t in entity.fields} - matched)
+            if extra:
+                parts.append(
+                    f"{entity.service}.{entity.name} has unmatched field(s) " + ", ".join(extra)
+                )
         incompatible = sorted(
             (f.field_a, f.field_b) for f in match.field_matches if not f.type_compatible
         )
-        if not extra_a and not extra_b and not incompatible:
-            continue
-        parts = []
-        if extra_a:
-            parts.append(
-                f"{match.service_a}.{match.entity_a} has unmatched field(s) "
-                + ", ".join(extra_a)
-            )
-        if extra_b:
-            parts.append(
-                f"{match.service_b}.{match.entity_b} has unmatched field(s) "
-                + ", ".join(extra_b)
-            )
         if incompatible:
             parts.append(
                 "type-incompatible pair(s) "
                 + ", ".join(f"{a}~{b}" for a, b in incompatible)
             )
-        findings.append(
-            Finding(
-                rule_id=RULE_ENTITY_DRIFT,
-                severity=settings.severity(RULE_ENTITY_DRIFT),
-                message=(
-                    f"entities {match.service_a}.{match.entity_a} and "
-                    f"{match.service_b}.{match.entity_b} match at score "
-                    f"{match.score:.3f} but their fields drift: " + "; ".join(parts)
-                ),
-                subjects=(
-                    Subject(service=match.service_a, ref=match.entity_a),
-                    Subject(service=match.service_b, ref=match.entity_b),
-                ),
-            )
+        if not parts:
+            continue
+        emit(
+            RULE_ENTITY_DRIFT,
+            f"entities {match.service_a}.{match.entity_a} and "
+            f"{match.service_b}.{match.entity_b} match at score "
+            f"{match.score:.3f} but their fields drift: " + "; ".join(parts),
+            Subject(service=match.service_a, ref=match.entity_a),
+            Subject(service=match.service_b, ref=match.entity_b),
         )
 
 
 @_emits(RULE_AMBIGUOUS_EDGE)
-def _check_ambiguous_edges(system: SystemIr, settings: CheckSettings, findings: list[Finding]):
+def _check_ambiguous_edges(system: SystemIr, emit: Emit):
     """One W02 per call whose best score ties between several endpoints."""
     groups: dict[int, list[CommEdge]] = {}
     for edge in system.comm_edges:
@@ -250,87 +239,58 @@ def _check_ambiguous_edges(system: SystemIr, settings: CheckSettings, findings: 
             f"({e.endpoint.owner}.{e.endpoint.handler.name})"
             for e in edges
         )
-        findings.append(
-            Finding(
-                rule_id=RULE_AMBIGUOUS_EDGE,
-                severity=settings.severity(RULE_AMBIGUOUS_EDGE),
-                message=(
-                    f"{call.http_method} {call.url_template} from "
-                    f"{call.caller_component}.{call.caller_method} ties between "
-                    f"{len(edges)} endpoints: {targets}"
-                ),
-                subjects=(_call_subject(call),),
-            )
+        emit(
+            RULE_AMBIGUOUS_EDGE,
+            f"{call.http_method} {call.url_template} from "
+            f"{call.caller_component}.{call.caller_method} ties between "
+            f"{len(edges)} endpoints: {targets}",
+            _call_subject(call),
         )
 
 
 @_emits(RULE_UNREACHABLE_ENDPOINT)
-def _check_unreachable_endpoints(
-    system: SystemIr, settings: CheckSettings, findings: list[Finding]
-):
+def _check_unreachable_endpoints(system: SystemIr, emit: Emit):
     reached = {id(edge.endpoint) for edge in system.comm_edges}
     for ir in system.services:
         for endpoint in ir.endpoints:
             if id(endpoint) in reached:
                 continue
-            findings.append(
-                Finding(
-                    rule_id=RULE_UNREACHABLE_ENDPOINT,
-                    severity=settings.severity(RULE_UNREACHABLE_ENDPOINT),
-                    message=(
-                        f"endpoint {endpoint.http_method} "
-                        f"{' '.join(endpoint.url_templates)} "
-                        f"({endpoint.owner}.{endpoint.handler.name}) receives no "
-                        f"call from any analyzed service"
-                    ),
-                    subjects=(_endpoint_subject(endpoint),),
-                )
+            emit(
+                RULE_UNREACHABLE_ENDPOINT,
+                f"endpoint {endpoint.http_method} {' '.join(endpoint.url_templates)} "
+                f"({endpoint.owner}.{endpoint.handler.name}) receives no call from "
+                f"any analyzed service",
+                _endpoint_subject(endpoint),
             )
 
 
 @_emits(RULE_TOPOLOGY_MISMATCH)
-def _check_topology(system: SystemIr, settings: CheckSettings, findings: list[Finding]):
+def _check_topology(system: SystemIr, emit: Emit):
     """W04 both ways, only when topology data exists."""
     if not system.topology_edges:
         return
-    declared_pairs = {(src, dst) for src, dst, _origin in system.topology_edges}
-    comm_pairs = {
-        (e.from_service, e.to_service)
-        for e in system.comm_edges
-        if e.from_service != e.to_service
-    }
-    event_pairs = {(pub, sub) for pub, sub, _topic in system.event_edges if pub != sub}
-
-    for src, dst in sorted(comm_pairs - declared_pairs):
-        findings.append(
-            Finding(
-                rule_id=RULE_TOPOLOGY_MISMATCH,
-                severity=settings.severity(RULE_TOPOLOGY_MISMATCH),
-                message=(
-                    f"calls from {src} to {dst} were observed but the "
-                    f"deployment declares no dependency between them"
-                ),
-                subjects=(
-                    Subject(service=src, ref=f"{src}->{dst}"),
-                    Subject(service=dst, ref=f"{src}->{dst}"),
-                ),
+    declared = {(src, dst) for src, dst, _origin in system.topology_edges}
+    calls = _call_pairs(system)
+    for pairs, wording in (
+        (
+            calls - declared,
+            "calls from {src} to {dst} were observed but the deployment "
+            "declares no dependency between them",
+        ),
+        (
+            declared - calls - _event_pairs(system),
+            "the deployment declares {src} -> {dst} but no call or event "
+            "between them was observed",
+        ),
+    ):
+        for src, dst in sorted(pairs):
+            ref = f"{src}->{dst}"
+            emit(
+                RULE_TOPOLOGY_MISMATCH,
+                wording.format(src=src, dst=dst),
+                Subject(service=src, ref=ref),
+                Subject(service=dst, ref=ref),
             )
-        )
-    for src, dst in sorted(declared_pairs - comm_pairs - event_pairs):
-        findings.append(
-            Finding(
-                rule_id=RULE_TOPOLOGY_MISMATCH,
-                severity=settings.severity(RULE_TOPOLOGY_MISMATCH),
-                message=(
-                    f"the deployment declares {src} -> {dst} but no call or "
-                    f"event between them was observed"
-                ),
-                subjects=(
-                    Subject(service=src, ref=f"{src}->{dst}"),
-                    Subject(service=dst, ref=f"{src}->{dst}"),
-                ),
-            )
-        )
 
 
 def _sorted_adjacency(edges: set[tuple[str, str]]) -> dict[str, list[str]]:
@@ -451,7 +411,7 @@ def _shortest_cycle(adjacency: dict[str, list[str]], members: set[str], start: s
 
 
 @_emits(RULE_CYCLIC_DEPENDENCY)
-def _check_cycles(system: SystemIr, settings: CheckSettings, findings: list[Finding]):
+def _check_cycles(system: SystemIr, emit: Emit):
     """One S01 per strongly connected component of two or more services.
 
     The message names one shortest cycle through the component's smallest
@@ -459,13 +419,7 @@ def _check_cycles(system: SystemIr, settings: CheckSettings, findings: list[Find
     edges as members) keeps the per-cycle wording; any other says how many
     services are tangled, and lists the members off the witness after it.
     """
-    adjacency = _sorted_adjacency(
-        {
-            (e.from_service, e.to_service)
-            for e in system.comm_edges
-            if e.from_service != e.to_service
-        }
-    )
+    adjacency = _sorted_adjacency(_call_pairs(system))
     for component in strong_components(adjacency):
         if len(component) < 2:
             continue
@@ -483,13 +437,10 @@ def _check_cycles(system: SystemIr, settings: CheckSettings, findings: list[Find
             )
             on_cycle = set(cycle)
             named = cycle + [m for m in component if m not in on_cycle]
-        findings.append(
-            Finding(
-                rule_id=RULE_CYCLIC_DEPENDENCY,
-                severity=settings.severity(RULE_CYCLIC_DEPENDENCY),
-                message=message,
-                subjects=tuple(Subject(service=s, ref=route) for s in named),
-            )
+        emit(
+            RULE_CYCLIC_DEPENDENCY,
+            message,
+            *(Subject(service=s, ref=route) for s in named),
         )
 
 
@@ -510,15 +461,19 @@ def run_checks(system: SystemIr, settings: CheckSettings | None = None) -> list[
 
     A check runs unless every rule it emits is disabled.  E01 and the
     method arm of E02 share one pass (_check_calls) because E02 takes
-    precedence on the same call site, so a disabled rule of a check that
-    still runs is filtered out afterwards.
+    precedence on the same call site, so ``emit`` drops the findings of a
+    disabled rule of a check that still runs.
     """
     settings = settings or CheckSettings()
     findings: list[Finding] = []
+
+    def emit(rule_id: str, message: str, *subjects: Subject) -> None:
+        if rule_id not in settings.disabled_rules:
+            findings.append(Finding(rule_id, settings.severity(rule_id), message, subjects))
+
     for check in _CHECKS:
         if not check.rule_ids <= settings.disabled_rules:
-            check(system, settings, findings)
-    findings = [f for f in findings if f.rule_id not in settings.disabled_rules]
+            check(system, emit)
     findings.sort(key=Finding.sort_key)
     return findings
 
@@ -526,13 +481,7 @@ def run_checks(system: SystemIr, settings: CheckSettings | None = None) -> list[
 def coupling_metrics(system: SystemIr) -> CouplingReport:
     """Afferent/efferent coupling over distinct service pairs from comm and
     event edges; instability = ads/(ais+ads) with 0/0 defined as 0."""
-    pairs = {
-        (e.from_service, e.to_service)
-        for e in system.comm_edges
-        if e.from_service != e.to_service
-    }
-    pairs |= {(pub, sub) for pub, sub, _topic in system.event_edges if pub != sub}
-
+    pairs = _call_pairs(system) | _event_pairs(system)
     afferent = Counter(dst for _src, dst in pairs)
     efferent = Counter(src for src, _dst in pairs)
     rows = []
@@ -551,31 +500,3 @@ def coupling_metrics(system: SystemIr) -> CouplingReport:
         mean_instability=total / len(rows) if rows else 0.0,
     )
 
-
-def finding_to_json_obj(finding: Finding) -> dict:
-    return {
-        "rule_id": finding.rule_id,
-        "severity": finding.severity,
-        "message": finding.message,
-        "subjects": [
-            {"service": s.service, "ref": s.ref, "file": s.file, "line": s.line}
-            for s in finding.subjects
-        ],
-    }
-
-
-def coupling_to_json_obj(report: CouplingReport) -> dict:
-    return {
-        "services": [
-            {
-                "service": row.service,
-                "ais": row.ais,
-                "ads": row.ads,
-                "instability": row.instability,
-            }
-            for row in report.services
-        ],
-        "total_services": report.total_services,
-        "total_pairs": report.total_pairs,
-        "mean_instability": report.mean_instability,
-    }

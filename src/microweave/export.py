@@ -9,6 +9,7 @@ order, so identical systems always serialize to identical bytes.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from itertools import chain
 
 from microweave.analysis import (
@@ -17,8 +18,6 @@ from microweave.analysis import (
     SEV_ERROR,
     SEV_INFO,
     SEV_WARNING,
-    coupling_to_json_obj,
-    finding_to_json_obj,
 )
 from microweave.jsonio import array_chunks, canonical_bytes, join_chunks
 from microweave.weave import SystemIr
@@ -148,7 +147,19 @@ def _finding_line(finding: Finding) -> str:
     return line
 
 
-def _text_report(findings: list[Finding], metrics: CouplingReport | None) -> str:
+def finding_to_json_obj(finding: Finding) -> dict:
+    return {
+        "rule_id": finding.rule_id,
+        "severity": finding.severity,
+        "message": finding.message,
+        "subjects": [
+            {"service": s.service, "ref": s.ref, "file": s.file, "line": s.line}
+            for s in finding.subjects
+        ],
+    }
+
+
+def _text_report(findings: list[Finding], metrics: CouplingReport) -> str:
     sections = []
     if not findings:
         sections.append("No findings.")
@@ -164,33 +175,31 @@ def _text_report(findings: list[Finding], metrics: CouplingReport | None) -> str
             sections.append(
                 "\n".join([f"{title} ({len(group)})"] + [_finding_line(f) for f in group])
             )
-    if metrics is not None:
-        lines = ["COUPLING"]
-        for row in metrics.services:
-            lines.append(
-                f"{row.service}: ais={row.ais} ads={row.ads} "
-                f"instability={row.instability:.4f}"
-            )
+    lines = ["COUPLING"]
+    for row in metrics.services:
         lines.append(
-            f"total: services={metrics.total_services} pairs={metrics.total_pairs} "
-            f"mean_instability={metrics.mean_instability:.4f}"
+            f"{row.service}: ais={row.ais} ads={row.ads} "
+            f"instability={row.instability:.4f}"
         )
-        sections.append("\n".join(lines))
+    lines.append(
+        f"total: services={metrics.total_services} pairs={metrics.total_pairs} "
+        f"mean_instability={metrics.mean_instability:.4f}"
+    )
+    sections.append("\n".join(lines))
     return "\n\n".join(sections) + "\n"
 
 
 def export_report(
     findings: list[Finding],
-    metrics: CouplingReport | None = None,
+    metrics: CouplingReport,
     fmt: str = "json",
 ) -> bytes:
     """Serialize findings and coupling metrics as canonical JSON or as the
     grouped one-line-per-finding text form."""
     if fmt == "json":
-        coupling = coupling_to_json_obj(metrics) if metrics is not None else None
         return join_chunks(chain(
             (b'{"findings":',), array_chunks(finding_to_json_obj(f) for f in findings),
-            (b',"coupling":', canonical_bytes(coupling), b"}"),
+            (b',"coupling":', canonical_bytes(asdict(metrics)), b"}"),
         ))
     if fmt == "text":
         return _text_report(findings, metrics).encode("utf-8")

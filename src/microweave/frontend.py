@@ -25,8 +25,8 @@ from microweave.laast import (
     LaastNode,
     NodeKind,
     SourceSpan,
+    count_nodes,
     load_laast,
-    walk,
 )
 
 SPRING_LIKE = "SpringLike"
@@ -986,5 +986,5 @@ def extract(tree: SourceTree, files: list[Path] | None = None
             root.children.append(parser.parse())
             report.warnings.extend(parser.warnings)
         report.files_scanned += 1
-    report.nodes_emitted = walk(root, lambda node, ancestors: None)
+    report.nodes_emitted = count_nodes(root)
     return root, report

@@ -15,7 +15,6 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 from microweave.errors import MalformedDocument, SchemaViolation
 from microweave.jsonio import array_chunks, canonical_bytes, join_chunks
@@ -103,11 +102,11 @@ def _fail(message: str, path: str) -> SchemaViolation:
 
 # A ``\uD800``-``\uDFFF`` escape outside a pair decodes to a lone surrogate,
 # which no output can encode as UTF-8.
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _check_text(value: str, what: str, path: str) -> None:
-    if not value.isascii() and _SURROGATE_RE.search(value):
+    if not value.isascii() and LONE_SURROGATE.search(value):
         raise _fail(f"{what} holds a lone surrogate", path)
 
 
@@ -256,20 +255,14 @@ def save_laast(root: LaastNode) -> bytes:
     return join_chunks(_node_chunks(root, 0))
 
 
-def walk(root: LaastNode, visitor: Callable[[LaastNode, tuple[LaastNode, ...]], None]) -> int:
-    """Pre-order depth-first traversal.
-
-    ``visitor`` receives each node with its ancestor path (root to parent).
-    Returns the number of nodes visited.
-    """
+def count_nodes(root: LaastNode) -> int:
+    """The number of nodes in the tree, ``root`` included, counted with an
+    explicit stack so depth is not bounded by the recursion limit."""
     count = 0
-    stack: list[tuple[LaastNode, tuple[LaastNode, ...]]] = [(root, ())]
+    stack = [root]
     while stack:
-        node, path = stack.pop()
-        visitor(node, path)
+        node = stack.pop()
         count += 1
-        child_path = path + (node,)
-        for child in reversed(node.children):
-            stack.append((child, child_path))
+        stack.extend(node.children)
     return count
 

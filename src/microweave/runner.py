@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import sys
 import threading
 from collections.abc import Iterable, Iterator
@@ -42,7 +41,7 @@ from microweave.frontend import (
 )
 from microweave.ir import ServiceIr, build_service_ir, save_service_ir
 from microweave.jsonio import array_chunks, atomic_write, canonical_bytes
-from microweave.laast import LaastNode, save_laast
+from microweave.laast import LONE_SURROGATE, LaastNode, save_laast
 from microweave.matchers import MatcherRule, default_ruleset, run_matchers, validate_ruleset
 from microweave.similarity import load_taxonomy_file
 from microweave.topology import load_compose_file, merge_topologies
@@ -249,15 +248,12 @@ def _parse_ruleset(raw) -> list[MatcherRule]:
 
 # A \uD800-\uDFFF escape outside a pair decodes to a lone surrogate, which
 # no UTF-8 encode accepts: not the config digest, a path or a file name.
-_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
 def _reject_lone_surrogates(raw: dict) -> None:
     pending: list[tuple[str, object]] = [("", raw)]
     while pending:
         field_name, value = pending.pop()
         if isinstance(value, str):
-            if _LONE_SURROGATE.search(value):
+            if LONE_SURROGATE.search(value):
                 raise ConfigError(f"{field_name} holds a lone surrogate", field=field_name)
         elif isinstance(value, dict):
             for key, item in value.items():

@@ -17,7 +17,13 @@ from microweave.errors import DuplicateServiceError
 from microweave.frontend import HTTP_UNKNOWN, URL_WILDCARD
 from microweave.ir import DataModel, ServiceIr, derive_data_model, unwrap_collection
 from microweave.jsonio import array_chunks, canonical_bytes, join_chunks
-from microweave.matchers import DIRECTION_PUBLISH, DIRECTION_SUBSCRIBE, Endpoint, RemoteCall
+from microweave.matchers import (
+    DIRECTION_PUBLISH,
+    DIRECTION_SUBSCRIBE,
+    Component,
+    Endpoint,
+    RemoteCall,
+)
 from microweave.similarity import Taxonomy, entity_similarity
 from microweave.topology import Inventory, TopologyModel, build_inventory
 
@@ -59,13 +65,28 @@ class FieldMatch:
 
 @dataclass(frozen=True, slots=True)
 class EntityMatch:
-    service_a: str
-    entity_a: str
-    service_b: str
-    entity_b: str
+    #: the two entities joined, ``a`` from the service that sorts first
+    a: Component
+    b: Component
     score: float
     strategy: str
     field_matches: tuple[FieldMatch, ...]
+
+    @property
+    def service_a(self) -> str:
+        return self.a.service
+
+    @property
+    def entity_a(self) -> str:
+        return self.a.name
+
+    @property
+    def service_b(self) -> str:
+        return self.b.service
+
+    @property
+    def entity_b(self) -> str:
+        return self.b.name
 
 
 @dataclass
@@ -205,10 +226,8 @@ def build_context_map(
                     continue
                 matches.append(
                     EntityMatch(
-                        service_a=model_a.service_name,
-                        entity_a=ent_a.name,
-                        service_b=model_b.service_name,
-                        entity_b=ent_b.name,
+                        a=ent_a,
+                        b=ent_b,
                         score=score,
                         strategy=strategy,
                         field_matches=match_fields(

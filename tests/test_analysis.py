@@ -450,7 +450,7 @@ def test_detect_cycles_walks_a_5000_node_ring():
     assert detect_cycles(ring) == [tuple(names)]
 
 
-def _old_check_cycles(system, settings, findings):
+def _old_check_cycles(system, emit):
     """The per-cycle S01 check that per-component findings replaced."""
     edges = {
         (e.from_service, e.to_service)
@@ -459,13 +459,10 @@ def _old_check_cycles(system, settings, findings):
     }
     for cycle in detect_cycles(edges):
         route = " -> ".join(cycle + (cycle[0],))
-        findings.append(
-            Finding(
-                rule_id=RULE_CYCLIC_DEPENDENCY,
-                severity=settings.severity(RULE_CYCLIC_DEPENDENCY),
-                message=f"services call each other in a cycle: {route}",
-                subjects=tuple(Subject(service=s, ref=route) for s in cycle),
-            )
+        emit(
+            RULE_CYCLIC_DEPENDENCY,
+            f"services call each other in a cycle: {route}",
+            *(Subject(service=s, ref=route) for s in cycle),
         )
 
 
@@ -478,7 +475,11 @@ def _edge_system(edges):
 
 def _cycle_findings(edges, check=analysis._check_cycles):
     findings = []
-    check(_edge_system(edges), CheckSettings(), findings)
+
+    def emit(rule_id, message, *subjects):
+        findings.append(Finding(rule_id, CheckSettings().severity(rule_id), message, subjects))
+
+    check(_edge_system(edges), emit)
     return findings
 
 

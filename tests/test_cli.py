@@ -287,6 +287,106 @@ def test_two_identical_calls_on_one_line_get_one_w02_each(tmp_path, capsys):
     assert len(system["comm_edges"]) == 4
 
 
+def _entity_source(package: str, fields: list[str]) -> str:
+    members = "".join(f"    private String {name};\n" for name in fields)
+    return f"package {package};\n\n@Entity\npublic class User {{\n{members}}}\n"
+
+
+def test_entity_drift_compares_each_match_own_entities(tmp_path, capsys):
+    # alpha holds two entities named User; each pairs with beta.User, and
+    # W01 must read the fields of the User in that match, not the other one.
+    config = _write_project(
+        tmp_path,
+        {
+            "alpha": {
+                "src/a/User.java": _entity_source("a", ["id", "name"]),
+                "src/b/User.java": _entity_source("b", ["id", "email", "phone"]),
+            },
+            "beta": {"src/User.java": _entity_source("beta", ["id", "name"])},
+        },
+    )
+    assert _run("--config", str(config)) == 1
+    capsys.readouterr()
+    context_map = json.loads((tmp_path / "out" / "context-map.json").read_bytes())
+    assert [(m["entity_a"], m["entity_b"]) for m in context_map["matches"]] == [
+        ("User", "User"),
+        ("User", "User"),
+    ]
+    text = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+    w01 = [line for line in text.splitlines() if line.startswith("W01 ")]
+    assert w01 == [
+        "W01 warning alpha, beta: entities alpha.User and beta.User match at score "
+        "1.000 but their fields drift: alpha.User has unmatched field(s) email, phone; "
+        "beta.User has unmatched field(s) name"
+    ]
+
+
+_SELF_CALLER = """
+@RestController
+@RequestMapping("/api/items")
+public class ItemController {
+    private final RestTemplate restTemplate;
+    private final KafkaTemplate<String, String> kafkaTemplate;
+
+    @GetMapping("/{id}")
+    public String get(@PathVariable("id") long id) {
+        return "";
+    }
+
+    public void refresh(long id) {
+        restTemplate.getForObject("http://a/api/items/" + id, String.class);
+        kafkaTemplate.send("items.changed", "x");
+    }
+
+    @KafkaListener(topics = "items.changed")
+    public void onChanged(String message) {
+    }
+}
+"""
+
+_SELF_CALL_COMPOSE = """
+services:
+  a:
+    image: test/a:1
+  b:
+    image: test/b:1
+    depends_on:
+      - a
+"""
+
+
+def test_self_calls_are_written_but_are_no_dependency(tmp_path, capsys):
+    (tmp_path / "docker-compose.yml").write_text(_SELF_CALL_COMPOSE, encoding="utf-8")
+    config = _write_project(
+        tmp_path,
+        {"a": {"src/Items.java": _SELF_CALLER}, "b": {"src/Ctl.java": _CONTROLLER}},
+        compose_paths=["docker-compose.yml"],
+    )
+    assert _run("--config", str(config)) == 1
+    capsys.readouterr()
+    out = tmp_path / "out"
+    system = json.loads((out / "system.json").read_bytes())
+    assert [(e["from_service"], e["to_service"]) for e in system["comm_edges"]] == [("a", "a")]
+    assert system["event_edges"] == [
+        {"publisher": "a", "subscriber": "a", "topic": "items.changed"}
+    ]
+    assert [(e["from_service"], e["to_service"]) for e in system["topology_edges"]] == [
+        ("b", "a")
+    ]
+    report = json.loads((out / "report.json").read_bytes())
+    topology = [f["message"] for f in report["findings"] if f["rule_id"] == "W04"]
+    assert topology == [
+        "the deployment declares b -> a but no call or event between them was observed"
+    ]
+    assert not [f for f in report["findings"] if f["rule_id"] == "S01"]
+    coupling = report["coupling"]
+    assert coupling["total_pairs"] == 0
+    assert [(row["service"], row["ais"], row["ads"]) for row in coupling["services"]] == [
+        ("a", 0, 0),
+        ("b", 0, 0),
+    ]
+
+
 def test_bad_arg_count_in_passthrough_document_is_skipped(tmp_path, capsys):
     from microweave.frontend import SourceTree, extract
     from microweave.laast import save_laast

@@ -235,14 +235,17 @@ def test_report_text_sections_and_counts():
     assert "mean_instability=0.5000" in text
 
 
+_NO_COUPLING = CouplingReport(services=[], total_services=0, total_pairs=0, mean_instability=0.0)
+
+
 def test_report_text_empty_says_no_findings():
-    text = export_report([], None, fmt="text").decode("utf-8")
+    text = export_report([], _NO_COUPLING, fmt="text").decode("utf-8")
     assert "No findings." in text
 
 
 def test_report_rejects_unknown_format():
     with pytest.raises(ValueError):
-        export_report([], None, fmt="csv")
+        export_report([], _NO_COUPLING, fmt="csv")
 
 
 def test_report_reflects_severity_override():

@@ -10,9 +10,9 @@ from microweave.laast import (
     LaastNode,
     NodeKind,
     SourceSpan,
+    count_nodes,
     load_laast,
     save_laast,
-    walk,
 )
 
 
@@ -145,20 +145,17 @@ def test_load_rejects_remote_arg_counts_int_cannot_convert():
         load_laast(call("9" * 4301))
 
 
-def test_walk_is_preorder_and_counts_nodes():
+def test_count_nodes_counts_every_node():
     leaf1 = LaastNode(kind=NodeKind.LITERAL, name="l1")
     leaf2 = LaastNode(kind=NodeKind.LITERAL, name="l2")
     mid = LaastNode(kind=NodeKind.TYPE_DECL, name="T", children=[leaf1, leaf2])
-    root = _unit(children=[mid])
-    seen = []
-    count = walk(root, lambda node, ancestors: seen.append((node.name, len(ancestors))))
-    assert count == 4
-    assert seen == [("Example.java", 0), ("T", 1), ("l1", 2), ("l2", 2)]
+    root = _unit(children=[mid, LaastNode(kind=NodeKind.LITERAL, name="l3")])
+    assert count_nodes(root) == 5
 
 
-def test_walk_handles_deep_trees_without_recursion_limit():
+def test_count_nodes_handles_deep_trees_without_recursion_limit():
     node = LaastNode(kind=NodeKind.BLOCK, name="leaf")
     for depth in range(5000):
         node = LaastNode(kind=NodeKind.BLOCK, name=f"b{depth}", children=[node])
     root = _unit(children=[node])
-    assert walk(root, lambda n, a: None) == 5002
+    assert count_nodes(root) == 5002
