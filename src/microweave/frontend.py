@@ -10,7 +10,7 @@ aborts on a bad input file; every anomaly becomes a warning or a skip.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -174,13 +174,12 @@ def _masked_views(source: str) -> tuple[str, str, list[int]]:
     return "".join(text), "".join(struct), starts
 
 
-# Every helper below takes a piece of source as its two views, ``text`` and
-# ``struct``, sliced at the same offsets, and the offset of their first
-# character in the views the bracket table was built from: it finds structure
-# in ``struct``, where no literal holds a bracket or a separator, and reads
-# values from ``text``.
+# Every helper below reads a piece of source as a ``(start, end)`` range of
+# file offsets, through the ``_Brackets`` of its file: it finds structure in
+# ``struct``, where no literal holds a bracket or a separator, and reads values
+# from ``text``, slicing only the value it returns.
 
-_Piece = tuple[str, str, int]
+_Piece = tuple[int, int]
 _NESTING = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 _OPENER_OF = {")": "(", "]": "[", "}": "{"}
 
@@ -190,9 +189,11 @@ _MARK_RE = re.compile(r"[()\[\]{};,=+]")
 
 
 class _Brackets:
-    """The bracket table of one structural view, from one walk over it.
+    """One file's two views and the bracket table of its structural view.
 
-    Each kind of bracket is matched on its own stack, so ``close`` gives what
+    ``text`` and ``struct`` are never changed, so a piece of the file is the
+    same range in both.  The table comes from one walk over ``struct``.  Each
+    kind of bracket is matched on its own stack, so ``close`` gives what
     scanning forward from an opener and counting only its kind finds.  ``at``
     holds the sorted offsets of each ``{``, ``}``, ``(`` and ``;``.  Each
     separator's offsets are grouped by the depth before them, counted over
@@ -201,7 +202,9 @@ class _Brackets:
     is nested inside it.
     """
 
-    def __init__(self, struct: str):
+    def __init__(self, text: str, struct: str):
+        self.text = text
+        self.struct = struct
         self._closes: dict[int, int | None] = {}
         self.at: dict[str, list[int]] = {char: [] for char in "{}(;"}
         self._seps: dict[str, dict[int, list[int]]] = {sep: {} for sep in ",=+"}
@@ -234,46 +237,52 @@ class _Brackets:
 
     def split_top_level(self, piece: _Piece, sep: str) -> list[_Piece]:
         """Split a piece on a separator character at its starting depth."""
-        start = piece[2]
+        start, end = piece
         before = bisect_left(self._bracket_offsets, start)
         offsets = self._seps[sep].get(self._depths_after[before - 1] if before else 0, [])
         parts: list[_Piece] = []
-        pos = 0
-        for i in offsets[bisect_left(offsets, start) : bisect_left(offsets, start + len(piece[1]))]:
-            parts.append(_sub(piece, pos, i - start))
-            pos = i - start + 1
-        parts.append(_sub(piece, pos, len(piece[1])))
+        for i in offsets[bisect_left(offsets, start) : bisect_left(offsets, end)]:
+            parts.append((start, i))
+            start = i + 1
+        parts.append((start, end))
         return parts
 
 
-def _sub(piece: _Piece, start: int, end: int) -> _Piece:
-    """Characters [start, end) of ``piece``."""
-    text, struct, offset = piece
-    return text[start:end], struct[start:end], offset + start
+#: What of a piece is left without the whitespace around it: group 1, or
+#: nothing when the piece is blank.  The greedy ``.*`` backs off from the end,
+#: so a match costs the trailing whitespace, not the piece.
+_STRIPPED_RE = re.compile(r"\s*(.*\S)?", re.S)
 
 
-def _strip(piece: _Piece) -> _Piece:
+def _strip(src: _Brackets, piece: _Piece) -> _Piece:
     """``piece`` without the whitespace around its text."""
-    text = piece[0]
-    end = len(text.rstrip())
-    return _sub(piece, end - len(text[:end].lstrip()), end)
+    start, end = _STRIPPED_RE.match(src.text, *piece).span(1)
+    return (start, end) if start >= 0 else (piece[0], piece[0])
 
 
-def _split_args(brackets: _Brackets, piece: _Piece, sep: str = ",") -> list[_Piece]:
+def _split_args(src: _Brackets, piece: _Piece, sep: str = ",") -> list[_Piece]:
     """The non-blank pieces between top-level separators, stripped."""
-    pieces = (_strip(part) for part in brackets.split_top_level(piece, sep))
-    return [piece for piece in pieces if piece[0]]
+    pieces = (_strip(src, part) for part in src.split_top_level(piece, sep))
+    return [(start, end) for start, end in pieces if start < end]
 
 
-def _unquote(piece: _Piece) -> str | None:
+#: One string literal in the structural view, which blanks its contents.
+_LITERAL_RE = re.compile(r'" *"')
+
+
+def _unquote(src: _Brackets, piece: _Piece) -> str | None:
     """The value of a stripped piece that is one string literal, else None."""
-    text, struct, _ = piece
-    if len(struct) < 2 or struct[0] != '"' or struct[-1] != '"' or struct[1:-1].strip(" "):
+    start, end = piece
+    if not _LITERAL_RE.fullmatch(src.struct, start, end):
         return None
-    return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+    return src.text[start + 1 : end - 1].replace('\\"', '"').replace("\\\\", "\\")
 
 
-def _encode_annotation_value(brackets: _Brackets, piece: _Piece) -> str:
+_DOTTED_RE = re.compile(r"[\w$]+(?:\.[\w$]+)+")
+_KEY_RE = re.compile(r"[\w$]+")
+
+
+def _encode_annotation_value(src: _Brackets, piece: _Piece) -> str:
     """Render one annotation argument value as its flat string form.
 
     String literals lose their quotes; ``{a, b}`` arrays join with ``|``, and
@@ -285,34 +294,36 @@ def _encode_annotation_value(brackets: _Brackets, piece: _Piece) -> str:
     values: list[str] = []
     todo = [piece]
     while todo:
-        piece = _strip(todo.pop())
-        text, struct, _ = piece
-        lit = _unquote(piece)
+        piece = _strip(src, todo.pop())
+        start, end = piece
+        lit = _unquote(src, piece)
         if lit is not None:
             values.append(lit)
-        elif struct.startswith("{") and struct.endswith("}"):
-            items = _split_args(brackets, _sub(piece, 1, len(struct) - 1))
+        elif src.struct.startswith("{", start, end) and src.struct.endswith("}", start, end):
+            items = _split_args(src, (start + 1, end - 1))
             todo.extend(reversed(items))
             if not items:
                 values.append("")
-        elif not text.endswith(".class") and re.fullmatch(r"[\w$]+(?:\.[\w$]+)+", text):
-            values.append(text.rsplit(".", 1)[1])
+        elif not src.text.endswith(".class", start, end) and _DOTTED_RE.fullmatch(
+            src.text, start, end
+        ):
+            values.append(src.text[start:end].rsplit(".", 1)[1])
         else:
-            values.append(text)
+            values.append(src.text[start:end])
     return "|".join(values)
 
 
-def _annotation_args(brackets: _Brackets, piece: _Piece) -> dict[str, str] | None:
+def _annotation_args(src: _Brackets, piece: _Piece) -> dict[str, str] | None:
     """The argument map of an annotation's argument list, or None when the
     list does not read as one ``value`` or as ``key = value`` pairs."""
     args: dict[str, str] = {}
-    for part in _split_args(brackets, piece):
-        kv = brackets.split_top_level(part, "=")
-        key = kv[0][0].strip()
-        if len(kv) == 2 and re.fullmatch(r"[\w$]+", key):
-            args[key] = _encode_annotation_value(brackets, kv[1])
+    for part in _split_args(src, piece):
+        kv = src.split_top_level(part, "=")
+        key = _strip(src, kv[0])
+        if len(kv) == 2 and _KEY_RE.fullmatch(src.text, *key):
+            args[src.text[key[0] : key[1]]] = _encode_annotation_value(src, kv[1])
         elif len(kv) == 1:
-            args["value"] = _encode_annotation_value(brackets, part)
+            args["value"] = _encode_annotation_value(src, part)
         else:
             return None
     return args
@@ -322,9 +333,9 @@ def _annotation_args(brackets: _Brackets, piece: _Piece) -> dict[str, str] | Non
 class _Annotation:
     """One top-level ``@Name`` or ``@Name(..)`` in a window.
 
-    ``start`` and ``end`` are offsets in the window; ``end`` is the offset
-    just past it, or None when its argument list never closes in the window;
-    ``args`` is None when the list is unparseable.
+    ``start`` and ``end`` are file offsets; ``end`` is the offset just past
+    it, or None when its argument list never closes in the window; ``args``
+    is None when the list is unparseable.
     """
 
     name: str
@@ -337,28 +348,27 @@ class _Annotation:
 _ANNOTATION_HEAD_RE = re.compile(r"@\s*([A-Za-z_][\w$]*)(\s*\()?")
 
 
-def _read_annotations(brackets: _Brackets, window: _Piece) -> list[_Annotation]:
+def _read_annotations(src: _Brackets, window: _Piece) -> list[_Annotation]:
     """The top-level annotations of a window in source order.
 
     An annotation inside the arguments of one that closes is folded into it;
     the annotations inside an argument list that never closes in the window
     are top-level too.  ``@interface`` is no annotation.
     """
-    struct, base = window[1], window[2]
     found: list[_Annotation] = []
-    folded_until = 0
-    for m in _ANNOTATION_HEAD_RE.finditer(struct):
+    folded_until = window[0]
+    for m in _ANNOTATION_HEAD_RE.finditer(src.struct, *window):
         name, end = m.group(1), m.end()
         if name == "interface" or m.start() < folded_until:
             continue
         args: dict[str, str] | None = {}
         if m.group(2):
-            close = brackets.close(base + end - 1)
-            if close is None or close >= base + len(struct):
+            close = src.close(end - 1)
+            if close is None or close >= window[1]:
                 found.append(_Annotation(name, m.start(), None, None))
                 continue
-            args = _annotation_args(brackets, _sub(window, end, close - base))
-            end = close - base + 1
+            args = _annotation_args(src, (end, close))
+            end = close + 1
         found.append(_Annotation(name, m.start(), end, args))
         folded_until = end
     return found
@@ -368,7 +378,7 @@ def _read_annotations(brackets: _Brackets, window: _Piece) -> list[_Annotation]:
 # remote-call / event recognition
 
 
-def _url_template_from_expr(brackets: _Brackets, expr: _Piece) -> tuple[str, bool]:
+def _url_template_from_expr(src: _Brackets, expr: _Piece) -> tuple[str, bool]:
     """Build a URL template from a (possibly concatenated) argument expression.
 
     Literal fragments keep their text; every non-literal operand becomes the
@@ -376,8 +386,8 @@ def _url_template_from_expr(brackets: _Brackets, expr: _Piece) -> tuple[str, boo
     """
     fragments: list[str] = []
     had_literal = False
-    for part in _split_args(brackets, expr, "+"):
-        lit = _unquote(part)
+    for part in _split_args(src, expr, "+"):
+        lit = _unquote(src, part)
         if lit is not None:
             fragments.append(lit)
             had_literal = True
@@ -396,26 +406,21 @@ _CHAIN_LINK_RE = re.compile(r"\s*\.\s*([A-Za-z_][\w$]*)\s*(?=\()")
 
 
 def _read_chain(
-    brackets: _Brackets, body: _Piece, close_of: Callable[[int], int | None], start: int
+    src: _Brackets, close_of: Callable[[int], int | None], start: int
 ) -> list[tuple[str, list[_Piece], int]]:
     """Read a fluent chain ``.a(args).b(args)...`` starting at offset
-    ``start`` of ``body``; ``close_of`` maps the offset of a ``(`` in it to
-    the offset just past its ``)``, or None.
+    ``start``; ``close_of`` maps the offset of a link's ``(`` to that of its
+    ``)``, or to None, which ends the chain.
 
-    Returns ``(method, argument list, end offset)`` per link.
+    Returns ``(method, argument list, offset of the closing paren)`` per link.
     """
     links: list[tuple[str, list[_Piece], int]] = []
-    pos = start
-    while True:
-        m = _CHAIN_LINK_RE.match(body[1], pos)
-        if m is None:
-            break
+    while (m := _CHAIN_LINK_RE.match(src.struct, start)) is not None:
         close = close_of(m.end())
         if close is None:
             break
-        args = _split_args(brackets, _sub(body, m.end() + 1, close - 1))
-        links.append((m.group(1), args, close))
-        pos = close
+        links.append((m.group(1), _split_args(src, (m.end() + 1, close)), close))
+        start = close + 1
     return links
 
 
@@ -431,7 +436,7 @@ _CLIENT_HEAD_RE = re.compile(
 
 
 def _url_template(
-    brackets: _Brackets, url_args: list[_Piece], paths: list[_Piece]
+    src: _Brackets, url_args: list[_Piece], paths: list[_Piece]
 ) -> tuple[str, bool]:
     """URL template of the first of ``url_args`` with each of ``paths``
     (``.path(..)`` arguments) appended as one more piece.
@@ -441,9 +446,9 @@ def _url_template(
     """
     if not url_args:
         return URL_WILDCARD, False
-    template, clean = _url_template_from_expr(brackets, url_args[0])
+    template, clean = _url_template_from_expr(src, url_args[0])
     for expr in paths:
-        part, part_clean = _url_template_from_expr(brackets, expr)
+        part, part_clean = _url_template_from_expr(src, expr)
         template = template.rstrip("/") + "/" + part.lstrip("/")
         clean = clean and part_clean
     return template, clean
@@ -466,16 +471,18 @@ _MODIFIER = "(?:" + "|".join(sorted(_MODIFIER_WORDS)) + ")"
 _TYPE_PAT = r"[A-Za-z_][\w$]*(?:\s*\.\s*[\w$]+)*(?:\s*<[^;{}()]*>)?(?:\s*\[\s*\])*"
 
 _TYPE_DECL_RE = re.compile(
-    rf"^\s*(?:{_MODIFIER}\s+)*(class|interface|enum|record)\s+([A-Za-z_][\w$]*)"
+    rf"\s*(?:{_MODIFIER}\s+)*(class|interface|enum|record)\s+([A-Za-z_][\w$]*)"
 )
 _METHOD_HEAD_RE = re.compile(
-    rf"^\s*(?:{_MODIFIER}\s+)*(?:<[^>]*>\s*)?({_TYPE_PAT})\s+([A-Za-z_][\w$]*)\s*\("
+    rf"\s*(?:{_MODIFIER}\s+)*(?:<[^>]*>\s*)?({_TYPE_PAT})\s+([A-Za-z_][\w$]*)\s*\("
 )
-_FIELD_RE = re.compile(rf"^\s*(?:{_MODIFIER}\s+)*({_TYPE_PAT})\s+([A-Za-z_][\w$]*)\s*(?:=|;)")
+_FIELD_RE = re.compile(rf"\s*(?:{_MODIFIER}\s+)*({_TYPE_PAT})\s+([A-Za-z_][\w$]*)\s*(?:=|;)")
 _PARAM_RE = re.compile(rf"(?:final\s+)?({_TYPE_PAT})\s+([A-Za-z_][\w$]*)")
 _LOCAL_CALL_RE = re.compile(
     r"(?<![\w.$@])(?:([A-Za-z_][\w$]*)\s*\.\s*)?([A-Za-z_][\w$]*)\s*\("
 )
+#: A head without a return type: a constructor's when ``group(1)`` names its type.
+_CALLABLE_HEAD_RE = re.compile(rf"\s*(?:{_MODIFIER}\s+)*([A-Za-z_][\w$]*)\s*\(")
 #: What a declaration head's extent is read from: parens and terminators.
 _HEAD_MARK_RE = re.compile(r"[(){;]")
 
@@ -483,54 +490,46 @@ _HEAD_MARK_RE = re.compile(r"[(){;]")
 class _JavaLikeParser:
     """Heuristic declaration scanner for one source file.
 
-    Works on two aligned views of the file, made in one lexing pass:
+    Reads two views of the file, made in one lexing pass and never changed:
     comment-masked text (string literals intact, for value extraction) and
     additionally string-masked text (for structural scans, so braces or
-    parens inside literals never confuse depth tracking).  Both preserve
-    offsets and line breaks and are kept split at their newlines: ``lines``
-    is the structural view.  Consumed annotations are blanked out of both
-    views, rewriting only the lines they touch, so a declaration sharing
-    their line is still seen.
+    parens inside literals never confuse depth tracking).  Both keep the
+    offsets and line breaks of the file, so a piece of it is one
+    ``(start, end)`` range of offsets in either.  They are read through one
+    ``_Brackets``, which also answers every "where does this bracket close"
+    and "where is the next ``{``, ``(`` or ``;``".
 
-    One bracket table per file, built from the structural view before any
-    blanking, answers every "where does this bracket close" and "where is
-    the next ``{``, ``(`` or ``;``".  Blanking never invalidates it: a
-    bracket's match depends only on the text after it, and the parser only
-    looks up brackets past every blanked range.  The brace depth at a line
-    start is the file's braces before it less the braces blanked so far.
+    Annotations are consumed in source order, and each consumed range ends
+    at a cursor.  Whatever reads a line reads it from the cursor on, so a
+    declaration sharing a line with its annotations is still seen and the
+    annotations are not seen again.  The brace depth at a line start is the
+    file's braces before it less the braces inside consumed ranges.
     """
 
     def __init__(self, text: str, relpath: str):
         self.relpath = relpath
         text, struct, self._line_starts = _masked_views(text)
         self._size = len(struct)
-        self._brackets = _Brackets(struct)
+        self._brackets = _Brackets(text, struct)
+        self._cursor = 0
         self._blanked: dict[str, list[int]] = {"{": [], "}": []}
         self.warnings: list[tuple[str, int, str]] = []
-        self.lines = struct.split("\n")
-        self._text_lines = text.split("\n")
 
     def _line_of(self, offset: int) -> int:
         return bisect_right(self._line_starts, offset)
 
-    def _offset_of_line(self, lineno: int) -> int:
-        return self._line_starts[lineno - 1]
+    def _line_end(self, lineno: int) -> int:
+        """Offset of the newline ending a line, or the file's size."""
+        return self._line_starts[lineno] - 1 if lineno < len(self._line_starts) else self._size
+
+    def _rest_of_line(self, lineno: int) -> _Piece:
+        """The part of a line at or after the cursor: what is left of it once
+        the consumed annotations are masked, empty when they cover it."""
+        end = self._line_end(lineno)
+        return min(max(self._line_starts[lineno - 1], self._cursor), end), end
 
     def _warn(self, line: int, message: str) -> None:
         self.warnings.append((self.relpath, line, message))
-
-    def _piece(self, start: int, end: int) -> _Piece:
-        """Characters [start, end) of both views as they are now."""
-        first, last = self._line_of(start) - 1, self._line_of(end)
-        cut = slice(start - self._line_starts[first], end - self._line_starts[first])
-        views = ("\n".join(lines[first:last])[cut] for lines in (self._text_lines, self.lines))
-        return (*views, start)
-
-    def _holds(self, offset: int, char: str) -> bool:
-        """Whether the structural view still holds ``char`` at ``offset``."""
-        n = self._line_of(offset) - 1
-        col = offset - self._line_starts[n]
-        return self.lines[n][col : col + 1] == char
 
     def _next(self, chars: str, start: int) -> tuple[int, str] | None:
         """The first of ``chars`` at or after ``start`` in the structural
@@ -539,14 +538,13 @@ class _JavaLikeParser:
         for char in chars:
             offsets = self._brackets.at[char]
             i = bisect_left(offsets, start)
-            while i < len(offsets) and not self._holds(offsets[i], char):
-                i += 1
             if i < len(offsets) and (found is None or offsets[i] < found[0]):
                 found = (offsets[i], char)
         return found
 
     def _depth_at(self, lineno: int) -> int:
-        """Brace depth of the structural view at the start of a line."""
+        """Brace depth of the structural view at the start of a line, with
+        the consumed ranges masked."""
         start = self._line_starts[lineno - 1]
         opens, closes = (
             bisect_left(self._brackets.at[c], start) - bisect_left(self._blanked[c], start)
@@ -555,20 +553,12 @@ class _JavaLikeParser:
         return opens - closes
 
     def _mask_range(self, start: int, end: int) -> None:
-        """Blank chars [start, end) in both views, keeping newlines; log blanked braces."""
-        if start >= end:
-            return
+        """Consume chars [start, end), which begin at or after the cursor:
+        log their braces and move the cursor past them."""
         for char, blanked in self._blanked.items():
             offsets = self._brackets.at[char]
-            for k in offsets[bisect_left(offsets, start) : bisect_left(offsets, end)]:
-                if self._holds(k, char):
-                    insort(blanked, k)
-        for n in range(self._line_of(start) - 1, self._line_of(end - 1)):
-            base = self._line_starts[n]
-            for lines in (self.lines, self._text_lines):
-                line = lines[n]
-                a, b = max(start - base, 0), min(end - base, len(line))
-                lines[n] = line[:a] + " " * (b - a) + line[b:]
+            blanked.extend(offsets[bisect_left(offsets, start) : bisect_left(offsets, end)])
+        self._cursor = end
 
     def _span(self, line_start: int, line_end: int) -> SourceSpan:
         return SourceSpan(
@@ -576,7 +566,7 @@ class _JavaLikeParser:
         )
 
     def parse(self) -> LaastNode:
-        n_lines = len(self.lines)
+        n_lines = len(self._line_starts)
         unit = LaastNode(
             kind=NodeKind.COMPILATION_UNIT,
             name=self.relpath,
@@ -590,7 +580,7 @@ class _JavaLikeParser:
                 continue
             if self._consume_annotations(i, pending):
                 continue
-            m = _TYPE_DECL_RE.match(self.lines[i - 1])
+            m = _TYPE_DECL_RE.match(self._brackets.struct, *self._rest_of_line(i))
             if m:
                 i = self._parse_type(i, m, pending, unit)
                 pending = []
@@ -599,21 +589,24 @@ class _JavaLikeParser:
         return unit
 
     def _consume_annotations(self, lineno: int, pending: list[LaastNode]) -> bool:
-        """If the line begins with an annotation, parse the (possibly
-        multi-line) window into ``pending``, blank those characters out of
-        the working text, and return True so the caller re-examines the
-        line (now annotation-free)."""
-        struct_line = self.lines[lineno - 1]
-        if not struct_line.lstrip().startswith("@"):
+        """If the line, from the cursor, begins with an annotation, parse the
+        (possibly multi-line) window into ``pending``, consume what it read,
+        and return True so the caller re-examines the line past it."""
+        struct = self._brackets.struct
+        start, line_end = self._rest_of_line(lineno)
+        if not struct[start:line_end].lstrip().startswith("@"):
             return False
-        end, open_parens = lineno, struct_line.count("(") - struct_line.count(")")
-        while end < len(self.lines) and open_parens > 0 and end - lineno < 20:
-            open_parens += self.lines[end].count("(") - self.lines[end].count(")")
+
+        def open_parens(line: int) -> int:
+            piece = self._rest_of_line(line)
+            return struct.count("(", *piece) - struct.count(")", *piece)
+
+        end, unclosed = lineno, open_parens(lineno)
+        while end < len(self._line_starts) and unclosed > 0 and end - lineno < 20:
             end += 1
-        window_struct = "\n".join(self.lines[lineno - 1 : end])
-        start_off = self._offset_of_line(lineno)
-        window_text = "\n".join(self._text_lines[lineno - 1 : end])
-        found = _read_annotations(self._brackets, (window_text, window_struct, start_off))
+            unclosed += open_parens(end)
+        window_end = self._line_end(end)
+        found = _read_annotations(self._brackets, (start, window_end))
         if not found:
             return False
         # When no annotation closes, each is kept by name over the whole window.
@@ -622,20 +615,19 @@ class _JavaLikeParser:
             if ann.args is None:
                 self._warn(lineno, f"unparseable arguments for @{ann.name}")
             span = self._span(lineno, end) if not closed else self._span(
-                self._line_of(start_off + ann.start), self._line_of(start_off + ann.end - 1)
+                self._line_of(ann.start), self._line_of(ann.end - 1)
             )
             pending.append(LaastNode(
                 kind=NodeKind.ANNOTATION, name=ann.name, attributes=ann.args or {}, span=span
             ))
-        self._mask_range(start_off, start_off + (closed[-1].end if closed else len(window_struct)))
+        self._mask_range(start, closed[-1].end if closed else window_end)
         return True
 
     def _parse_type(
         self, lineno: int, m: re.Match, pending: list[LaastNode], unit: LaastNode
     ) -> int:
         type_kind, name = m.group(1), m.group(2)
-        head_off = self._offset_of_line(lineno)
-        brace = self._next("{", head_off)
+        brace = self._next("{", m.start())
         if brace is None:
             self._warn(lineno, f"type {name} has no body")
             return lineno + 1
@@ -644,7 +636,7 @@ class _JavaLikeParser:
         if close_off is None:
             self._warn(lineno, f"unbalanced braces in type {name}")
             close_off = self._size - 1
-        head_struct = self._piece(head_off, open_off)[1]
+        head_struct = self._brackets.struct[m.start() : open_off]
         attrs = {"type_kind": type_kind}
         em = re.search(r"\bextends\s+(.+?)(?:\bimplements\b|$)", head_struct, re.S)
         if em and em.group(1).strip():
@@ -688,6 +680,7 @@ class _JavaLikeParser:
     def _parse_members(
         self, type_node: LaastNode, open_line: int, close_line: int, type_name: str
     ) -> None:
+        struct = self._brackets.struct
         body_depth = self._depth_at(open_line) + 1
         i = open_line + 1
         pending: list[LaastNode] = []
@@ -695,16 +688,16 @@ class _JavaLikeParser:
             if self._depth_at(i) != body_depth:
                 i += 1
                 continue
-            struct_line = self.lines[i - 1]
-            if not struct_line.strip():
+            start, line_end = self._rest_of_line(i)
+            if not struct[start:line_end].strip():
                 i += 1
                 continue
             if self._consume_annotations(i, pending):
                 continue
             sig_end = self._signature_extent(i, close_line)
             if sig_end is not None:
-                sig_struct = "\n".join(self.lines[i - 1 : sig_end])
-                mm = _METHOD_HEAD_RE.match(sig_struct)
+                signature = (start, self._line_end(sig_end))
+                mm = _METHOD_HEAD_RE.match(struct, *signature)
                 if mm is not None:
                     head_type = mm.group(1).split("<")[0].strip()
                     if (
@@ -717,13 +710,14 @@ class _JavaLikeParser:
                     i = self._parse_method(i, mm, pending, type_node)
                     pending = []
                     continue
-                if re.match(rf"^\s*(?:{_MODIFIER}\s+)*{re.escape(type_name)}\s*\(", sig_struct):
+                cm = _CALLABLE_HEAD_RE.match(struct, *signature)
+                if cm is not None and cm.group(1) == type_name:
                     # constructor: no endpoint semantics, skip its body
-                    end = self._head_end(self._offset_of_line(sig_end))
+                    end = self._head_end(max(self._line_starts[sig_end - 1], start))
                     i = sig_end + 1 if end is None else self._line_of(end[0]) + 1
                     pending = []
                     continue
-            fm = _FIELD_RE.match(struct_line)
+            fm = _FIELD_RE.match(struct, start, line_end)
             if (
                 fm
                 and fm.group(2) not in _JAVA_KEYWORDS
@@ -745,19 +739,20 @@ class _JavaLikeParser:
             i += 1
 
     def _signature_extent(self, lineno: int, limit: int) -> int | None:
-        """Last line of a declaration head starting at ``lineno``: the line
-        carrying ``{`` or ``;`` at paren depth 0.  None when the line has no
-        call-shaped head."""
-        if "(" not in self.lines[lineno - 1]:
+        """Last line of a declaration head starting at ``lineno`` (from the
+        cursor): the line carrying ``{`` or ``;`` at paren depth 0.  None when
+        the line has no call-shaped head."""
+        struct = self._brackets.struct
+        start, line_end = self._rest_of_line(lineno)
+        if struct.find("(", start, line_end) < 0:
             return None
         depth = 0
-        for j in range(lineno, min(limit, lineno + 30) + 1):
-            for m in _HEAD_MARK_RE.finditer(self.lines[j - 1]):
-                char = m.group()
-                if char in "()":
-                    depth += _NESTING[char]
-                elif depth == 0:
-                    return j
+        for m in _HEAD_MARK_RE.finditer(struct, start, self._line_end(min(limit, lineno + 30))):
+            char = m.group()
+            if char in "()":
+                depth += _NESTING[char]
+            elif depth == 0:
+                return self._line_of(m.start())
         return None
 
     def _head_end(self, start: int) -> tuple[int, int | None] | None:
@@ -775,7 +770,7 @@ class _JavaLikeParser:
     ) -> int:
         return_type = " ".join(mm.group(1).split())
         name = mm.group(2)
-        sig_off = self._offset_of_line(start_line)
+        sig_off = mm.start()
         paren_off = self._next("(", sig_off)[0]
         paren_close = self._brackets.close(paren_off)
 
@@ -787,7 +782,7 @@ class _JavaLikeParser:
             span=self._span(start_line, start_line),
         )
         if paren_close is not None:
-            for param in _split_args(self._brackets, self._piece(paren_off + 1, paren_close)):
+            for param in _split_args(self._brackets, (paren_off + 1, paren_close)):
                 self._add_param(method, param, start_line)
 
         end = self._head_end(sig_off if paren_close is None else paren_close + 1)
@@ -803,19 +798,19 @@ class _JavaLikeParser:
         warn when it is not a type and a name after its annotations.
 
         Annotations whose arguments never close come after the others."""
-        text = param[0]
+        text, (pos, end) = self._brackets.text, param
         found = sorted(_read_annotations(self._brackets, param), key=lambda ann: ann.end is None)
         for ann in found:
             if ann.args is None:
                 self._warn(line, f"unparseable arguments for @{ann.name}")
-        bare, pos = "", 0
+        bare = ""
         for ann in found:
             if ann.end is not None:
                 bare += text[pos : ann.start]
                 pos = ann.end
-        pm = _PARAM_RE.fullmatch(" ".join((bare + text[pos:]).split()))
+        pm = _PARAM_RE.fullmatch(" ".join((bare + text[pos:end]).split()))
         if pm is None:
-            self._warn(line, f"unparseable parameter {text!r} in {method.name}")
+            self._warn(line, f"unparseable parameter {text[param[0] : end]!r} in {method.name}")
             return
         span = self._span(line, line)
         method.children.append(LaastNode(
@@ -832,25 +827,23 @@ class _JavaLikeParser:
         ))
 
     def _scan_body(self, method: LaastNode, start_off: int, end_off: int) -> None:
-        """Append the calls in a method body to ``method`` in line order.
+        """Append the calls in a method body, chars [start_off, end_off), to
+        ``method`` in line order.
 
         Call heads are matched on the structural view, so text in a comment
         or a literal is never a call; a client call's arguments are
         delimited on the structural view and read from the text view, where
         literals are intact.
         """
-        body = self._piece(start_off, end_off)
-        body_struct = body[1]
+        src = self._brackets
+        struct = src.struct
 
-        def line_of(pos: int) -> int:
-            return self._line_of(start_off + pos)
-
-        def close_of(pos: int) -> int | None:  # just past the ) closing in the body
-            close = self._brackets.close(start_off + pos)
-            return None if close is None or close >= end_off else close - start_off + 1
+        def close_of(offset: int) -> int | None:  # the ) closing in the body
+            close = src.close(offset)
+            return close if close is not None and close < end_off else None
 
         calls = []
-        for m in _CLIENT_HEAD_RE.finditer(body_struct):
+        for m in _CLIENT_HEAD_RE.finditer(struct, start_off, end_off):
             receiver, head = m.groups()
             idiom = _CLIENT_IDIOMS[receiver]
             if head not in idiom.heads:
@@ -858,20 +851,20 @@ class _JavaLikeParser:
             close = close_of(m.end() - 1)
             if close is None:
                 continue
-            args = _split_args(self._brackets, _sub(body, m.end(), close - 1))
+            args = _split_args(src, (m.end(), close))
             roles = idiom.links or {}
             uri_link = "uri" in roles.values()
             if idiom.kind == CALL_KIND_REMOTE and not uri_link and not args:
                 continue
             http = idiom.heads[head]
             if isinstance(http, int):
-                enum = _HTTP_ENUM_RE.fullmatch(args[http][0]) if http < len(args) else None
+                enum = _HTTP_ENUM_RE.fullmatch(src.text, *args[http]) if http < len(args) else None
                 http = enum.group(1) if enum else None
             http = http or HTTP_UNKNOWN
             url_args, counted = ([], []) if uri_link else (args, list(args))
             paths: list[_Piece] = []
             end = close
-            chain = _read_chain(self._brackets, body, close_of, close) if roles else ()
+            chain = _read_chain(src, close_of, close + 1) if roles else ()
             for link, link_args, link_end in chain:
                 end = link_end
                 role = roles.get(link)
@@ -885,22 +878,22 @@ class _JavaLikeParser:
                     if role == "verb":
                         http = link.upper()
             if idiom.kind == CALL_KIND_REMOTE:
-                template, clean = _url_template(self._brackets, url_args, paths)
+                template, clean = _url_template(src, url_args, paths)
                 attrs = {"http_method": http, "url_template": template}
                 problem = "unparseable URL expression"
             else:
-                topic = _unquote(args[0]) if args else None
+                topic = _unquote(src, args[0]) if args else None
                 clean = topic is not None
                 attrs = {"topic": topic if clean else URL_WILDCARD}
                 problem = "non-literal topic"
             if not clean:
                 shape = ("()" if uri_link else "(...)") + (" chain" if roles else "")
-                self._warn(line_of(m.start()), f"{problem} in {receiver}.{head}{shape}")
+                self._warn(self._line_of(m.start()), f"{problem} in {receiver}.{head}{shape}")
             attrs = {CALL_KIND_ATTR: idiom.kind, **attrs, "arg_count": str(len(counted))}
-            span = SourceSpan(self.relpath, line_of(m.start()), line_of(end - 1))
+            span = SourceSpan(self.relpath, self._line_of(m.start()), self._line_of(end))
             calls.append(_call_node(head, attrs, span))
 
-        for m in _LOCAL_CALL_RE.finditer(body_struct):
+        for m in _LOCAL_CALL_RE.finditer(struct, start_off, end_off):
             receiver, callee = m.group(1), m.group(2)
             if receiver == "this":
                 receiver = None
@@ -909,11 +902,11 @@ class _JavaLikeParser:
             if receiver in _CLIENT_IDIOMS:
                 continue
             before = m.start()
-            while before and body_struct[before - 1].isspace():
+            while before > start_off and struct[before - 1].isspace():
                 before -= 1
-            if body_struct.endswith("new", 0, before):
+            if struct.endswith("new", start_off, before):
                 continue
-            lineno = line_of(m.start())
+            lineno = self._line_of(m.start())
             attrs = {CALL_KIND_ATTR: CALL_KIND_LOCAL}
             if receiver:
                 attrs["receiver"] = receiver

@@ -39,7 +39,7 @@ from microweave.frontend import (
     extract,
     source_files,
 )
-from microweave.ir import ServiceIr, build_service_ir, save_service_ir
+from microweave.ir import IR_FILE_SUFFIX, ServiceIr, build_service_ir, save_service_ir
 from microweave.jsonio import array_chunks, atomic_write, canonical_bytes
 from microweave.laast import LONE_SURROGATE, LaastNode, save_laast
 from microweave.matchers import MatcherRule, default_ruleset, run_matchers, validate_ruleset
@@ -635,7 +635,7 @@ def _write_json_outputs(out: Path, system: SystemIr) -> None:
     """Write ``system.json`` and ``context-map.json``, encoding each document
     once.  The ``.ir.json`` files, written as each service finished, are
     read back into ``system.json`` one chunk at a time."""
-    ir_paths = [out / f"{ir.service_name}.ir.json" for ir in system.services]
+    ir_paths = [out / f"{ir.service_name}{IR_FILE_SUFFIX}" for ir in system.services]
     context_map = save_context_map(system.context_map)
     atomic_write(out / "system.json",
                  system_json_parts(system, map(_file_chunks, ir_paths), context_map))
@@ -657,7 +657,7 @@ def run(config: RunConfig, formats: set[str] | None = None, log=None) -> int:
 
     def write_service(name: str, tree: LaastNode, ir: ServiceIr) -> None:
         atomic_write(out / f"{name}.laast.json", save_laast(tree))
-        atomic_write(out / f"{name}.ir.json", save_service_ir(ir))
+        atomic_write(out / f"{name}{IR_FILE_SUFFIX}", save_service_ir(ir))
 
     system = build_system(config, log=log,
                           on_service=write_service if "json" in formats else None)

@@ -15,6 +15,7 @@ where the root has depth 1 and ``lcs`` is the deepest common ancestor.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 
 from microweave.errors import MalformedDocument, TermNotFound
 
@@ -124,25 +125,36 @@ def wu_palmer(a: str, b: str, taxonomy: Taxonomy) -> float:
     return 2.0 * len(ancestors_a & ancestors_b) / (len(ancestors_a) + len(ancestors_b))
 
 
+def greedy_pairing(rows: Iterable[tuple[float, int, int]]) -> list[tuple[float, int, int]]:
+    """A greedy one-to-one pairing of scored ``(score, i, j)`` rows.
+
+    Rows are taken by descending score, then ascending ``i`` and ``j``; a row
+    is kept when neither its ``i`` nor its ``j`` is in a row kept before it.
+    The kept rows come in that order."""
+    used_a: set[int] = set()
+    used_b: set[int] = set()
+    kept = []
+    for row in sorted(rows, key=lambda row: (-row[0], row[1], row[2])):
+        if row[1] in used_a or row[2] in used_b:
+            continue
+        used_a.add(row[1])
+        used_b.add(row[2])
+        kept.append(row)
+    return kept
+
+
 def _taxonomy_score(tokens_a: list[str], tokens_b: list[str], taxonomy: Taxonomy) -> float:
     """Mean Wu-Palmer over a greedy one-to-one pairing of covered tokens."""
     known_a = [t for t in tokens_a if t in taxonomy]
     known_b = [t for t in tokens_b if t in taxonomy]
     if not known_a or not known_b:
         return 0.0
-    pairs = sorted(
-        ((wu_palmer(ta, tb, taxonomy), ia, ib) for ia, ta in enumerate(known_a) for ib, tb in enumerate(known_b)),
-        key=lambda t: (-t[0], t[1], t[2]),
+    pairs = greedy_pairing(
+        (wu_palmer(ta, tb, taxonomy), ia, ib)
+        for ia, ta in enumerate(known_a)
+        for ib, tb in enumerate(known_b)
     )
-    used_a: set[int] = set()
-    used_b: set[int] = set()
-    scores: list[float] = []
-    for score, ia, ib in pairs:
-        if ia in used_a or ib in used_b:
-            continue
-        used_a.add(ia)
-        used_b.add(ib)
-        scores.append(score)
+    scores = [score for score, _ia, _ib in pairs]
     return sum(scores) / len(scores)
 
 

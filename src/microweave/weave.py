@@ -24,7 +24,7 @@ from microweave.matchers import (
     Endpoint,
     RemoteCall,
 )
-from microweave.similarity import Taxonomy, entity_similarity
+from microweave.similarity import Taxonomy, entity_similarity, greedy_pairing
 from microweave.topology import Inventory, TopologyModel, build_inventory
 
 DEFAULT_ENTITY_THRESHOLD = 0.65
@@ -186,23 +186,15 @@ def match_fields(
             score, _strategy = name_similarity(name_a, name_b)
             if score >= config.field_threshold:
                 scored.append((score, ia, ib))
-    scored.sort(key=lambda row: (-row[0], row[1], row[2]))
-    used_a: set[int] = set()
-    used_b: set[int] = set()
-    matches = []
-    for score, ia, ib in scored:
-        if ia in used_a or ib in used_b:
-            continue
-        used_a.add(ia)
-        used_b.add(ib)
-        matches.append(
-            FieldMatch(
-                field_a=fields_a[ia][0],
-                field_b=fields_b[ib][0],
-                score=score,
-                type_compatible=type_compatible(fields_a[ia][1], fields_b[ib][1]),
-            )
+    matches = [
+        FieldMatch(
+            field_a=fields_a[ia][0],
+            field_b=fields_b[ib][0],
+            score=score,
+            type_compatible=type_compatible(fields_a[ia][1], fields_b[ib][1]),
         )
+        for score, ia, ib in greedy_pairing(scored)
+    ]
     matches.sort(key=lambda m: (m.field_a, m.field_b))
     return tuple(matches)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 import sys
+import time
 from bisect import bisect_right
 
 import pytest
@@ -65,7 +66,7 @@ def _types(root):
 def _annotations(window):
     """``(name, start, end, args)`` of each top-level annotation in ``window``."""
     text, struct, _starts = _masked_views(window)
-    found = _read_annotations(_Brackets(struct), (text, struct, 0))
+    found = _read_annotations(_Brackets(text, struct), (0, len(struct)))
     return [(a.name, a.start, a.end, a.args) for a in found]
 
 
@@ -457,10 +458,35 @@ def test_unclosed_client_call_heads_parse_in_linear_work():
         assert all(g <= 2.2 for g in growth), (counter.__name__, counts, growth)
 
 
+def _best_parse_seconds(text: str) -> tuple[float, LaastNode]:
+    """The best of three wall times parsing ``text``, and the last tree."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        unit = _JavaLikeParser(text, "F.java").parse()
+        times.append(time.perf_counter() - start)
+    return min(times), unit
+
+
+def test_closed_nested_client_call_heads_parse_in_linear_time():
+    # Each head's arguments hold every later head.  Copying them once per
+    # level is quadratic, but each copy is one C call, so neither the call
+    # count nor the line count sees it: only the clock does.
+    def source(n):
+        body = "        restTemplate.getForObject(\n" * n + "        " + ", String.class)" * n
+        return f"public class F {{\n    public void m() {{\n{body};\n    }}\n}}\n"
+
+    small, _unit = _best_parse_seconds(source(2000))
+    large, unit = _best_parse_seconds(source(8000))
+    assert large / small < 7, (small, large)
+    calls = [n for n, _a in _iter(unit) if n.kind == NodeKind.CALL]
+    assert len(calls) == 8000
+
+
 @pytest.mark.parametrize("member", ["    @A(x = {)\n", "    @A({) int x;\n"])
 def test_annotations_holding_an_unclosed_brace_parse_in_linear_work(member):
-    # Blanking each annotation removes a { that every later line's depth had
-    # counted, so the depths of all later lines change with each blank.
+    # Consuming each annotation removes a { that every later line's depth had
+    # counted, so the depths of all later lines change with each one.
     counts = [_parse_line_count(f"public class F {{\n{member * n}}}\n") for n in (1000, 2000, 4000)]
     growth = [later / earlier for earlier, later in zip(counts, counts[1:])]
     assert all(g <= 2.2 for g in growth), (counts, growth)
@@ -575,7 +601,7 @@ def _past(close: int | None) -> int | None:
 @settings(derandomize=True, max_examples=300)
 @given(st.text(alphabet="(()) x\n", max_size=40))
 def test_paren_table_matches_scanning_from_each_open(struct):
-    brackets = _Brackets(struct)
+    brackets = _Brackets(struct, struct)
     opens = [i for i, c in enumerate(struct) if c == "("]
     assert [_past(brackets.close(i)) for i in opens] == [
         _oracle_balanced_parens(struct, i) for i in opens
@@ -599,7 +625,7 @@ _BRACKET_TEXT = st.lists(
 @given(_BRACKET_TEXT, st.data())
 def test_bracket_table_matches_old_loops(source, data):
     text, struct, _starts = _masked_views(source)
-    brackets = _Brackets(struct)
+    brackets = _Brackets(text, struct)
     swapped = struct.translate(str.maketrans("[]()", "()  "))
     for i, c in enumerate(struct):
         if c == "{":
@@ -613,11 +639,10 @@ def test_bracket_table_matches_old_loops(source, data):
     start = data.draw(st.integers(0, len(struct)))
     end = data.draw(st.integers(start, len(struct)))
     for sep in ",=+":
-        parts = brackets.split_top_level((text[start:end], struct[start:end], start), sep)
-        assert [(t, s) for t, s, _o in parts] == _oracle_split_top_level(
+        parts = brackets.split_top_level((start, end), sep)
+        assert [(text[a:b], struct[a:b]) for a, b in parts] == _oracle_split_top_level(
             text[start:end], struct[start:end], sep
         )
-        assert all(struct[o : o + len(s)] == s for _t, s, o in parts)
     lines = struct.split("\n")
     parser = _JavaLikeParser(source, "F.java")
     for lineno in range(1, len(lines) + 1):
@@ -785,22 +810,37 @@ def test_masked_views_match_character_loop_oracle(source):
     assert _masked_views(source) == (text, struct, starts)
 
 
+def _blanked(view: str, start: int, end: int) -> str:
+    """``view`` with chars [start, end) blanked but for their newlines."""
+    return view[:start] + "".join(c if c == "\n" else " " for c in view[start:end]) + view[end:]
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_LEXER_TEXT, st.data())
 def test_mask_range_matches_full_recompute(source, data):
+    # Each range starts where the parser would consume from: what is left of
+    # a line at or after the cursor.  From that line on, reading each line
+    # from the cursor, and every line's depth, must give what the views with
+    # the consumed ranges blanked give.
     parser = _JavaLikeParser(source, "X.java")
     text = _oracle_mask_comments(source)
     struct = _oracle_mask_strings(text)
+    n_lines = struct.count("\n") + 1
     for _ in range(data.draw(st.integers(1, 4))):
-        start = data.draw(st.integers(0, len(source)))
+        lineno = data.draw(st.integers(parser._line_of(min(parser._cursor, len(source))), n_lines))
+        start = parser._rest_of_line(lineno)[0]
         end = data.draw(st.integers(start, len(source) + 2))
-        masked = "".join(c if c == "\n" else " " for c in text[start:end])
-        text = text[:start] + masked + text[end:]
-        struct = struct[:start] + masked + struct[end:]
+        text, struct = _blanked(text, start, end), _blanked(struct, start, end)
         parser._mask_range(start, end)
-        assert parser._text_lines == text.split("\n")
-        assert parser.lines == struct.split("\n")
-        depths = [parser._depth_at(lineno) for lineno in range(1, len(parser.lines) + 1)]
+        views = (parser._brackets.text, parser._brackets.struct)
+        for j in range(lineno, n_lines + 1):
+            rest_start, rest_end = parser._rest_of_line(j)
+            line_start = parser._line_starts[j - 1]
+            for view, blanked in zip(views, (text, struct)):
+                assert blanked[line_start:rest_end] == (
+                    " " * (rest_start - line_start) + view[rest_start:rest_end]
+                )
+        depths = [parser._depth_at(lineno) for lineno in range(1, n_lines + 1)]
         assert depths == _oracle_depths(struct)
 
 
@@ -821,6 +861,8 @@ _JAVA_HEADS = st.sampled_from([
     "",
     "@RestController\npublic class F {\n",
     '@RestController\npublic class F {\n    @GetMapping("/x")\n    public Item get(String id) {\n',
+    '@RequestMapping(value = {"/a"}) public class F {\n    @A({1}) F(int a) { f(a); }\n'
+    '    @B(1) String\n    h() { }\n    @GetMapping("/x") public Item get(String id) {\n',
 ])
 
 
@@ -840,17 +882,19 @@ def test_extract_survives_random_java_like_text(tmp_path_factory, head, fragment
 
 
 class _CheckedBrackets:
-    """A parser's bracket table that checks each answer against the old
-    character loops run on the parser's structural view as it is then."""
+    """A parser's views and bracket table that check each answer against
+    the old character loops run on the views with the consumed ranges
+    blanked."""
 
     def __init__(self, parser):
         self._parser = parser
         self._table = parser._brackets
         self.at = self._table.at
+        self.text, self.struct = self._table.text, self._table.struct
 
     def close(self, offset):
         got = self._table.close(offset)
-        struct = "\n".join(self._parser.lines)
+        struct = self._parser.blanked[1]
         assert struct[offset] in "{("
         if struct[offset] == "{":
             assert got == _oracle_find_close_brace(struct, offset)
@@ -860,34 +904,53 @@ class _CheckedBrackets:
 
     def split_top_level(self, piece, sep):
         parts = self._table.split_top_level(piece, sep)
-        text, struct, start = piece
-        assert "\n".join(self._parser.lines)[start : start + len(struct)] == struct
-        assert [(t, s) for t, s, _o in parts] == _oracle_split_top_level(text, struct, sep)
+        start, end = piece
+        text, struct = self._parser.blanked
+        assert text[start:end] == self.text[start:end]
+        assert struct[start:end] == self.struct[start:end]
+        assert [(text[a:b], struct[a:b]) for a, b in parts] == _oracle_split_top_level(
+            text[start:end], struct[start:end], sep
+        )
         return parts
 
 
 class _CheckedParser(_JavaLikeParser):
-    """A parser whose table lookups, searches and depths are each checked
-    against the old loops on the structural view as blanking has left it."""
+    """A parser whose table lookups, searches, depths and line reads are
+    each checked against the old loops on the views with the consumed
+    ranges blanked, as blanking them in place left them."""
 
     def __init__(self, text, relpath):
         super().__init__(text, relpath)
+        self.blanked = (self._brackets.text, self._brackets.struct)
         self._brackets = _CheckedBrackets(self)
 
+    def _mask_range(self, start, end):
+        assert start >= self._cursor
+        self.blanked = tuple(_blanked(view, start, end) for view in self.blanked)
+        super()._mask_range(start, end)
+
+    def _rest_of_line(self, lineno):
+        start, end = super()._rest_of_line(lineno)
+        line_start = self._line_starts[lineno - 1]
+        views = (self._brackets.text, self._brackets.struct)
+        for view, blanked in zip(views, self.blanked):
+            assert blanked[line_start:end] == " " * (start - line_start) + view[start:end]
+        return start, end
+
     def _next(self, chars, start):
-        struct = "\n".join(self.lines)
+        struct = self.blanked[1]
         expected = next(((k, c) for k, c in enumerate(struct) if k >= start and c in chars), None)
         assert super()._next(chars, start) == expected
         return expected
 
     def _depth_at(self, lineno):
         depth = super()._depth_at(lineno)
-        assert depth == _oracle_depths("\n".join(self.lines))[lineno - 1]
+        assert depth == _oracle_depths(self.blanked[1])[lineno - 1]
         return depth
 
     def _signature_extent(self, lineno, limit):
         extent = super()._signature_extent(lineno, limit)
-        assert extent == _oracle_signature_extent(self.lines, lineno, limit)
+        assert extent == _oracle_signature_extent(self.blanked[1].split("\n"), lineno, limit)
         return extent
 
 
@@ -955,7 +1018,7 @@ def _old_read_chain(brackets, text, struct, start):
         close = _oracle_balanced_parens(struct, m.end())
         if close is None:
             break
-        args = _split_args(brackets, _piece(text, struct, m.end() + 1, close - 1))
+        args = _split_args(brackets, (m.end() + 1, close - 1))
         links.append((m.group(1), args, close))
         pos = close
     return links
@@ -968,7 +1031,7 @@ _OLD_PUBLISH_HEAD_RE = _old_receiver_call_re(_OLD_PUBLISH_RECEIVERS)
 
 
 def _old_find_remote(text, struct, line_of):
-    brackets = _Brackets(struct)
+    brackets = _Brackets(text, struct)
     calls = []
     warnings = []
     for m in _OLD_REMOTE_HEAD_RE.finditer(text):
@@ -977,7 +1040,7 @@ def _old_find_remote(text, struct, line_of):
         close = _oracle_balanced_parens(struct, open_idx)
         if close is None:
             continue
-        args = _split_args(brackets, _piece(text, struct, open_idx + 1, close - 1))
+        args = _split_args(brackets, (open_idx + 1, close - 1))
 
         if receiver in _OLD_TEMPLATE_RECEIVERS:
             table = _OLD_TEMPLATE_RECEIVERS[receiver]
@@ -988,7 +1051,7 @@ def _old_find_remote(text, struct, line_of):
             if http == "EXCHANGE":
                 http = HTTP_UNKNOWN
                 if len(args) >= 2:
-                    enum = _HTTP_ENUM_RE.fullmatch(args[1][0])
+                    enum = _HTTP_ENUM_RE.fullmatch(text, *args[1])
                     if enum:
                         http = enum.group(1)
             if not clean:
@@ -1012,7 +1075,7 @@ def _old_find_remote(text, struct, line_of):
                 continue
             http = method.upper() if method != "method" else HTTP_UNKNOWN
             if method == "method" and args:
-                enum = _HTTP_ENUM_RE.fullmatch(args[0][0])
+                enum = _HTTP_ENUM_RE.fullmatch(text, *args[0])
                 if enum:
                     http = enum.group(1)
             uri_args = []
@@ -1080,7 +1143,7 @@ def _old_find_remote(text, struct, line_of):
 
 
 def _old_find_publish(text, struct, line_of):
-    brackets = _Brackets(struct)
+    brackets = _Brackets(text, struct)
     calls = []
     warnings = []
     for m in _OLD_PUBLISH_HEAD_RE.finditer(text):
@@ -1091,8 +1154,8 @@ def _old_find_publish(text, struct, line_of):
         close = _oracle_balanced_parens(struct, open_idx)
         if close is None:
             continue
-        args = _split_args(brackets, _piece(text, struct, open_idx + 1, close - 1))
-        topic = _unquote(args[0]) if args else None
+        args = _split_args(brackets, (open_idx + 1, close - 1))
+        topic = _unquote(brackets, args[0]) if args else None
         if topic is None:
             topic = URL_WILDCARD
             warnings.append((m.start(), f"non-literal topic in {receiver}.{method}(...)"))
@@ -1108,10 +1171,6 @@ def _old_find_publish(text, struct, line_of):
             )
         )
     return calls, warnings
-
-
-def _piece(text, struct, start, end):
-    return text[start:end], struct[start:end], start
 
 
 _METHOD_HEAD = "public class F {\n    public void m() {\n        "
@@ -1397,37 +1456,39 @@ def _old_recognize_annotation(window: str) -> tuple[list[tuple[str, dict[str, st
     return found, warnings
 
 
-def _old_consume_annotations(self, lineno: int, pending: list[LaastNode]) -> bool:
-    """If the line begins with an annotation, parse the (possibly
-    multi-line) window into ``pending``, blank those characters out of
-    the working text, and return True so the caller re-examines the
-    line (now annotation-free)."""
-    struct_line = self.lines[lineno - 1]
+def _old_consume_annotations(
+    self, text: str, struct: str, lineno: int, pending: list[LaastNode]
+) -> int | None:
+    """If the line of the views ``text`` and ``struct`` begins with an
+    annotation, parse the (possibly multi-line) window into ``pending`` and
+    return the end of the range it blanks from the line's start, after which
+    the caller re-examines the line; else None."""
+    lines, text_lines = struct.split("\n"), text.split("\n")
+    struct_line = lines[lineno - 1]
     if not struct_line.lstrip().startswith("@"):
-        return False
+        return None
     end = lineno
     window_struct = struct_line
     while (
-        end < len(self.lines)
+        end < len(lines)
         and window_struct.count("(") > window_struct.count(")")
         and end - lineno < 20
     ):
         end += 1
-        window_struct += "\n" + self.lines[end - 1]
+        window_struct += "\n" + lines[end - 1]
     extents = _old_annotation_extents(window_struct)
-    start_off = self._offset_of_line(lineno)
-    window_text = "\n".join(self._text_lines[lineno - 1 : end])
+    start_off = self._line_starts[lineno - 1]
+    window_text = "\n".join(text_lines[lineno - 1 : end])
     if not extents:
         errors = _old_annotation_errors(window_struct)
         if not errors:
-            return False
+            return None
         for name, msg in errors:
             self._warn(lineno, msg)
             pending.append(
                 LaastNode(kind=NodeKind.ANNOTATION, name=name, span=self._span(lineno, end))
             )
-        self._mask_range(start_off, start_off + len(window_struct))
-        return True
+        return start_off + len(window_struct)
     for ext_start, ext_end, _name, _args in extents:
         found, warns = _old_recognize_annotation(window_text[ext_start:ext_end])
         for msg in warns:
@@ -1444,9 +1505,7 @@ def _old_consume_annotations(self, lineno: int, pending: list[LaastNode]) -> boo
                     ),
                 )
             )
-    last_end = max(e for _s, e, _n, _a in extents)
-    self._mask_range(start_off, start_off + last_end)
-    return True
+    return start_off + max(e for _s, e, _n, _a in extents)
 
 
 def _old_params(self, params_raw, name, start_line):
@@ -1533,16 +1592,19 @@ def _rows(nodes):
 @given(_ANNOTATION_WINDOWS)
 def test_annotation_reader_matches_old_scanners(window):
     old, new = _JavaLikeParser(window, "W.java"), _JavaLikeParser(window, "W.java")
+    text, struct, _starts = _masked_views(window)
     old_pending, new_pending = [], []
-    assert new._consume_annotations(1, new_pending) == _old_consume_annotations(old, 1, old_pending)
+    old_end = _old_consume_annotations(old, text, struct, 1, old_pending)
+    assert new._consume_annotations(1, new_pending) == (old_end is not None)
     assert _rows(new_pending) == _rows(old_pending)
     assert new.warnings == old.warnings
-    assert (new._text_lines, new.lines) == (old._text_lines, old.lines)
+    assert [_blanked(view, 0, new._cursor) for view in (text, struct)] == [
+        _blanked(view, 0, old_end or 0) for view in (text, struct)
+    ]
 
     old, new = _JavaLikeParser(window, "W.java"), _JavaLikeParser(window, "W.java")
-    text, struct, _starts = _masked_views(window)
     method = LaastNode(kind=NodeKind.METHOD_DECL, name="m")
-    for param in _split_args(new._brackets, (text, struct, 0)):
+    for param in _split_args(new._brackets, (0, len(struct))):
         new._add_param(method, param, 1)
     assert _rows(method.children) == _rows(_old_params(old, text, "m", 1))
     assert new.warnings == old.warnings
@@ -1560,6 +1622,31 @@ def test_extract_annotation_text_in_string_literal_is_no_annotation(tmp_path):
     tree_root, report = extract(SourceTree(service_name="svc", root_dir=root))
     (field,) = [n for n in _types(tree_root)["V"].children if n.kind == NodeKind.FIELD_DECL]
     assert [(a.name, a.attributes) for a in field.children] == [("Value", {"value": "@x("})]
+    assert report.warnings == []
+
+
+def test_extract_declarations_sharing_a_line_with_their_annotations(tmp_path):
+    root = _service_dir(tmp_path)
+    _write(root, "src/S.java", """@RestController @RequestMapping({"/s"}) public class S {
+    @Autowired(required = true) private Repo repo;
+    @GetMapping("/x") public Item get(String id) { return repo.find(id); }
+}
+""")
+    tree_root, report = extract(SourceTree(service_name="svc", root_dir=root))
+    (s,) = _types(tree_root).values()
+    assert [
+        (n.kind, n.name, [(a.name, a.attributes) for a in n.children
+                          if a.kind == NodeKind.ANNOTATION])
+        for n in [s, *s.children]
+    ] == [
+        (NodeKind.TYPE_DECL, "S", [("RestController", {}), ("RequestMapping", {"value": "/s"})]),
+        (NodeKind.ANNOTATION, "RestController", []),
+        (NodeKind.ANNOTATION, "RequestMapping", []),
+        (NodeKind.FIELD_DECL, "repo", [("Autowired", {"required": "true"})]),
+        (NodeKind.METHOD_DECL, "get", [("GetMapping", {"value": "/x"})]),
+    ]
+    (param,) = [n for n in s.children[-1].children if n.kind == NodeKind.PARAM]
+    assert (param.name, param.attributes) == ("id", {"declared_type": "String"})
     assert report.warnings == []
 
 
