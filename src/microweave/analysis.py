@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from microweave.matchers import PARAM_BODY, PARAM_PATH, Endpoint, RemoteCall
+from microweave.record import Record
 from microweave.weave import CommEdge, SystemIr
 
 SEV_ERROR = "error"
@@ -45,50 +46,61 @@ RULE_IDS = tuple(sorted(DEFAULT_SEVERITIES))
 ARG_COUNT_TOLERANCE = 1
 
 
-@dataclass(frozen=True, slots=True)
-class Subject:
+class Subject(NamedTuple):
+    """What a finding is about; subjects sort in field order."""
+
     service: str
     ref: str
     file: str = ""
     line: int = 0
 
-    def sort_key(self):
-        return (self.service, self.ref, self.file, self.line)
 
-
-@dataclass(frozen=True, slots=True)
-class Finding:
+class Finding(NamedTuple):
     rule_id: str
     severity: str
     message: str
     subjects: tuple[Subject, ...]
 
     def sort_key(self):
-        return (self.rule_id, tuple(s.sort_key() for s in self.subjects))
+        return (self.rule_id, self.subjects)
 
 
-# report.json writes a CouplingReport with dataclasses.asdict, so the field
-# names and order of these two classes are its "coupling" keys.
-@dataclass
-class ServiceCoupling:
-    service: str
-    ais: int
-    ads: int
-    instability: float
+class ServiceCoupling(Record):
+    __slots__ = ("service", "ais", "ads", "instability")
+
+    def __init__(self, service: str, ais: int, ads: int, instability: float):
+        self.service = service
+        self.ais = ais
+        self.ads = ads
+        self.instability = instability
 
 
-@dataclass
-class CouplingReport:
-    services: list[ServiceCoupling]
-    total_services: int
-    total_pairs: int
-    mean_instability: float
+class CouplingReport(Record):
+    __slots__ = ("services", "total_services", "total_pairs", "mean_instability")
+
+    def __init__(
+        self,
+        services: list[ServiceCoupling],
+        total_services: int,
+        total_pairs: int,
+        mean_instability: float,
+    ):
+        self.services = services
+        self.total_services = total_services
+        self.total_pairs = total_pairs
+        self.mean_instability = mean_instability
 
 
-@dataclass
-class CheckSettings:
-    disabled_rules: frozenset[str] = frozenset()
-    severity_overrides: dict[str, str] = field(default_factory=dict)
+class CheckSettings(Record):
+    __slots__ = ("disabled_rules", "severity_overrides")
+
+    def __init__(
+        self,
+        disabled_rules: frozenset[str] = frozenset(),
+        severity_overrides: dict[str, str] | None = None,
+    ):
+        self.disabled_rules = disabled_rules
+        self.severity_overrides = {} if severity_overrides is None else severity_overrides
 
     def severity(self, rule_id: str) -> str:
         return self.severity_overrides.get(rule_id, DEFAULT_SEVERITIES[rule_id])

@@ -9,7 +9,6 @@ order, so identical systems always serialize to identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from itertools import chain
 
 from microweave.analysis import (
@@ -159,6 +158,18 @@ def finding_to_json_obj(finding: Finding) -> dict:
     }
 
 
+def coupling_to_json_obj(metrics: CouplingReport) -> dict:
+    return {
+        "services": [
+            {"service": s.service, "ais": s.ais, "ads": s.ads, "instability": s.instability}
+            for s in metrics.services
+        ],
+        "total_services": metrics.total_services,
+        "total_pairs": metrics.total_pairs,
+        "mean_instability": metrics.mean_instability,
+    }
+
+
 def _text_report(findings: list[Finding], metrics: CouplingReport) -> str:
     sections = []
     if not findings:
@@ -199,7 +210,7 @@ def export_report(
     if fmt == "json":
         return join_chunks(chain(
             (b'{"findings":',), array_chunks(finding_to_json_obj(f) for f in findings),
-            (b',"coupling":', canonical_bytes(asdict(metrics)), b"}"),
+            (b',"coupling":', canonical_bytes(coupling_to_json_obj(metrics)), b"}"),
         ))
     if fmt == "text":
         return _text_report(findings, metrics).encode("utf-8")

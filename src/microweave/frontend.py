@@ -12,9 +12,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 from microweave.errors import MicroweaveError
 from microweave.laast import (
@@ -28,6 +28,7 @@ from microweave.laast import (
     count_nodes,
     load_laast,
 )
+from microweave.record import Record
 
 SPRING_LIKE = "SpringLike"
 JAXRS_LIKE = "JaxRsLike"
@@ -44,18 +45,25 @@ URL_WILDCARD = "{*}"
 HTTP_UNKNOWN = "UNKNOWN"
 
 
-@dataclass
-class SourceTree:
+class SourceTree(Record):
     """One microservice codebase to extract."""
 
-    service_name: str
-    root_dir: str | Path
-    include_globs: tuple[str, ...] = DEFAULT_INCLUDE_GLOBS
-    convention: str = SPRING_LIKE
+    __slots__ = ("service_name", "root_dir", "include_globs", "convention")
+
+    def __init__(
+        self,
+        service_name: str,
+        root_dir: str | Path,
+        include_globs: tuple[str, ...] = DEFAULT_INCLUDE_GLOBS,
+        convention: str = SPRING_LIKE,
+    ):
+        self.service_name = service_name
+        self.root_dir = root_dir
+        self.include_globs = include_globs
+        self.convention = convention
 
 
-@dataclass(frozen=True)
-class _ClientIdiom:
+class _ClientIdiom(NamedTuple):
     """How the calls made on one client receiver read.
 
     ``heads`` maps each method recognized right after the receiver to the
@@ -107,14 +115,22 @@ _CLIENT_IDIOMS = {
 SUBSCRIBE_ANNOTATIONS = {"KafkaListener": "topics", "RabbitListener": "queues"}
 
 
-@dataclass
-class ExtractionReport:
+class ExtractionReport(Record):
     """What the extractor did for one service tree."""
 
-    files_scanned: int = 0
-    files_skipped: list[tuple[str, str]] = field(default_factory=list)
-    nodes_emitted: int = 0
-    warnings: list[tuple[str, int, str]] = field(default_factory=list)
+    __slots__ = ("files_scanned", "files_skipped", "nodes_emitted", "warnings")
+
+    def __init__(
+        self,
+        files_scanned: int = 0,
+        files_skipped: list[tuple[str, str]] | None = None,
+        nodes_emitted: int = 0,
+        warnings: list[tuple[str, int, str]] | None = None,
+    ):
+        self.files_scanned = files_scanned
+        self.files_skipped = [] if files_skipped is None else files_skipped
+        self.nodes_emitted = nodes_emitted
+        self.warnings = [] if warnings is None else warnings
 
 
 # --------------------------------------------------------------------------
@@ -195,23 +211,25 @@ class _Brackets:
     same range in both.  The table comes from one walk over ``struct``.  Each
     kind of bracket is matched on its own stack, so ``close`` gives what
     scanning forward from an opener and counting only its kind finds.  ``at``
-    holds the sorted offsets of each ``{``, ``}``, ``(`` and ``;``.  Each
-    separator's offsets are grouped by the depth before them, counted over
-    every bracket of any kind (a stray closer can make it negative), so a
-    split reads the separators at its piece's own depth and never visits what
-    is nested inside it.
+    holds the sorted offsets of each ``{``, ``}``, ``(``, ``)`` and ``;``.
+    Each separator's offsets are grouped by the depth before them, counted
+    over every bracket of any kind (a stray closer can make it negative), so
+    a split reads the separators at its piece's own depth and never visits
+    what is nested inside it.  The offsets of each ``{`` and ``;`` are grouped
+    likewise by the paren depth before them, for ``terminator``.
     """
 
     def __init__(self, text: str, struct: str):
         self.text = text
         self.struct = struct
         self._closes: dict[int, int | None] = {}
-        self.at: dict[str, list[int]] = {char: [] for char in "{}(;"}
+        self.at: dict[str, list[int]] = {char: [] for char in "{}();"}
         self._seps: dict[str, dict[int, list[int]]] = {sep: {} for sep in ",=+"}
+        self._terminators: dict[int, list[int]] = {}
         self._bracket_offsets: list[int] = []
         self._depths_after: list[int] = []
         stacks: dict[str, list[int]] = {"(": [], "[": [], "{": []}
-        depth = 0
+        depth = paren_depth = 0
         for m in _MARK_RE.finditer(struct):
             char, offset = m.group(), m.start()
             if char in self._seps:
@@ -219,8 +237,12 @@ class _Brackets:
                 continue
             if char in self.at:
                 self.at[char].append(offset)
-            if char == ";":
-                continue
+            if char in "{;":
+                self._terminators.setdefault(paren_depth, []).append(offset)
+                if char == ";":
+                    continue
+            elif char in "()":
+                paren_depth += _NESTING[char]
             if char in stacks:
                 stacks[char].append(offset)
                 self._closes[offset] = None
@@ -234,6 +256,15 @@ class _Brackets:
         """Offset of the closer matching the opener at ``offset``, or None
         when it never closes or ``offset`` holds no opener."""
         return self._closes.get(offset)
+
+    def terminator(self, start: int) -> int | None:
+        """Offset of the first ``{`` or ``;`` at or after ``start`` with as
+        many ``(`` as ``)`` between ``start`` and it, or None."""
+        opens, closes = self.at["("], self.at[")"]
+        paren_depth = bisect_left(opens, start) - bisect_left(closes, start)
+        offsets = self._terminators.get(paren_depth, [])
+        i = bisect_left(offsets, start)
+        return offsets[i] if i < len(offsets) else None
 
     def split_top_level(self, piece: _Piece, sep: str) -> list[_Piece]:
         """Split a piece on a separator character at its starting depth."""
@@ -329,8 +360,7 @@ def _annotation_args(src: _Brackets, piece: _Piece) -> dict[str, str] | None:
     return args
 
 
-@dataclass(frozen=True)
-class _Annotation:
+class _Annotation(NamedTuple):
     """One top-level ``@Name`` or ``@Name(..)`` in a window.
 
     ``start`` and ``end`` are file offsets; ``end`` is the offset just past
@@ -483,8 +513,6 @@ _LOCAL_CALL_RE = re.compile(
 )
 #: A head without a return type: a constructor's when ``group(1)`` names its type.
 _CALLABLE_HEAD_RE = re.compile(rf"\s*(?:{_MODIFIER}\s+)*([A-Za-z_][\w$]*)\s*\(")
-#: What a declaration head's extent is read from: parens and terminators.
-_HEAD_MARK_RE = re.compile(r"[(){;]")
 
 
 class _JavaLikeParser:
@@ -590,8 +618,10 @@ class _JavaLikeParser:
 
     def _consume_annotations(self, lineno: int, pending: list[LaastNode]) -> bool:
         """If the line, from the cursor, begins with an annotation, parse the
-        (possibly multi-line) window into ``pending``, consume what it read,
-        and return True so the caller re-examines the line past it."""
+        annotations of the (possibly multi-line) window that come before its
+        first other token into ``pending``, consume them, and return True so
+        the caller re-examines the line past them.  Those after that token,
+        such as a parameter's, belong to the declaration it begins."""
         struct = self._brackets.struct
         start, line_end = self._rest_of_line(lineno)
         if not struct[start:line_end].lstrip().startswith("@"):
@@ -607,6 +637,14 @@ class _JavaLikeParser:
             unclosed += open_parens(end)
         window_end = self._line_end(end)
         found = _read_annotations(self._brackets, (start, window_end))
+        pos = start
+        for k, ann in enumerate(found):
+            if struct[pos : ann.start].strip():
+                del found[k:]  # a declaration has begun, and these are its own
+                break
+            if ann.end is None:
+                break  # every later one is inside its unclosed arguments
+            pos = ann.end
         if not found:
             return False
         # When no annotation closes, each is kept by name over the whole window.
@@ -740,20 +778,16 @@ class _JavaLikeParser:
 
     def _signature_extent(self, lineno: int, limit: int) -> int | None:
         """Last line of a declaration head starting at ``lineno`` (from the
-        cursor): the line carrying ``{`` or ``;`` at paren depth 0.  None when
-        the line has no call-shaped head."""
-        struct = self._brackets.struct
+        cursor): the line carrying ``{`` or ``;`` at paren depth 0, looked up
+        within 30 lines and up to ``limit``.  None when the line has no
+        call-shaped head."""
         start, line_end = self._rest_of_line(lineno)
-        if struct.find("(", start, line_end) < 0:
+        if self._brackets.struct.find("(", start, line_end) < 0:
             return None
-        depth = 0
-        for m in _HEAD_MARK_RE.finditer(struct, start, self._line_end(min(limit, lineno + 30))):
-            char = m.group()
-            if char in "()":
-                depth += _NESTING[char]
-            elif depth == 0:
-                return self._line_of(m.start())
-        return None
+        end = self._brackets.terminator(start)
+        if end is None or end >= self._line_end(min(limit, lineno + 30)):
+            return None
+        return self._line_of(end)
 
     def _head_end(self, start: int) -> tuple[int, int | None] | None:
         """``(end, open)`` of the declaration head searched from ``start``:

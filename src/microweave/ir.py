@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
 from microweave.errors import DuplicateServiceError, MalformedDocument, SchemaViolation
@@ -27,6 +26,7 @@ from microweave.matchers import (
     PlainType,
     RemoteCall,
 )
+from microweave.record import Record
 
 IR_FILE_SUFFIX = ".ir.json"
 
@@ -34,26 +34,51 @@ IR_FILE_SUFFIX = ".ir.json"
 _COLLECTION_SHELLS = ("List", "Set", "Collection", "Optional")
 
 
-@dataclass
-class ServiceIr:
-    service_name: str
-    components: list[Component] = field(default_factory=list)
-    endpoints: list[Endpoint] = field(default_factory=list)
-    remote_calls: list[RemoteCall] = field(default_factory=list)
-    event_ops: list[EventOp] = field(default_factory=list)
-    #: ((caller component, caller method), (callee component, callee method))
-    internal_calls: list[tuple[tuple[str, str], tuple[str, str]]] = field(default_factory=list)
-    plain_types: list[PlainType] = field(default_factory=list)
-    extraction_report: ExtractionReport = field(default_factory=ExtractionReport)
-    warnings: list[tuple[str, int, str]] = field(default_factory=list)
+class ServiceIr(Record):
+    __slots__ = (
+        "service_name", "components", "endpoints", "remote_calls", "event_ops",
+        "internal_calls", "plain_types", "extraction_report", "warnings",
+    )
+
+    def __init__(
+        self,
+        service_name: str,
+        components: list[Component] | None = None,
+        endpoints: list[Endpoint] | None = None,
+        remote_calls: list[RemoteCall] | None = None,
+        event_ops: list[EventOp] | None = None,
+        internal_calls: list[tuple[tuple[str, str], tuple[str, str]]] | None = None,
+        plain_types: list[PlainType] | None = None,
+        extraction_report: ExtractionReport | None = None,
+        warnings: list[tuple[str, int, str]] | None = None,
+    ):
+        self.service_name = service_name
+        self.components = [] if components is None else components
+        self.endpoints = [] if endpoints is None else endpoints
+        self.remote_calls = [] if remote_calls is None else remote_calls
+        self.event_ops = [] if event_ops is None else event_ops
+        #: ((caller component, caller method), (callee component, callee method))
+        self.internal_calls = [] if internal_calls is None else internal_calls
+        self.plain_types = [] if plain_types is None else plain_types
+        self.extraction_report = (
+            ExtractionReport() if extraction_report is None else extraction_report
+        )
+        self.warnings = [] if warnings is None else warnings
 
 
-@dataclass
-class DataModel:
-    service_name: str
-    entities: list[Component] = field(default_factory=list)
-    #: (entity name, field name, entity name)
-    relations: list[tuple[str, str, str]] = field(default_factory=list)
+class DataModel(Record):
+    __slots__ = ("service_name", "entities", "relations")
+
+    def __init__(
+        self,
+        service_name: str,
+        entities: list[Component] | None = None,
+        relations: list[tuple[str, str, str]] | None = None,
+    ):
+        self.service_name = service_name
+        self.entities = [] if entities is None else entities
+        #: (entity name, field name, entity name)
+        self.relations = [] if relations is None else relations
 
 
 def unwrap_collection(declared_type: str) -> str:
@@ -205,7 +230,8 @@ def _load_fields(fields: tuple[tuple[str, _Codec], ...], obj, path: str) -> list
 
 
 def _record(cls, *fields: tuple[str, _Codec]) -> _Codec:
-    """A dataclass whose attributes are named like its JSON keys."""
+    """A record type whose fields are named like its JSON keys and are
+    taken by keyword."""
 
     def dump(value):
         return {key: codec.dump(getattr(value, key)) for key, codec in fields}

@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from microweave.errors import MalformedDocument, SchemaViolation
 from microweave.jsonio import array_chunks, canonical_bytes, join_chunks
+from microweave.record import Record
 
 
 class NodeKind(str, Enum):
@@ -53,8 +54,7 @@ CALL_KIND_EVENT_PUBLISH = "event_publish"
 CALL_KIND_LOCAL = "local"
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """Location of a node in its originating source file.
 
     ``file`` is a relative path from the service root using forward slashes;
@@ -66,8 +66,7 @@ class SourceSpan:
     line_end: int
 
 
-@dataclass(eq=False, slots=True)
-class LaastNode:
+class LaastNode(Record):
     """One tree node.  Immutable by convention after construction.
 
     ``attributes`` is an ordered string-to-string map; insertion order is
@@ -75,11 +74,21 @@ class LaastNode:
     for synthetic nodes that have no source location.
     """
 
-    kind: NodeKind
-    name: str | None = None
-    attributes: dict[str, str] = field(default_factory=dict)
-    children: list[LaastNode] = field(default_factory=list)
-    span: SourceSpan | None = None
+    __slots__ = ("kind", "name", "attributes", "children", "span")
+
+    def __init__(
+        self,
+        kind: NodeKind,
+        name: str | None = None,
+        attributes: dict[str, str] | None = None,
+        children: list[LaastNode] | None = None,
+        span: SourceSpan | None = None,
+    ):
+        self.kind = kind
+        self.name = name
+        self.attributes = {} if attributes is None else attributes
+        self.children = [] if children is None else children
+        self.span = span
 
     def __eq__(self, other: object) -> bool:
         # Attribute order is significant, so plain dict equality is too weak.
@@ -92,8 +101,6 @@ class LaastNode:
             and self.span == other.span
             and self.children == other.children
         )
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def _fail(message: str, path: str) -> SchemaViolation:

@@ -10,7 +10,7 @@ list never changes results because priority alone decides conflicts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from microweave.errors import MicroweaveError
 from microweave.frontend import JAXRS_LIKE, SPRING_LIKE, SUBSCRIBE_ANNOTATIONS, URL_WILDCARD
@@ -23,6 +23,7 @@ from microweave.laast import (
     NodeKind,
     SourceSpan,
 )
+from microweave.record import Record
 
 ROLE_ENTITY = "Entity"
 ROLE_REPOSITORY = "Repository"
@@ -40,8 +41,7 @@ DIRECTION_PUBLISH = "Publish"
 DIRECTION_SUBSCRIBE = "Subscribe"
 
 
-@dataclass(frozen=True)
-class MatcherRule:
+class MatcherRule(NamedTuple):
     """One classification rule: triggers plus a priority for conflicts."""
 
     component_role: str
@@ -80,88 +80,155 @@ def default_ruleset(convention: str = SPRING_LIKE) -> list[MatcherRule]:
     ]
 
 
-@dataclass(slots=True)
-class MethodSig:
-    name: str
-    params: list[tuple[str, str]]  # (name, declared_type)
-    return_type: str
-    annotations: list[tuple[str, dict[str, str]]]
+class MethodSig(Record):
+    __slots__ = ("name", "params", "return_type", "annotations")
+
+    def __init__(
+        self,
+        name: str,
+        params: list[tuple[str, str]],  # (name, declared_type)
+        return_type: str,
+        annotations: list[tuple[str, dict[str, str]]],
+    ):
+        self.name = name
+        self.params = params
+        self.return_type = return_type
+        self.annotations = annotations
 
 
-@dataclass(slots=True)
-class Component:
-    role: str
-    name: str
-    service: str
-    fields: list[tuple[str, str]]  # (name, declared_type)
-    methods: list[MethodSig]
-    annotations: list[tuple[str, dict[str, str]]]
-    span: SourceSpan
+class Component(Record):
+    __slots__ = ("role", "name", "service", "fields", "methods", "annotations", "span")
+
+    def __init__(
+        self,
+        role: str,
+        name: str,
+        service: str,
+        fields: list[tuple[str, str]],  # (name, declared_type)
+        methods: list[MethodSig],
+        annotations: list[tuple[str, dict[str, str]]],
+        span: SourceSpan,
+    ):
+        self.role = role
+        self.name = name
+        self.service = service
+        self.fields = fields
+        self.methods = methods
+        self.annotations = annotations
+        self.span = span
 
 
-@dataclass(slots=True)
-class Endpoint:
-    owner: str
-    service: str
-    http_method: str
-    url_templates: list[str]
-    params: list[tuple[str, str, str]]  # (name, kind, declared_type)
-    handler: MethodSig
-    span: SourceSpan
+class Endpoint(Record):
+    __slots__ = ("owner", "service", "http_method", "url_templates", "params", "handler", "span")
+
+    def __init__(
+        self,
+        owner: str,
+        service: str,
+        http_method: str,
+        url_templates: list[str],
+        params: list[tuple[str, str, str]],  # (name, kind, declared_type)
+        handler: MethodSig,
+        span: SourceSpan,
+    ):
+        self.owner = owner
+        self.service = service
+        self.http_method = http_method
+        self.url_templates = url_templates
+        self.params = params
+        self.handler = handler
+        self.span = span
 
 
-@dataclass(slots=True)
-class RemoteCall:
-    caller_service: str
-    caller_component: str
-    caller_method: str
-    http_method: str
-    url_template: str
-    arg_count: int
-    span: SourceSpan
+class RemoteCall(Record):
+    __slots__ = (
+        "caller_service", "caller_component", "caller_method", "http_method", "url_template",
+        "arg_count", "span",
+    )
+
+    def __init__(
+        self,
+        caller_service: str,
+        caller_component: str,
+        caller_method: str,
+        http_method: str,
+        url_template: str,
+        arg_count: int,
+        span: SourceSpan,
+    ):
+        self.caller_service = caller_service
+        self.caller_component = caller_component
+        self.caller_method = caller_method
+        self.http_method = http_method
+        self.url_template = url_template
+        self.arg_count = arg_count
+        self.span = span
 
 
-@dataclass(slots=True)
-class EventOp:
-    direction: str
-    topic: str
-    service: str
-    component: str
-    method: str
-    span: SourceSpan
+class EventOp(Record):
+    __slots__ = ("direction", "topic", "service", "component", "method", "span")
+
+    def __init__(
+        self, direction: str, topic: str, service: str, component: str, method: str,
+        span: SourceSpan,
+    ):
+        self.direction = direction
+        self.topic = topic
+        self.service = service
+        self.component = component
+        self.method = method
+        self.span = span
 
 
-@dataclass(slots=True)
-class LocalCall:
+class LocalCall(Record):
     """A resolved-in-type invocation, kept for internal call-graph building."""
 
-    service: str
-    component: str
-    method: str
-    callee: str
-    span: SourceSpan
+    __slots__ = ("service", "component", "method", "callee", "span")
+
+    def __init__(self, service: str, component: str, method: str, callee: str, span: SourceSpan):
+        self.service = service
+        self.component = component
+        self.method = method
+        self.callee = callee
+        self.span = span
 
 
-@dataclass(slots=True)
-class PlainType:
+class PlainType(Record):
     """A type no rule classified; kept for the record, creates no component."""
 
-    name: str
-    service: str
-    span: SourceSpan
+    __slots__ = ("name", "service", "span")
+
+    def __init__(self, name: str, service: str, span: SourceSpan):
+        self.name = name
+        self.service = service
+        self.span = span
 
 
-@dataclass
-class MatcherOutput:
+class MatcherOutput(Record):
     """run_matchers result: the lifted elements of one service."""
 
-    components: list[Component] = field(default_factory=list)
-    endpoints: list[Endpoint] = field(default_factory=list)
-    remote_calls: list[RemoteCall] = field(default_factory=list)
-    event_ops: list[EventOp] = field(default_factory=list)
-    local_calls: list[LocalCall] = field(default_factory=list)
-    plain_types: list[PlainType] = field(default_factory=list)
-    warnings: list[tuple[str, int, str]] = field(default_factory=list)
+    __slots__ = (
+        "components", "endpoints", "remote_calls", "event_ops", "local_calls", "plain_types",
+        "warnings",
+    )
+
+    def __init__(
+        self,
+        components: list[Component] | None = None,
+        endpoints: list[Endpoint] | None = None,
+        remote_calls: list[RemoteCall] | None = None,
+        event_ops: list[EventOp] | None = None,
+        local_calls: list[LocalCall] | None = None,
+        plain_types: list[PlainType] | None = None,
+        warnings: list[tuple[str, int, str]] | None = None,
+    ):
+        self.components = [] if components is None else components
+        self.endpoints = [] if endpoints is None else endpoints
+        self.remote_calls = [] if remote_calls is None else remote_calls
+        self.event_ops = [] if event_ops is None else event_ops
+        self.local_calls = [] if local_calls is None else local_calls
+        self.plain_types = [] if plain_types is None else plain_types
+        self.warnings = [] if warnings is None else warnings
 
 
 def classify(type_node: LaastNode, ruleset: list[MatcherRule]) -> MatcherRule | None:

@@ -14,7 +14,6 @@ import os
 import sys
 import threading
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -43,6 +42,7 @@ from microweave.ir import IR_FILE_SUFFIX, ServiceIr, build_service_ir, save_serv
 from microweave.jsonio import array_chunks, atomic_write, canonical_bytes
 from microweave.laast import LONE_SURROGATE, LaastNode, save_laast
 from microweave.matchers import MatcherRule, default_ruleset, run_matchers, validate_ruleset
+from microweave.record import Record
 from microweave.similarity import load_taxonomy_file
 from microweave.topology import load_compose_file, merge_topologies
 from microweave.weave import (
@@ -61,15 +61,28 @@ OUTPUT_FORMATS = ("dot", "json", "text")
 _SEVERITY_VALUES = (SEV_ERROR, SEV_WARNING, SEV_INFO)
 
 
-@dataclass
-class RunConfig:
-    services: list[SourceTree]
-    taxonomy_path: Path | None = None
-    compose_paths: list[Path] = field(default_factory=list)
-    weave: WeaveConfig = WeaveConfig()
-    ruleset: list[MatcherRule] | None = None
-    checks: CheckSettings = field(default_factory=CheckSettings)
-    output_dir: Path = Path("out")
+class RunConfig(Record):
+    __slots__ = (
+        "services", "taxonomy_path", "compose_paths", "weave", "ruleset", "checks", "output_dir",
+    )
+
+    def __init__(
+        self,
+        services: list[SourceTree],
+        taxonomy_path: Path | None = None,
+        compose_paths: list[Path] | None = None,
+        weave: WeaveConfig = WeaveConfig(),
+        ruleset: list[MatcherRule] | None = None,
+        checks: CheckSettings | None = None,
+        output_dir: Path = Path("out"),
+    ):
+        self.services = services
+        self.taxonomy_path = taxonomy_path
+        self.compose_paths = [] if compose_paths is None else compose_paths
+        self.weave = weave
+        self.ruleset = ruleset
+        self.checks = CheckSettings() if checks is None else checks
+        self.output_dir = output_dir
 
 
 _CONFIG_KEYS = (

@@ -10,10 +10,10 @@ declared-vs-inferred topology cross-check.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from microweave.errors import MalformedDocument
+from microweave.record import Record
 
 ORIGIN_DEPENDS_ON = "depends_on"
 ORIGIN_LINKS = "links"
@@ -23,20 +23,35 @@ _SUPPORTED_VERSION_RE = re.compile(r"^[23](\.\d+)?$")
 _ENV_URL_RE = re.compile(r"https?://([A-Za-z0-9_.-]+)(?::\d+)?")
 
 
-@dataclass
-class TopologyService:
-    name: str
-    image: str = ""
-    aliases: list[str] = field(default_factory=list)
-    env: dict[str, str] = field(default_factory=dict)
+class TopologyService(Record):
+    __slots__ = ("name", "image", "aliases", "env")
+
+    def __init__(
+        self,
+        name: str,
+        image: str = "",
+        aliases: list[str] | None = None,
+        env: dict[str, str] | None = None,
+    ):
+        self.name = name
+        self.image = image
+        self.aliases = [] if aliases is None else aliases
+        self.env = {} if env is None else env
 
 
-@dataclass
-class TopologyModel:
-    services: list[TopologyService] = field(default_factory=list)
-    #: (from service, to service, origin)
-    declared_edges: list[tuple[str, str, str]] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class TopologyModel(Record):
+    __slots__ = ("services", "declared_edges", "warnings")
+
+    def __init__(
+        self,
+        services: list[TopologyService] | None = None,
+        declared_edges: list[tuple[str, str, str]] | None = None,
+        warnings: list[str] | None = None,
+    ):
+        self.services = [] if services is None else services
+        #: (from service, to service, origin)
+        self.declared_edges = [] if declared_edges is None else declared_edges
+        self.warnings = [] if warnings is None else warnings
 
 
 def _as_str(value) -> str:

@@ -9,8 +9,8 @@ topology filtered down to analyzed services.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import chain, combinations
+from typing import NamedTuple
 
 from microweave import __version__, similarity
 from microweave.errors import DuplicateServiceError
@@ -24,6 +24,7 @@ from microweave.matchers import (
     Endpoint,
     RemoteCall,
 )
+from microweave.record import Record
 from microweave.similarity import Taxonomy, entity_similarity, greedy_pairing
 from microweave.topology import Inventory, TopologyModel, build_inventory
 
@@ -47,24 +48,21 @@ _PRIMITIVE_CANON = {
 _URL_RE = re.compile(r"^(https?)://([^/]*)(/.*)?$")
 
 
-@dataclass(frozen=True)
-class WeaveConfig:
+class WeaveConfig(NamedTuple):
     entity_threshold: float = DEFAULT_ENTITY_THRESHOLD
     field_threshold: float = DEFAULT_FIELD_THRESHOLD
     path_threshold: float = DEFAULT_PATH_THRESHOLD
     config_digest: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class FieldMatch:
+class FieldMatch(NamedTuple):
     field_a: str
     field_b: str
     score: float
     type_compatible: bool
 
 
-@dataclass(frozen=True, slots=True)
-class EntityMatch:
+class EntityMatch(NamedTuple):
     #: the two entities joined, ``a`` from the service that sorts first
     a: Component
     b: Component
@@ -89,15 +87,16 @@ class EntityMatch:
         return self.b.name
 
 
-@dataclass
-class ContextMap:
-    #: one per-service data model, sorted by service name
-    bounded_contexts: list[DataModel]
-    matches: list[EntityMatch]
+class ContextMap(Record):
+    __slots__ = ("bounded_contexts", "matches")
+
+    def __init__(self, bounded_contexts: list[DataModel], matches: list[EntityMatch]):
+        #: one per-service data model, sorted by service name
+        self.bounded_contexts = bounded_contexts
+        self.matches = matches
 
 
-@dataclass(frozen=True, slots=True)
-class CommEdge:
+class CommEdge(NamedTuple):
     call: RemoteCall
     endpoint: Endpoint
     matched_url_template: str
@@ -114,19 +113,33 @@ class CommEdge:
         return self.endpoint.service
 
 
-@dataclass
-class SystemIr:
-    services: list[ServiceIr]
-    context_map: ContextMap
-    comm_edges: list[CommEdge]
-    #: (publisher service, subscriber service, topic)
-    event_edges: list[tuple[str, str, str]]
-    #: (from service, to service, origin), analyzed services only
-    topology_edges: list[tuple[str, str, str]]
-    metadata: dict = field(default_factory=dict)
-    #: (call, method near-miss endpoint or None) for each call without an
-    #: edge; read by the checks, never serialized
-    unmatched_calls: list[tuple[RemoteCall, Endpoint | None]] = field(default_factory=list)
+class SystemIr(Record):
+    __slots__ = (
+        "services", "context_map", "comm_edges", "event_edges", "topology_edges", "metadata",
+        "unmatched_calls",
+    )
+
+    def __init__(
+        self,
+        services: list[ServiceIr],
+        context_map: ContextMap,
+        comm_edges: list[CommEdge],
+        event_edges: list[tuple[str, str, str]],
+        topology_edges: list[tuple[str, str, str]],
+        metadata: dict | None = None,
+        unmatched_calls: list[tuple[RemoteCall, Endpoint | None]] | None = None,
+    ):
+        self.services = services
+        self.context_map = context_map
+        self.comm_edges = comm_edges
+        #: (publisher service, subscriber service, topic)
+        self.event_edges = event_edges
+        #: (from service, to service, origin), analyzed services only
+        self.topology_edges = topology_edges
+        self.metadata = {} if metadata is None else metadata
+        #: (call, method near-miss endpoint or None) for each call without an
+        #: edge; read by the checks, never serialized
+        self.unmatched_calls = [] if unmatched_calls is None else unmatched_calls
 
 
 def canonical_type(declared_type: str) -> str:

@@ -662,6 +662,34 @@ def test_too_deep_passthrough_document_is_skipped_with_one_warning(tmp_path, cap
         {"file": "deep.laast.json", "line": 0, "message": f"skipped: {reason}"}]
 
 
+_STARTUP_PROBE = """
+import json, sys
+import microweave.cli
+from microweave.runner import load_config, run
+config = load_config(sys.argv[1])
+startup = sorted(sys.modules)
+import yaml  # run imports it for the compose file only
+before_run = set(sys.modules)
+status = run(config)
+print(json.dumps({"startup": startup, "run": sorted(set(sys.modules) - before_run)}))
+"""
+
+
+def test_startup_loads_no_dataclasses_and_run_loads_no_further_module(shop):
+    """Run in a fresh interpreter, since the test runner imports
+    ``dataclasses`` itself.  Every module ``run`` needs is loaded at start-up,
+    so start-up cost cannot move into the run instead of going away."""
+    src = Path(__file__).parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, str(shop / "config.json")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    modules = json.loads(done.stdout)
+    assert {"dataclasses", "inspect"}.isdisjoint(modules["startup"])
+    assert modules["run"] == []
+
+
 def test_passthrough_documents_up_to_the_depth_limit_load_and_round_trip(tmp_path):
     """Run in a fresh interpreter: the limit is stated for the command line,
     whose stack is shallower than a test runner's."""

@@ -458,6 +458,44 @@ def test_unclosed_client_call_heads_parse_in_linear_work():
         assert all(g <= 2.2 for g in growth), (counter.__name__, counts, growth)
 
 
+def _extent_line_count(text: str) -> int:
+    """Python lines executed in ``_signature_extent`` while parsing ``text``."""
+    count = 0
+
+    def count_lines(_frame, _event, _arg):
+        nonlocal count
+        count += 1
+        return count_lines
+
+    def trace(frame, _event, _arg):
+        return count_lines if frame.f_code is _JavaLikeParser._signature_extent.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        _JavaLikeParser(text, "F.java").parse()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_member_head_extents_take_work_independent_of_the_lines_after_them():
+    # Every "foo(" stays open, so scanning for the head's end would read up to
+    # 30 lines after each: 31 times the work of a head closed on its own line.
+    def source(n, line):
+        return "public class F {\n" + line * n + "}\n"
+
+    counts = {
+        (n, line): _extent_line_count(source(n, line))
+        for n in (2000, 8000)
+        for line in ("    foo(\n", "    foo();\n")
+    }
+    for line in ("    foo(\n", "    foo();\n"):
+        assert counts[8000, line] <= 4.4 * counts[2000, line], counts
+    for n in (2000, 8000):
+        assert counts[n, "    foo(\n"] <= counts[n, "    foo();\n"], counts
+
+
 def _best_parse_seconds(text: str) -> tuple[float, LaastNode]:
     """The best of three wall times parsing ``text``, and the last tree."""
     times = []
@@ -890,6 +928,7 @@ class _CheckedBrackets:
         self._parser = parser
         self._table = parser._brackets
         self.at = self._table.at
+        self.terminator = self._table.terminator  # checked through _signature_extent
         self.text, self.struct = self._table.text, self._table.struct
 
     def close(self, offset):
@@ -1456,13 +1495,32 @@ def _old_recognize_annotation(window: str) -> tuple[list[tuple[str, dict[str, st
     return found, warnings
 
 
+def _old_declaration_start(window: str) -> int:
+    """Where the first token of ``window`` that is no annotation begins, or
+    its end when an annotation before that never closes: all that follows
+    such an annotation is its argument list."""
+    extents = {start: end for start, end, _name, _args in _old_annotation_extents(window)}
+    i = 0
+    while i < len(window):
+        if window[i].isspace():
+            i += 1
+        elif i in extents:
+            i = extents[i]
+        else:
+            # An annotation that is no extent is one whose arguments never close.
+            m = _OLD_ANNOTATION_RE.match(window, i)
+            return len(window) if m and m.group(1) != "interface" else i
+    return i
+
+
 def _old_consume_annotations(
     self, text: str, struct: str, lineno: int, pending: list[LaastNode]
 ) -> int | None:
     """If the line of the views ``text`` and ``struct`` begins with an
-    annotation, parse the (possibly multi-line) window into ``pending`` and
-    return the end of the range it blanks from the line's start, after which
-    the caller re-examines the line; else None."""
+    annotation, parse the annotations of the (possibly multi-line) window
+    before its first other token into ``pending`` and return the end of the
+    range it blanks from the line's start, after which the caller
+    re-examines the line; else None."""
     lines, text_lines = struct.split("\n"), text.split("\n")
     struct_line = lines[lineno - 1]
     if not struct_line.lstrip().startswith("@"):
@@ -1476,11 +1534,12 @@ def _old_consume_annotations(
     ):
         end += 1
         window_struct += "\n" + lines[end - 1]
-    extents = _old_annotation_extents(window_struct)
+    cut = _old_declaration_start(window_struct)
+    extents = [e for e in _old_annotation_extents(window_struct) if e[0] < cut]
     start_off = self._line_starts[lineno - 1]
     window_text = "\n".join(text_lines[lineno - 1 : end])
     if not extents:
-        errors = _old_annotation_errors(window_struct)
+        errors = _old_annotation_errors(window_struct) if cut == len(window_struct) else []
         if not errors:
             return None
         for name, msg in errors:
@@ -1578,7 +1637,10 @@ _ANNOTATION_WINDOWS = st.builds(
     lambda items, tail: "".join(a + sep for a, sep in items) + tail,
     st.lists(st.tuples(_annotation_text(_ANNOTATION_VALUES),
                        st.sampled_from([" ", "", "\n", "\n    "])), min_size=1, max_size=4),
-    st.sampled_from(["", "public class A {", "String id", "final Long id", "\nclass B {}"]),
+    st.sampled_from([
+        "", "public class A {", "String id", "final Long id", "\nclass B {}",
+        "Item post(@RequestBody Item item) {",
+    ]),
 )
 
 

@@ -211,6 +211,38 @@ public class VerbController {
     assert got == {"/g": "GET", "/p": "POST", "/u": "PUT", "/d": "DELETE", "/m": "PATCH"}
 
 
+def test_handler_sharing_a_line_with_its_mapping_keeps_its_parameter_annotations(tmp_path):
+    out = _extract(
+        tmp_path,
+        {
+            "src/A.java": """
+@RestController
+@RequestMapping("/items")
+public class ItemController {
+    @GetMapping("/{id}")
+    public Item get(@PathVariable("id") String id) {
+        return null;
+    }
+
+    @PostMapping("/x") public Item post(@RequestBody Item item) {
+        return item;
+    }
+
+    @DeleteMapping("/{id}")
+    public void delete(@PathVariable("id") String id) {
+    }
+}
+"""
+        },
+    )
+    assert [(e.http_method, e.url_templates, e.handler.name, e.params) for e in out.endpoints] == [
+        ("GET", ["/items/{id}"], "get", [("id", "path", "String")]),
+        ("POST", ["/items/x"], "post", [("item", "body", "Item")]),
+        ("DELETE", ["/items/{id}"], "delete", [("id", "path", "String")]),
+    ]
+    assert out.warnings == []
+
+
 def test_endpoints_only_lift_from_controllers(tmp_path):
     out = _extract(
         tmp_path,

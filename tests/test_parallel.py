@@ -19,7 +19,11 @@ from conftest import GOLDEN_DIR, copy_shop, overlay_variant
 from microweave import runner
 from microweave.cli import main
 from microweave.errors import MicroweaveError, SchemaViolation
-from microweave.ir import save_service_ir
+from microweave.frontend import ExtractionReport
+from microweave.ir import ServiceIr, save_service_ir
+from microweave.laast import SourceSpan
+from microweave.matchers import Component, Endpoint, EventOp, MethodSig, PlainType, RemoteCall
+from microweave.record import Record
 from microweave.runner import load_config
 
 PROCESSES = 3
@@ -253,12 +257,35 @@ def test_no_fork_while_a_second_thread_is_alive(tmp_path, monkeypatch):
     assert len(system.services) == 3
 
 
+def _record_types(value, found: set[type]) -> set[type]:
+    """The record types in ``value``, however deeply nested."""
+    if isinstance(value, Record) or hasattr(value, "_fields"):  # a NamedTuple
+        found.add(type(value))
+        value = value._values() if isinstance(value, Record) else list(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _record_types(item, found)
+    return found
+
+
 def test_service_ir_survives_a_pickle_round_trip(shop_system):
     system, _golden = shop_system
-    for ir in system.services:
+    # The fixture classifies every type it declares.
+    plain = ServiceIr("plain", plain_types=[PlainType("Util", "plain", SourceSpan("U.java", 1, 3))])
+    types: set[type] = set()
+    for ir in [*system.services, plain]:
         back = pickle.loads(pickle.dumps(ir, pickle.HIGHEST_PROTOCOL))
+        assert back == ir
+        assert _record_types(back, set()) == _record_types(ir, set())
+        types |= _record_types(ir, set())
         assert save_service_ir(back) == save_service_ir(ir)
         methods = {c.name: c.methods for c in back.components}
         for endpoint in back.endpoints:
             assert any(endpoint.handler is m for m in methods[endpoint.owner])
     assert any(ir.endpoints for ir in system.services)
+    assert types == {
+        ServiceIr, Component, MethodSig, Endpoint, RemoteCall, EventOp, PlainType,
+        ExtractionReport, SourceSpan,
+    }
