@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
@@ -211,25 +211,23 @@ class _Brackets:
     same range in both.  The table comes from one walk over ``struct``.  Each
     kind of bracket is matched on its own stack, so ``close`` gives what
     scanning forward from an opener and counting only its kind finds.  ``at``
-    holds the sorted offsets of each ``{``, ``}``, ``(``, ``)`` and ``;``.
-    Each separator's offsets are grouped by the depth before them, counted
-    over every bracket of any kind (a stray closer can make it negative), so
-    a split reads the separators at its piece's own depth and never visits
-    what is nested inside it.  The offsets of each ``{`` and ``;`` are grouped
-    likewise by the paren depth before them, for ``terminator``.
+    holds the sorted offsets of each ``{``, ``(`` and ``;``.  Each
+    separator's offsets are grouped by the depth before them, counted over
+    every bracket of any kind (a stray closer can make it negative), so a
+    split reads the separators at its piece's own depth and never visits
+    what is nested inside it.
     """
 
     def __init__(self, text: str, struct: str):
         self.text = text
         self.struct = struct
         self._closes: dict[int, int | None] = {}
-        self.at: dict[str, list[int]] = {char: [] for char in "{}();"}
+        self.at: dict[str, list[int]] = {char: [] for char in "{(;"}
         self._seps: dict[str, dict[int, list[int]]] = {sep: {} for sep in ",=+"}
-        self._terminators: dict[int, list[int]] = {}
         self._bracket_offsets: list[int] = []
         self._depths_after: list[int] = []
         stacks: dict[str, list[int]] = {"(": [], "[": [], "{": []}
-        depth = paren_depth = 0
+        depth = 0
         for m in _MARK_RE.finditer(struct):
             char, offset = m.group(), m.start()
             if char in self._seps:
@@ -237,12 +235,8 @@ class _Brackets:
                 continue
             if char in self.at:
                 self.at[char].append(offset)
-            if char in "{;":
-                self._terminators.setdefault(paren_depth, []).append(offset)
                 if char == ";":
                     continue
-            elif char in "()":
-                paren_depth += _NESTING[char]
             if char in stacks:
                 stacks[char].append(offset)
                 self._closes[offset] = None
@@ -256,15 +250,6 @@ class _Brackets:
         """Offset of the closer matching the opener at ``offset``, or None
         when it never closes or ``offset`` holds no opener."""
         return self._closes.get(offset)
-
-    def terminator(self, start: int) -> int | None:
-        """Offset of the first ``{`` or ``;`` at or after ``start`` with as
-        many ``(`` as ``)`` between ``start`` and it, or None."""
-        opens, closes = self.at["("], self.at[")"]
-        paren_depth = bisect_left(opens, start) - bisect_left(closes, start)
-        offsets = self._terminators.get(paren_depth, [])
-        i = bisect_left(offsets, start)
-        return offsets[i] if i < len(offsets) else None
 
     def split_top_level(self, piece: _Piece, sep: str) -> list[_Piece]:
         """Split a piece on a separator character at its starting depth."""
@@ -309,8 +294,20 @@ def _unquote(src: _Brackets, piece: _Piece) -> str | None:
     return src.text[start + 1 : end - 1].replace('\\"', '"').replace("\\\\", "\\")
 
 
-_DOTTED_RE = re.compile(r"[\w$]+(?:\.[\w$]+)+")
+_DOTTED_RE = re.compile(r"[\w$]+(?:\s*\.\s*[\w$]+)+")
 _KEY_RE = re.compile(r"[\w$]+")
+
+
+def _type_text(chars: str) -> str:
+    """A type as its text reads with one space between words, none beside
+    ``<``, ``>``, ``[``, ``]`` or ``.`` and one after each comma, so that no
+    line break or comment between its tokens changes it."""
+    text = " ".join(chars.split())
+    for punct in "<>[].,":
+        text = text.replace(" " + punct, punct)
+    for punct in "<[.,":
+        text = text.replace(punct + " ", punct)
+    return text.replace(",", ", ")
 
 
 def _encode_annotation_value(src: _Brackets, piece: _Piece) -> str:
@@ -319,8 +316,9 @@ def _encode_annotation_value(src: _Brackets, piece: _Piece) -> str:
     String literals lose their quotes; ``{a, b}`` arrays join with ``|``, and
     nested arrays flatten at any depth (``{{a, b}, c}`` gives ``a|b|c``, an
     empty array an empty value); dotted enum references keep only the last
-    segment (``RequestMethod.GET`` becomes ``GET``); class literals and
-    anything else stay verbatim.
+    segment (``RequestMethod.GET`` becomes ``GET``); class literals read as
+    types (``Foo .class`` becomes ``Foo.class``), and anything else stays
+    verbatim.
     """
     values: list[str] = []
     todo = [piece]
@@ -335,10 +333,9 @@ def _encode_annotation_value(src: _Brackets, piece: _Piece) -> str:
             todo.extend(reversed(items))
             if not items:
                 values.append("")
-        elif not src.text.endswith(".class", start, end) and _DOTTED_RE.fullmatch(
-            src.text, start, end
-        ):
-            values.append(src.text[start:end].rsplit(".", 1)[1])
+        elif src.text.endswith(".class", start, end) or _DOTTED_RE.fullmatch(src.text, start, end):
+            value = _type_text(src.text[start:end])
+            values.append(value if value.endswith(".class") else value.rsplit(".", 1)[1])
         else:
             values.append(src.text[start:end])
     return "|".join(values)
@@ -361,10 +358,10 @@ def _annotation_args(src: _Brackets, piece: _Piece) -> dict[str, str] | None:
 
 
 class _Annotation(NamedTuple):
-    """One top-level ``@Name`` or ``@Name(..)`` in a window.
+    """One top-level ``@Name`` or ``@Name(..)`` in a piece.
 
     ``start`` and ``end`` are file offsets; ``end`` is the offset just past
-    it, or None when its argument list never closes in the window; ``args``
+    it, or None when its argument list never closes in the piece; ``args``
     is None when the list is unparseable.
     """
 
@@ -374,34 +371,36 @@ class _Annotation(NamedTuple):
     args: dict[str, str] | None
 
 
+def _annotation_node(ann: _Annotation, span: SourceSpan) -> LaastNode:
+    return LaastNode(kind=NodeKind.ANNOTATION, name=ann.name, attributes=ann.args or {}, span=span)
+
+
 #: An annotation's name with the ``(`` opening its arguments.
 _ANNOTATION_HEAD_RE = re.compile(r"@\s*([A-Za-z_][\w$]*)(\s*\()?")
 
 
-def _read_annotations(src: _Brackets, window: _Piece) -> list[_Annotation]:
-    """The top-level annotations of a window in source order.
+def _read_annotations(src: _Brackets, piece: _Piece) -> Iterator[_Annotation]:
+    """The top-level annotations of a piece in source order.
 
     An annotation inside the arguments of one that closes is folded into it;
-    the annotations inside an argument list that never closes in the window
+    the annotations inside an argument list that never closes in the piece
     are top-level too.  ``@interface`` is no annotation.
     """
-    found: list[_Annotation] = []
-    folded_until = window[0]
-    for m in _ANNOTATION_HEAD_RE.finditer(src.struct, *window):
+    folded_until = piece[0]
+    for m in _ANNOTATION_HEAD_RE.finditer(src.struct, *piece):
         name, end = m.group(1), m.end()
         if name == "interface" or m.start() < folded_until:
             continue
         args: dict[str, str] | None = {}
         if m.group(2):
             close = src.close(end - 1)
-            if close is None or close >= window[1]:
-                found.append(_Annotation(name, m.start(), None, None))
+            if close is None or close >= piece[1]:
+                yield _Annotation(name, m.start(), None, None)
                 continue
             args = _annotation_args(src, (end, close))
             end = close + 1
-        found.append(_Annotation(name, m.start(), end, args))
+        yield _Annotation(name, m.start(), end, args)
         folded_until = end
-    return found
 
 
 # --------------------------------------------------------------------------
@@ -508,191 +507,174 @@ _METHOD_HEAD_RE = re.compile(
 )
 _FIELD_RE = re.compile(rf"\s*(?:{_MODIFIER}\s+)*({_TYPE_PAT})\s+([A-Za-z_][\w$]*)\s*(?:=|;)")
 _PARAM_RE = re.compile(rf"(?:final\s+)?({_TYPE_PAT})\s+([A-Za-z_][\w$]*)")
+_RESERVED = _MODIFIER_WORDS | _JAVA_KEYWORDS
+#: Each kind of declaration, how its head reads (``group(1)`` its type or
+#: kind, ``group(2)`` its name, never reserved) and the words its type is not.
+_DECLARATIONS = (
+    ("type", _TYPE_DECL_RE, frozenset()),
+    ("method", _METHOD_HEAD_RE, _RESERVED),
+    ("field", _FIELD_RE, _JAVA_KEYWORDS),
+)
 _LOCAL_CALL_RE = re.compile(
     r"(?<![\w.$@])(?:([A-Za-z_][\w$]*)\s*\.\s*)?([A-Za-z_][\w$]*)\s*\("
 )
-#: A head without a return type: a constructor's when ``group(1)`` names its type.
-_CALLABLE_HEAD_RE = re.compile(rf"\s*(?:{_MODIFIER}\s+)*([A-Za-z_][\w$]*)\s*\(")
 
 
 class _JavaLikeParser:
-    """Heuristic declaration scanner for one source file.
+    """Island parser for one source file, read through the ``_Brackets`` of
+    its two views: declarations are islands in a sea of skipped text.
 
-    Reads two views of the file, made in one lexing pass and never changed:
-    comment-masked text (string literals intact, for value extraction) and
-    additionally string-masked text (for structural scans, so braces or
-    parens inside literals never confuse depth tracking).  Both keep the
-    offsets and line breaks of the file, so a piece of it is one
-    ``(start, end)`` range of offsets in either.  They are read through one
-    ``_Brackets``, which also answers every "where does this bracket close"
-    and "where is the next ``{``, ``(`` or ``;``".
-
-    Annotations are consumed in source order, and each consumed range ends
-    at a cursor.  Whatever reads a line reads it from the cursor on, so a
-    declaration sharing a line with its annotations is still seen and the
-    annotations are not seen again.  The brace depth at a line start is the
-    file's braces before it less the braces inside consumed ranges.
+    The file's types, and the members of a type body, are the stretches
+    between the terminators at that depth: a ``;``, or a ``{`` and the ``}``
+    closing it.  A member's head runs from the previous terminator to its
+    own; its annotations are those before its first other token, and the
+    rest reads as a type, method or field.  Anything else, such as a nested
+    type, a constructor or an initializer block, is skipped with its body.
+    Line starts give spans, warnings, and where a head is read again.
     """
 
     def __init__(self, text: str, relpath: str):
         self.relpath = relpath
         text, struct, self._line_starts = _masked_views(text)
-        self._size = len(struct)
         self._brackets = _Brackets(text, struct)
-        self._cursor = 0
-        self._blanked: dict[str, list[int]] = {"{": [], "}": []}
         self.warnings: list[tuple[str, int, str]] = []
 
     def _line_of(self, offset: int) -> int:
         return bisect_right(self._line_starts, offset)
 
-    def _line_end(self, lineno: int) -> int:
-        """Offset of the newline ending a line, or the file's size."""
-        return self._line_starts[lineno] - 1 if lineno < len(self._line_starts) else self._size
+    def _warn(self, offset: int, message: str) -> None:
+        self.warnings.append((self.relpath, self._line_of(offset), message))
 
-    def _rest_of_line(self, lineno: int) -> _Piece:
-        """The part of a line at or after the cursor: what is left of it once
-        the consumed annotations are masked, empty when they cover it."""
-        end = self._line_end(lineno)
-        return min(max(self._line_starts[lineno - 1], self._cursor), end), end
-
-    def _warn(self, line: int, message: str) -> None:
-        self.warnings.append((self.relpath, line, message))
+    def _span(self, start: int, end: int) -> SourceSpan:  # the lines of chars start..end
+        return SourceSpan(self.relpath, self._line_of(start), self._line_of(end))
 
     def _next(self, chars: str, start: int) -> tuple[int, str] | None:
         """The first of ``chars`` at or after ``start`` in the structural
         view, as ``(offset, char)``, or None."""
-        found = None
-        for char in chars:
-            offsets = self._brackets.at[char]
-            i = bisect_left(offsets, start)
-            if i < len(offsets) and (found is None or offsets[i] < found[0]):
-                found = (offsets[i], char)
-        return found
+        at = self._brackets.at
+        found = ((at[c][i], c) for c in chars if (i := bisect_left(at[c], start)) < len(at[c]))
+        return min(found, default=None)
 
-    def _depth_at(self, lineno: int) -> int:
-        """Brace depth of the structural view at the start of a line, with
-        the consumed ranges masked."""
-        start = self._line_starts[lineno - 1]
-        opens, closes = (
-            bisect_left(self._brackets.at[c], start) - bisect_left(self._blanked[c], start)
-            for c in "{}"
-        )
-        return opens - closes
+    def _members(self, start: int, end: int, read: Callable[[int, int, int], bool]) -> int:
+        """Call ``read(start, terminator, close)`` for each member of chars
+        ``[start, end)``: where its head starts, the offset of its ``;`` or
+        ``{``, and that of the ``;`` again or of the ``}`` closing the ``{``;
+        ``read`` returns whether the head declares anything.  A ``(`` closing
+        before ``end`` is skipped whole, and any other is a stray character.
+        So is a ``{`` that never closes after a head declaring nothing; after
+        one declaring something, it holds the rest of the file.  Returns
+        where the text after the last terminator, which is no member, starts."""
+        pos = start
+        while (found := self._next("({;", pos)) is not None and found[0] < end:
+            term, char = found
+            close = term if char == ";" else self._brackets.close(term)
+            if char == "(":
+                pos = term + 1 if close is None or close >= end else close + 1
+            elif close is not None:
+                read(start, term, close)
+                start = pos = close + 1
+            elif read(start, term, len(self._brackets.struct) - 1):
+                return end
+            else:
+                start = pos = term + 1
+        return start
 
-    def _mask_range(self, start: int, end: int) -> None:
-        """Consume chars [start, end), which begin at or after the cursor:
-        log their braces and move the cursor past them."""
-        for char, blanked in self._blanked.items():
-            offsets = self._brackets.at[char]
-            blanked.extend(offsets[bisect_left(offsets, start) : bisect_left(offsets, end)])
-        self._cursor = end
+    def _head(self, start: int, term: int) -> tuple[list[LaastNode] | None, int]:
+        """The annotations of the head ``[start, term)`` before its first
+        other token, and that token's offset (``term`` if none).  When one
+        of them never closes in the head, all that follows is its argument
+        list: the annotations are None, and the offset is its own."""
+        src, annotations = self._brackets, []  # read where one starts: retries stay linear
+        m = _ANNOTATION_HEAD_RE.match(src.struct, _strip(src, (start, term))[0])
+        for ann in _read_annotations(src, (start, term)) if m and m[1] != "interface" else ():
+            if _strip(src, (start, ann.start)) != (start, start):
+                break  # a declaration has begun, and this one is its own
+            if ann.args is None:
+                self._warn(ann.start, f"unparseable arguments for @{ann.name}")
+            if ann.end is None:
+                return None, ann.start
+            annotations.append(_annotation_node(ann, self._span(ann.start, ann.end - 1)))
+            start = ann.end
+        first, end = _strip(src, (start, term))
+        return annotations, first if first < end else term
 
-    def _span(self, line_start: int, line_end: int) -> SourceSpan:
-        return SourceSpan(
-            file=self.relpath, line_start=line_start, line_end=max(line_start, line_end)
-        )
+    def _declaration(
+        self, start: int, term: int, members: bool
+    ) -> tuple[str, re.Match, list[LaastNode]] | None:
+        """What the head ``[start, term)`` declares: ``(kind, match,
+        annotations)`` for a kind of ``_DECLARATIONS`` (only a type unless
+        ``members``), or None.  It is read from the first token after the
+        annotations, up to and including the terminator; failing that, from
+        each later line in turn to its end.  Sea text, such as a stray token
+        or an unterminated literal, ends no member but often ends at a line
+        break, and reading each line once keeps the work linear."""
+        struct, lines = self._brackets.struct, self._line_starts
+        limit = term + 1
+        while start < term:
+            annotations, decl = self._head(start, term)
+            line = self._line_of(decl)
+            next_line = lines[line] if line < len(lines) else term + 1
+            if limit <= term:  # a retry, read to the end of its line
+                limit = min(next_line, term + 1)
+            for kind, pattern, not_types in _DECLARATIONS[: 3 if members else 1]:
+                m = annotations is not None and pattern.match(struct, decl, limit)
+                if (
+                    m
+                    and m.group(2) not in _RESERVED
+                    and m.group(1).split("<")[0].strip() not in not_types
+                    and (kind != "method" or (self._brackets.close(m.end() - 1) or term) < term)
+                ):  # a method's parameters close in its head
+                    return kind, m, annotations
+            start, limit = next_line, term
+        return None
 
     def parse(self) -> LaastNode:
-        n_lines = len(self._line_starts)
-        unit = LaastNode(
-            kind=NodeKind.COMPILATION_UNIT,
-            name=self.relpath,
-            span=self._span(1, max(1, n_lines)),
-        )
-        i = 1
-        pending: list[LaastNode] = []
-        while i <= n_lines:
-            if self._depth_at(i) != 0:
-                i += 1
-                continue
-            if self._consume_annotations(i, pending):
-                continue
-            m = _TYPE_DECL_RE.match(self._brackets.struct, *self._rest_of_line(i))
-            if m:
-                i = self._parse_type(i, m, pending, unit)
-                pending = []
-                continue
-            i += 1
+        span = SourceSpan(self.relpath, 1, len(self._line_starts))
+        unit = LaastNode(kind=NodeKind.COMPILATION_UNIT, name=self.relpath, span=span)
+
+        def read_type(start: int, term: int, _close: int) -> bool:
+            found = self._declaration(start, term, members=False)
+            if found is None:
+                return False
+            _kind, m, annotations = found
+            if self._brackets.struct[term] == ";":  # a stray ``;`` may precede the body
+                after = self._next("{;", term + 1)
+                if after is None or after[1] == ";" or self._declaration(term + 1, after[0], True):
+                    self._warn(m.start(), f"type {m.group(2)} has no body")
+                    return True
+                term = after[0]
+            unit.children.append(self._parse_type(m, annotations, term))
+            return True
+
+        size = len(self._brackets.struct)
+        found = self._declaration(self._members(0, size, read_type), size, members=False)
+        if found is not None:
+            self._warn(found[1].start(), f"type {found[1].group(2)} has no body")
         return unit
 
-    def _consume_annotations(self, lineno: int, pending: list[LaastNode]) -> bool:
-        """If the line, from the cursor, begins with an annotation, parse the
-        annotations of the (possibly multi-line) window that come before its
-        first other token into ``pending``, consume them, and return True so
-        the caller re-examines the line past them.  Those after that token,
-        such as a parameter's, belong to the declaration it begins."""
-        struct = self._brackets.struct
-        start, line_end = self._rest_of_line(lineno)
-        if not struct[start:line_end].lstrip().startswith("@"):
-            return False
-
-        def open_parens(line: int) -> int:
-            piece = self._rest_of_line(line)
-            return struct.count("(", *piece) - struct.count(")", *piece)
-
-        end, unclosed = lineno, open_parens(lineno)
-        while end < len(self._line_starts) and unclosed > 0 and end - lineno < 20:
-            end += 1
-            unclosed += open_parens(end)
-        window_end = self._line_end(end)
-        found = _read_annotations(self._brackets, (start, window_end))
-        pos = start
-        for k, ann in enumerate(found):
-            if struct[pos : ann.start].strip():
-                del found[k:]  # a declaration has begun, and these are its own
-                break
-            if ann.end is None:
-                break  # every later one is inside its unclosed arguments
-            pos = ann.end
-        if not found:
-            return False
-        # When no annotation closes, each is kept by name over the whole window.
-        closed = [ann for ann in found if ann.end is not None]
-        for ann in closed or found:
-            if ann.args is None:
-                self._warn(lineno, f"unparseable arguments for @{ann.name}")
-            span = self._span(lineno, end) if not closed else self._span(
-                self._line_of(ann.start), self._line_of(ann.end - 1)
-            )
-            pending.append(LaastNode(
-                kind=NodeKind.ANNOTATION, name=ann.name, attributes=ann.args or {}, span=span
-            ))
-        self._mask_range(start, closed[-1].end if closed else window_end)
-        return True
-
-    def _parse_type(
-        self, lineno: int, m: re.Match, pending: list[LaastNode], unit: LaastNode
-    ) -> int:
+    def _parse_type(self, m: re.Match, annotations: list[LaastNode], open_off: int) -> LaastNode:
         type_kind, name = m.group(1), m.group(2)
-        brace = self._next("{", m.start())
-        if brace is None:
-            self._warn(lineno, f"type {name} has no body")
-            return lineno + 1
-        open_off = brace[0]
         close_off = self._brackets.close(open_off)
         if close_off is None:
-            self._warn(lineno, f"unbalanced braces in type {name}")
-            close_off = self._size - 1
+            self._warn(m.start(), f"unbalanced braces in type {name}")
+            close_off = len(self._brackets.struct) - 1
         head_struct = self._brackets.struct[m.start() : open_off]
         attrs = {"type_kind": type_kind}
-        em = re.search(r"\bextends\s+(.+?)(?:\bimplements\b|$)", head_struct, re.S)
-        if em and em.group(1).strip():
-            attrs["extends"] = " ".join(em.group(1).split()).strip(" ,")
-        im = re.search(r"\bimplements\s+(.+)$", head_struct, re.S)
-        if im and im.group(1).strip():
-            attrs["implements"] = " ".join(im.group(1).split()).strip(" ,")
+        for key, pattern in (("extends", r"\bextends\s+(.+?)(?:\bimplements\b|$)"),
+                             ("implements", r"\bimplements\s+(.+)$")):
+            found = re.search(pattern, head_struct, re.S)
+            if found and found.group(1).strip():
+                attrs[key] = _type_text(found.group(1)).strip(" ,")
         node = LaastNode(
             kind=NodeKind.TYPE_DECL,
             name=name,
             attributes=attrs,
-            children=list(pending),
-            span=self._span(lineno, self._line_of(close_off)),
+            children=annotations,
+            span=self._span(m.start(), close_off),
         )
-        self._parse_members(node, self._line_of(open_off), self._line_of(close_off), name)
+        self._members(open_off + 1, close_off, lambda *member: self._parse_member(node, *member))
         self._resolve_local_calls(node)
-        unit.children.append(node)
-        return self._line_of(close_off) + 1
+        return node
 
     @staticmethod
     def _resolve_local_calls(type_node: LaastNode) -> None:
@@ -715,128 +697,52 @@ class _JavaLikeParser:
             if member.kind == NodeKind.METHOD_DECL:
                 member.children = [c for c in member.children if keep(c)]
 
-    def _parse_members(
-        self, type_node: LaastNode, open_line: int, close_line: int, type_name: str
-    ) -> None:
-        struct = self._brackets.struct
-        body_depth = self._depth_at(open_line) + 1
-        i = open_line + 1
-        pending: list[LaastNode] = []
-        while i < close_line:
-            if self._depth_at(i) != body_depth:
-                i += 1
-                continue
-            start, line_end = self._rest_of_line(i)
-            if not struct[start:line_end].strip():
-                i += 1
-                continue
-            if self._consume_annotations(i, pending):
-                continue
-            sig_end = self._signature_extent(i, close_line)
-            if sig_end is not None:
-                signature = (start, self._line_end(sig_end))
-                mm = _METHOD_HEAD_RE.match(struct, *signature)
-                if mm is not None:
-                    head_type = mm.group(1).split("<")[0].strip()
-                    if (
-                        head_type in _MODIFIER_WORDS
-                        or head_type in _JAVA_KEYWORDS
-                        or mm.group(2) in _JAVA_KEYWORDS
-                    ):
-                        mm = None
-                if mm is not None:
-                    i = self._parse_method(i, mm, pending, type_node)
-                    pending = []
-                    continue
-                cm = _CALLABLE_HEAD_RE.match(struct, *signature)
-                if cm is not None and cm.group(1) == type_name:
-                    # constructor: no endpoint semantics, skip its body
-                    end = self._head_end(max(self._line_starts[sig_end - 1], start))
-                    i = sig_end + 1 if end is None else self._line_of(end[0]) + 1
-                    pending = []
-                    continue
-            fm = _FIELD_RE.match(struct, start, line_end)
-            if (
-                fm
-                and fm.group(2) not in _JAVA_KEYWORDS
-                and fm.group(1).split("<")[0].strip() not in _JAVA_KEYWORDS
-            ):
-                type_node.children.append(
-                    LaastNode(
-                        kind=NodeKind.FIELD_DECL,
-                        name=fm.group(2),
-                        attributes={"declared_type": " ".join(fm.group(1).split())},
-                        children=list(pending),
-                        span=self._span(i, i),
-                    )
+    def _parse_member(self, type_node: LaastNode, start: int, term: int, close: int) -> bool:
+        """Append the method or field one member declares, and return
+        whether it declares anything; a nested type is skipped."""
+        found = self._declaration(start, term, members=True)
+        if found is not None and found[0] != "type":
+            kind, m, annotations = found
+            type_node.children.append(
+                self._parse_method(m, annotations, term, close) if kind == "method" else LaastNode(
+                    kind=NodeKind.FIELD_DECL,
+                    name=m.group(2),
+                    attributes={"declared_type": _type_text(m.group(1))},
+                    children=annotations,
+                    span=self._span(m.start(), m.start()),
                 )
-                pending = []
-                i += 1
-                continue
-            pending = []
-            i += 1
-
-    def _signature_extent(self, lineno: int, limit: int) -> int | None:
-        """Last line of a declaration head starting at ``lineno`` (from the
-        cursor): the line carrying ``{`` or ``;`` at paren depth 0, looked up
-        within 30 lines and up to ``limit``.  None when the line has no
-        call-shaped head."""
-        start, line_end = self._rest_of_line(lineno)
-        if self._brackets.struct.find("(", start, line_end) < 0:
-            return None
-        end = self._brackets.terminator(start)
-        if end is None or end >= self._line_end(min(limit, lineno + 30)):
-            return None
-        return self._line_of(end)
-
-    def _head_end(self, start: int) -> tuple[int, int | None] | None:
-        """``(end, open)`` of the declaration head searched from ``start``:
-        its ``;`` and None, or the ``}`` closing its body (the file's last
-        character if none does) and the ``{`` opening it; None if neither."""
-        term = self._next("{;", start)
-        if term is None or term[1] == ";":
-            return None if term is None else (term[0], None)
-        close = self._brackets.close(term[0])
-        return self._size - 1 if close is None else close, term[0]
+            )
+        return found is not None
 
     def _parse_method(
-        self, start_line: int, mm: re.Match, pending: list[LaastNode], type_node: LaastNode
-    ) -> int:
-        return_type = " ".join(mm.group(1).split())
-        name = mm.group(2)
-        sig_off = mm.start()
-        paren_off = self._next("(", sig_off)[0]
-        paren_close = self._brackets.close(paren_off)
-
+        self, mm: re.Match, annotations: list[LaastNode], term: int, close: int
+    ) -> LaastNode:
+        start = mm.start()
         method = LaastNode(
             kind=NodeKind.METHOD_DECL,
-            name=name,
-            attributes={"return_type": return_type},
-            children=list(pending),
-            span=self._span(start_line, start_line),
+            name=mm.group(2),
+            attributes={"return_type": _type_text(mm.group(1))},
+            children=annotations,
+            span=self._span(start, close),
         )
-        if paren_close is not None:
-            for param in _split_args(self._brackets, (paren_off + 1, paren_close)):
-                self._add_param(method, param, start_line)
+        paren_off = mm.end() - 1
+        for param in _split_args(self._brackets, (paren_off + 1, self._brackets.close(paren_off))):
+            self._add_param(method, param, start)
+        if term < close:
+            self._scan_body(method, term + 1, close)
+        return method
 
-        end = self._head_end(sig_off if paren_close is None else paren_close + 1)
-        end_line = start_line if end is None else self._line_of(end[0])
-        if end is not None and end[1] is not None:
-            self._scan_body(method, end[1] + 1, end[0])
-        method.span = self._span(start_line, end_line)
-        type_node.children.append(method)
-        return end_line + 1
-
-    def _add_param(self, method: LaastNode, param: _Piece, line: int) -> None:
+    def _add_param(self, method: LaastNode, param: _Piece, at: int) -> None:
         """Append the Param node of one stripped parameter to ``method``, or
-        warn when it is not a type and a name after its annotations.
+        warn when it is not a type and a name after its annotations.  Its
+        spans and warnings take the line of offset ``at``.
 
         Annotations whose arguments never close come after the others."""
         text, (pos, end) = self._brackets.text, param
         found = sorted(_read_annotations(self._brackets, param), key=lambda ann: ann.end is None)
         for ann in found:
             if ann.args is None:
-                self._warn(line, f"unparseable arguments for @{ann.name}")
+                self._warn(at, f"unparseable arguments for @{ann.name}")
         bare = ""
         for ann in found:
             if ann.end is not None:
@@ -844,19 +750,14 @@ class _JavaLikeParser:
                 pos = ann.end
         pm = _PARAM_RE.fullmatch(" ".join((bare + text[pos:end]).split()))
         if pm is None:
-            self._warn(line, f"unparseable parameter {text[param[0] : end]!r} in {method.name}")
+            self._warn(at, f"unparseable parameter {text[param[0] : end]!r} in {method.name}")
             return
-        span = self._span(line, line)
+        span = self._span(at, at)
         method.children.append(LaastNode(
             kind=NodeKind.PARAM,
             name=pm.group(2),
-            attributes={"declared_type": " ".join(pm.group(1).split())},
-            children=[
-                LaastNode(
-                    kind=NodeKind.ANNOTATION, name=ann.name, attributes=ann.args or {}, span=span
-                )
-                for ann in found
-            ],
+            attributes={"declared_type": _type_text(pm.group(1))},
+            children=[_annotation_node(ann, span) for ann in found],
             span=span,
         ))
 
@@ -922,10 +823,9 @@ class _JavaLikeParser:
                 problem = "non-literal topic"
             if not clean:
                 shape = ("()" if uri_link else "(...)") + (" chain" if roles else "")
-                self._warn(self._line_of(m.start()), f"{problem} in {receiver}.{head}{shape}")
+                self._warn(m.start(), f"{problem} in {receiver}.{head}{shape}")
             attrs = {CALL_KIND_ATTR: idiom.kind, **attrs, "arg_count": str(len(counted))}
-            span = SourceSpan(self.relpath, self._line_of(m.start()), self._line_of(end))
-            calls.append(_call_node(head, attrs, span))
+            calls.append(_call_node(head, attrs, self._span(m.start(), end)))
 
         for m in _LOCAL_CALL_RE.finditer(struct, start_off, end_off):
             receiver, callee = m.group(1), m.group(2)
@@ -940,11 +840,10 @@ class _JavaLikeParser:
                 before -= 1
             if struct.endswith("new", start_off, before):
                 continue
-            lineno = self._line_of(m.start())
             attrs = {CALL_KIND_ATTR: CALL_KIND_LOCAL}
             if receiver:
                 attrs["receiver"] = receiver
-            calls.append(_call_node(callee, attrs, SourceSpan(self.relpath, lineno, lineno)))
+            calls.append(_call_node(callee, attrs, self._span(m.start(), m.start())))
         calls.sort(key=lambda c: (c.span.line_start, c.span.line_end, c.name or ""))
         method.children.extend(calls)
 
