@@ -11,8 +11,9 @@ import argparse
 import sys
 
 from microweave import __version__
+from microweave.config import load_config
 from microweave.errors import ConfigError, MicroweaveError
-from microweave.runner import OUTPUT_FORMATS, load_config, run
+from microweave.runner import OUTPUT_FORMATS, run
 
 EXIT_CLEAN = 0
 EXIT_WARNINGS = 1
@@ -50,15 +51,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if not args.config:
-            raise ConfigError("--config is required", field="--config")
+            raise ConfigError("--config is required")
         formats = {f.strip() for f in args.formats.split(",") if f.strip()}
         unknown = sorted(formats - set(OUTPUT_FORMATS))
         if unknown:
-            raise ConfigError(f"--format: unknown output family {unknown[0]!r}",
-                              field="--format")
+            raise ConfigError(f"--format: unknown output family {unknown[0]!r}")
         if not formats:
-            raise ConfigError("--format must select at least one output family",
-                              field="--format")
+            raise ConfigError("--format must select at least one output family")
         services_filter = None
         if args.services:
             services_filter = [s.strip() for s in args.services.split(",") if s.strip()]

@@ -42,9 +42,4 @@ class TermNotFound(MicroweaveError):
 
 
 class ConfigError(MicroweaveError):
-    """Invalid run configuration; ``field`` names the offending entry, which
-    the message itself also names."""
-
-    def __init__(self, message: str, field: str = ""):
-        super().__init__(message)
-        self.field = field
+    """Invalid run configuration; the message names the offending entry."""

@@ -1,15 +1,13 @@
-"""Pipeline orchestration: configuration loading and the end-to-end run.
+"""Pipeline orchestration: the end-to-end run.
 
-The run configuration is a UTF-8 JSON file.  Relative paths resolve
-against the config file's directory.  ``run`` executes extraction and
-matching per service, weaves the system model, analyzes it, and writes
-every output atomically into the output directory.
+``run`` executes extraction and matching per service, weaves the system
+model, analyzes it, and writes every output atomically into the output
+directory.  ``load_config`` (from ``microweave.config``) reads the run
+configuration it takes.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import sys
 import threading
@@ -17,40 +15,19 @@ from collections.abc import Iterable, Iterator
 from functools import partial
 from pathlib import Path
 
-from microweave.analysis import (
-    CheckSettings,
-    RULE_IDS,
-    SEV_ERROR,
-    SEV_INFO,
-    SEV_WARNING,
-    coupling_metrics,
-    run_checks,
-)
-from microweave.errors import ConfigError, MicroweaveError
+from microweave.analysis import SEV_ERROR, coupling_metrics, run_checks
+from microweave.config import RunConfig, load_config  # load_config: imported from here too
+from microweave.errors import MicroweaveError
 from microweave.export import export_dot, export_report
-from microweave.frontend import (
-    CONVENTIONS,
-    DEFAULT_INCLUDE_GLOBS,
-    LAAST_PASSTHROUGH,
-    PASSTHROUGH_INCLUDE_GLOBS,
-    SPRING_LIKE,
-    SourceTree,
-    extract,
-    source_files,
-)
+from microweave.frontend import SourceTree, extract, source_files
 from microweave.ir import IR_FILE_SUFFIX, ServiceIr, build_service_ir, save_service_ir
 from microweave.jsonio import array_chunks, atomic_write, canonical_bytes
-from microweave.laast import LONE_SURROGATE, LaastNode, save_laast
-from microweave.matchers import MatcherRule, default_ruleset, run_matchers, validate_ruleset
-from microweave.record import Record
+from microweave.laast import LaastNode, save_laast
+from microweave.matchers import MatcherRule, default_ruleset, run_matchers
 from microweave.similarity import load_taxonomy_file
 from microweave.topology import load_compose_file, merge_topologies
 from microweave.weave import (
-    DEFAULT_ENTITY_THRESHOLD,
-    DEFAULT_FIELD_THRESHOLD,
-    DEFAULT_PATH_THRESHOLD,
     SystemIr,
-    WeaveConfig,
     comm_edge_to_json_obj,
     save_context_map,
     system_to_json_obj,
@@ -58,364 +35,6 @@ from microweave.weave import (
 )
 
 OUTPUT_FORMATS = ("dot", "json", "text")
-_SEVERITY_VALUES = (SEV_ERROR, SEV_WARNING, SEV_INFO)
-
-
-class RunConfig(Record):
-    __slots__ = (
-        "services", "taxonomy_path", "compose_paths", "weave", "ruleset", "checks", "output_dir",
-    )
-
-    def __init__(
-        self,
-        services: list[SourceTree],
-        taxonomy_path: Path | None = None,
-        compose_paths: list[Path] | None = None,
-        weave: WeaveConfig = WeaveConfig(),
-        ruleset: list[MatcherRule] | None = None,
-        checks: CheckSettings | None = None,
-        output_dir: Path = Path("out"),
-    ):
-        self.services = services
-        self.taxonomy_path = taxonomy_path
-        self.compose_paths = [] if compose_paths is None else compose_paths
-        self.weave = weave
-        self.ruleset = ruleset
-        self.checks = CheckSettings() if checks is None else checks
-        self.output_dir = output_dir
-
-
-_CONFIG_KEYS = (
-    "services", "root", "taxonomy_path", "compose_paths", "thresholds", "ruleset", "checks",
-    "output_dir",
-)
-_SERVICE_KEYS = ("name", "root_dir", "include_globs", "convention")
-_THRESHOLD_KEYS = ("tau", "tau_f", "theta")
-_CHECK_KEYS = ("disable", "severity")
-_RULE_KEYS = ("role", "annotations", "suffixes", "priority")
-
-
-def _require_type(value, types, field_name: str, what: str):
-    if not isinstance(value, types):
-        raise ConfigError(f"{field_name} must be {what}", field=field_name)
-    return value
-
-
-def _reject_unknown_keys(raw: dict, known: tuple[str, ...], prefix: str) -> None:
-    """``prefix`` is the enclosing field with its trailing dot, or empty."""
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"{prefix}{key}: unknown field", field=f"{prefix}{key}")
-
-
-def _config_path(base: Path, raw: str, field_name: str) -> Path:
-    """``raw`` as written when absolute, else resolved against ``base``."""
-    if "\0" in raw:
-        raise ConfigError(f"{field_name} must not contain a NUL byte", field=field_name)
-    return Path(raw) if Path(raw).is_absolute() else (base / raw).resolve()
-
-
-# A service name becomes an output file name, so it must stay one path component.
-_NAME_RULE = "must not be '.' or '..' or contain '/', '\\' or a NUL byte"
-
-
-def _unsafe_name(name: str) -> bool:
-    return name in (".", "..") or any(c in name for c in "/\\\0")
-
-def _discover_services(root: Path) -> list[dict]:
-    """Auto discovery: each immediate subdirectory containing at least one
-    source file becomes one service named after the directory."""
-    specs = []
-    if not root.is_dir():
-        raise ConfigError(f"services auto-discovery root {root} is not a directory",
-                          field="services")
-    for child in sorted(root.iterdir()):
-        if not child.is_dir() or child.name.startswith("."):
-            continue
-        patterns = DEFAULT_INCLUDE_GLOBS + PASSTHROUGH_INCLUDE_GLOBS
-        if any(next(child.glob(pattern), None) is not None for pattern in patterns):
-            if _unsafe_name(child.name):
-                raise ConfigError(
-                    f"services auto-discovery: directory {child.name!r} cannot be a "
-                    f"service name, which {_NAME_RULE}",
-                    field="services",
-                )
-            specs.append({"name": child.name, "root_dir": child.name})
-    return specs
-
-
-def _parse_service(entry, index: int, base: Path) -> SourceTree:
-    field_name = f"services[{index}]"
-    _require_type(entry, dict, field_name, "an object")
-    _reject_unknown_keys(entry, _SERVICE_KEYS, f"{field_name}.")
-    name = entry.get("name")
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"{field_name}.name must be a non-empty string",
-                          field=f"{field_name}.name")
-    if _unsafe_name(name):
-        raise ConfigError(f"{field_name}.name {_NAME_RULE}", field=f"{field_name}.name")
-    root_raw = entry.get("root_dir")
-    if not isinstance(root_raw, str) or not root_raw:
-        raise ConfigError(f"{field_name}.root_dir must be a non-empty string",
-                          field=f"{field_name}.root_dir")
-    globs = entry.get("include_globs", list(DEFAULT_INCLUDE_GLOBS))
-    _require_type(globs, list, f"{field_name}.include_globs", "an array of strings")
-    for i, g in enumerate(globs):
-        if not isinstance(g, str):
-            raise ConfigError(f"{field_name}.include_globs[{i}] must be a string",
-                              field=f"{field_name}.include_globs")
-        # matched below root_dir, so it must name files there
-        if not Path(g).parts or Path(g).is_absolute() or ".." in Path(g).parts:
-            raise ConfigError(f"{field_name}.include_globs[{i}] must be a non-empty relative "
-                              "pattern with no '..' segment",
-                              field=f"{field_name}.include_globs[{i}]")
-    convention = entry.get("convention", SPRING_LIKE)
-    if convention not in CONVENTIONS:
-        raise ConfigError(
-            f"{field_name}.convention must be one of {', '.join(CONVENTIONS)}",
-            field=f"{field_name}.convention",
-        )
-    if convention == LAAST_PASSTHROUGH and "include_globs" not in entry:
-        globs = list(PASSTHROUGH_INCLUDE_GLOBS)
-    return SourceTree(
-        service_name=name,
-        root_dir=_config_path(base, root_raw, f"{field_name}.root_dir"),
-        include_globs=tuple(globs),
-        convention=convention,
-    )
-
-
-def _parse_threshold(raw: dict, key: str, default: float) -> float:
-    value = raw.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"thresholds.{key} must be a number", field=f"thresholds.{key}")
-    # Compared before float(), which overflows on a huge integer.
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"thresholds.{key} must be within [0, 1]",
-                          field=f"thresholds.{key}")
-    return float(value)
-
-
-def _parse_checks(raw) -> tuple[frozenset[str], dict[str, str]]:
-    _require_type(raw, dict, "checks", "an object")
-    _reject_unknown_keys(raw, _CHECK_KEYS, "checks.")
-    disabled = raw.get("disable", [])
-    _require_type(disabled, list, "checks.disable", "an array of rule ids")
-    for i, rule_id in enumerate(disabled):
-        if rule_id not in RULE_IDS:
-            raise ConfigError(
-                f"checks.disable[{i}]: unknown rule id {rule_id!r}",
-                field=f"checks.disable[{i}]",
-            )
-    overrides = raw.get("severity", {})
-    _require_type(overrides, dict, "checks.severity", "an object")
-    for rule_id, severity in overrides.items():
-        if rule_id not in RULE_IDS:
-            raise ConfigError(
-                f"checks.severity: unknown rule id {rule_id!r}",
-                field=f"checks.severity.{rule_id}",
-            )
-        if severity not in _SEVERITY_VALUES:
-            raise ConfigError(
-                f"checks.severity.{rule_id} must be one of "
-                + ", ".join(_SEVERITY_VALUES),
-                field=f"checks.severity.{rule_id}",
-            )
-    return frozenset(disabled), dict(overrides)
-
-
-def _string_array(value, field_name: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{field_name} must be an array of strings", field=field_name)
-    return tuple(value)
-
-
-def _parse_ruleset(raw) -> list[MatcherRule]:
-    _require_type(raw, list, "ruleset", "an array of rule objects")
-    rules = []
-    for i, entry in enumerate(raw):
-        field_name = f"ruleset[{i}]"
-        _require_type(entry, dict, field_name, "an object")
-        _reject_unknown_keys(entry, _RULE_KEYS, f"{field_name}.")
-        role = _require_type(entry.get("role", ""), str, f"{field_name}.role", "a string")
-        priority = entry.get("priority", 0)
-        if not isinstance(priority, int) or isinstance(priority, bool):
-            raise ConfigError(f"{field_name}.priority must be an integer",
-                              field=f"{field_name}.priority")
-        rules.append(
-            MatcherRule(
-                component_role=role,
-                annotation_names=_string_array(
-                    entry.get("annotations", []), f"{field_name}.annotations"
-                ),
-                name_suffixes=_string_array(entry.get("suffixes", []), f"{field_name}.suffixes"),
-                priority=priority,
-            )
-        )
-    try:
-        validate_ruleset(rules)
-    except MicroweaveError as exc:
-        raise ConfigError(f"ruleset: {exc}", field="ruleset") from None
-    return rules
-
-
-# A \uD800-\uDFFF escape outside a pair decodes to a lone surrogate, which
-# no UTF-8 encode accepts: not the config digest, a path or a file name.
-def _reject_lone_surrogates(raw: dict) -> None:
-    pending: list[tuple[str, object]] = [("", raw)]
-    while pending:
-        field_name, value = pending.pop()
-        if isinstance(value, str):
-            if LONE_SURROGATE.search(value):
-                raise ConfigError(f"{field_name} holds a lone surrogate", field=field_name)
-        elif isinstance(value, dict):
-            for key, item in value.items():
-                name = key.encode("utf-8", "backslashreplace").decode("utf-8")
-                name = f"{field_name}.{name}" if field_name else name
-                pending += [(name, key), (name, item)]
-        elif isinstance(value, list):
-            pending += [(f"{field_name}[{i}]", item) for i, item in enumerate(value)]
-
-
-def config_digest(raw: dict, services_filter: list[str] | None) -> str:
-    """Stable digest over the normalized config document plus the service
-    filter; paths stay as written so the digest is machine-independent."""
-    normal = dict(raw)
-    services = normal.get("services")
-    if isinstance(services, list):
-        normal["services"] = sorted(
-            services, key=lambda s: s.get("name", "") if isinstance(s, dict) else ""
-        )
-    payload = {"config": normal, "filter": sorted(services_filter or [])}
-    encoded = json.dumps(payload, sort_keys=True, ensure_ascii=False,
-                         separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(encoded).hexdigest()
-
-
-def load_config(
-    path: str | Path,
-    services_filter: list[str] | None = None,
-    output_override: str | Path | None = None,
-) -> RunConfig:
-    """Load and validate a run configuration.
-
-    With a service filter, only the selected services are validated (and
-    later read); the filter itself must name configured services.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}", field="config") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}", field="config") from None
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}", field="config") from None
-    except RecursionError:
-        raise ConfigError("config file nests too deeply to parse", field="config") from None
-    except ValueError:
-        # json.loads raises a bare ValueError only for an integer beyond the
-        # interpreter's int-digit limit.
-        raise ConfigError("config file holds an integer with too many digits",
-                          field="config") from None
-    _require_type(raw, dict, "config", "a JSON object")
-    _reject_lone_surrogates(raw)
-    _reject_unknown_keys(raw, _CONFIG_KEYS, "")
-    base = path.parent.resolve()
-
-    raw_services = raw.get("services", "auto")
-    if raw_services == "auto":
-        root_raw = raw.get("root", ".")
-        _require_type(root_raw, str, "root", "a string")
-        entries = _discover_services(_config_path(base, root_raw, "root"))
-    else:
-        _require_type(raw_services, list, "services", "an array or \"auto\"")
-        entries = raw_services
-
-    trees = [_parse_service(entry, i, base) for i, entry in enumerate(entries)]
-    names = [tree.service_name for tree in trees]
-    if len(set(names)) != len(names):
-        dupe = sorted({n for n in names if names.count(n) > 1})[0]
-        raise ConfigError(f"services: duplicate service name {dupe!r}", field="services")
-    folded: dict[str, str] = {}
-    for name in names:
-        other = folded.setdefault(name.casefold(), name)
-        if other != name:
-            raise ConfigError(
-                f"services: names {other!r} and {name!r} differ only in case, so their "
-                "output files would collide on a case-insensitive file system",
-                field="services",
-            )
-
-    if services_filter:
-        unknown = sorted(set(services_filter) - set(names))
-        if unknown:
-            raise ConfigError(
-                f"--services names unknown service {unknown[0]!r}", field="--services"
-            )
-        trees = [tree for tree in trees if tree.service_name in set(services_filter)]
-
-    for tree in trees:
-        if not tree.root_dir.is_dir():
-            index = names.index(tree.service_name)
-            raise ConfigError(
-                f"services[{index}].root_dir: {tree.root_dir} is not a directory",
-                field=f"services[{index}].root_dir",
-            )
-
-    taxonomy_path = None
-    if raw.get("taxonomy_path") is not None:
-        tp = _require_type(raw["taxonomy_path"], str, "taxonomy_path", "a string")
-        taxonomy_path = _config_path(base, tp, "taxonomy_path")
-        if not taxonomy_path.is_file():
-            raise ConfigError(f"taxonomy_path: {taxonomy_path} is not a file",
-                              field="taxonomy_path")
-
-    compose_paths = []
-    raw_compose = raw.get("compose_paths", [])
-    _require_type(raw_compose, list, "compose_paths", "an array of paths")
-    for i, cp in enumerate(raw_compose):
-        if not isinstance(cp, str):
-            raise ConfigError(f"compose_paths[{i}] must be a string",
-                              field=f"compose_paths[{i}]")
-        resolved = _config_path(base, cp, f"compose_paths[{i}]")
-        if not resolved.is_file():
-            raise ConfigError(f"compose_paths[{i}]: {resolved} is not a file",
-                              field=f"compose_paths[{i}]")
-        compose_paths.append(resolved)
-
-    thresholds = raw.get("thresholds", {})
-    _require_type(thresholds, dict, "thresholds", "an object")
-    _reject_unknown_keys(thresholds, _THRESHOLD_KEYS, "thresholds.")
-
-    disabled, overrides = _parse_checks(raw.get("checks", {}))
-    ruleset = _parse_ruleset(raw["ruleset"]) if raw.get("ruleset") is not None else None
-
-    if output_override is not None:
-        output_dir = Path(output_override)
-        if not output_dir.is_absolute():
-            output_dir = Path.cwd() / output_dir
-    else:
-        out_raw = raw.get("output_dir", "out")
-        _require_type(out_raw, str, "output_dir", "a string")
-        output_dir = _config_path(base, out_raw, "output_dir")
-
-    return RunConfig(
-        services=trees,
-        taxonomy_path=taxonomy_path,
-        compose_paths=compose_paths,
-        weave=WeaveConfig(
-            entity_threshold=_parse_threshold(thresholds, "tau", DEFAULT_ENTITY_THRESHOLD),
-            field_threshold=_parse_threshold(thresholds, "tau_f", DEFAULT_FIELD_THRESHOLD),
-            path_threshold=_parse_threshold(thresholds, "theta", DEFAULT_PATH_THRESHOLD),
-            config_digest=config_digest(raw, services_filter),
-        ),
-        ruleset=ruleset,
-        checks=CheckSettings(disabled_rules=disabled, severity_overrides=overrides),
-        output_dir=output_dir,
-    )
 
 
 # Building the services in forked processes has a fixed cost: in-process

@@ -549,6 +549,7 @@ def _auto_with_backslash_dir(shop: Path) -> dict:
         ({"services": [{"name": "users", "root_dir": "users", "include_globs": [""]}]},
          (), "services[0].include_globs[0] must be a non-empty relative pattern with no "
          "'..' segment"),
+        ({"root": 5}, (), "root must be a string"),
     ],
     ids=["root_dir", "tau", "disable", "ruleset", "services", "jobs", "format",
          "thresholds_key", "service_key", "top_level_key", "checks_key", "rule_key",
@@ -557,7 +558,7 @@ def _auto_with_backslash_dir(shop: Path) -> dict:
          "rule_priority_bool", "deep_nesting", "int_digit_limit", "tau_beyond_float",
          "root_dir_nul", "root_nul", "taxonomy_nul", "compose_nul", "output_dir_nul",
          "name_traversal", "name_case", "name_dotdot", "auto_name_backslash", "glob_parent",
-         "glob_absolute", "glob_empty"],
+         "glob_absolute", "glob_empty", "root_type"],
 )
 def test_configuration_error_line_names_field_once(shop, capsys, patch, argv, message):
     """``patch`` updates the fixture's config, or as a string replaces its text,
@@ -688,6 +689,25 @@ def test_startup_loads_no_dataclasses_and_run_loads_no_further_module(shop):
     modules = json.loads(done.stdout)
     assert {"dataclasses", "inspect"}.isdisjoint(modules["startup"])
     assert modules["run"] == []
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(shop, tmp_path):
+    """Run in fresh interpreters, each with its own string hash seed."""
+    src = Path(__file__).parents[1] / "src"
+    outputs = []
+    for seed in ("0", "12345"):
+        out = tmp_path / f"out-{seed}"
+        done = subprocess.run(
+            [sys.executable, "-m", "microweave", "--config", str(shop / "config.json"),
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True, check=False,
+        )
+        assert done.returncode == 2, done.stderr.decode()
+        outputs.append({path.relative_to(out): path.read_bytes()
+                        for path in out.rglob("*") if path.is_file()})
+    assert len(outputs[0]) >= len(GOLDEN_FILES)
+    assert outputs[0] == outputs[1]
 
 
 def test_passthrough_documents_up_to_the_depth_limit_load_and_round_trip(tmp_path):

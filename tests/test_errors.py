@@ -23,7 +23,7 @@ SAMPLES = [
     SchemaViolation("expected an object"),
     DuplicateServiceError("service 'a' appears twice"),
     TermNotFound("term 'x' is not in the taxonomy"),
-    ConfigError("thresholds.tau must be a number", field="thresholds.tau"),
+    ConfigError("thresholds.tau must be a number"),
     ConfigError("--config is required"),
 ]
 
