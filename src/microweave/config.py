@@ -20,6 +20,7 @@ from microweave.errors import ConfigError, MicroweaveError
 from microweave.frontend import (
     CONVENTIONS,
     DEFAULT_INCLUDE_GLOBS,
+    LAAST_PASSTHROUGH,
     PASSTHROUGH_INCLUDE_GLOBS,
     SPRING_LIKE,
     SourceTree,
@@ -158,18 +159,24 @@ _CONFIG = {
 
 def _discover_services(root: Path) -> list[SourceTree]:
     """Auto discovery: each immediate subdirectory containing at least one
-    source file becomes one service named after the directory."""
+    source file becomes one service named after the directory, a
+    ``LaastPassthrough`` one where it holds no ``.java`` file."""
     _need(root.is_dir(), f"services auto-discovery root {root} is not a directory")
     trees = []
     for child in sorted(root.iterdir()):
         if not child.is_dir() or child.name.startswith("."):
             continue
-        patterns = DEFAULT_INCLUDE_GLOBS + PASSTHROUGH_INCLUDE_GLOBS
-        if any(next(child.glob(pattern), None) is not None for pattern in patterns):
+        java = any(next(child.glob(pattern), None) for pattern in DEFAULT_INCLUDE_GLOBS)
+        if java or any(next(child.glob(pattern), None) for pattern in PASSTHROUGH_INCLUDE_GLOBS):
             _need(not _unsafe_name(child.name),
                   f"services auto-discovery: directory {child.name!r} cannot be a "
                   f"service name, which {_NAME_RULE}")
-            trees.append(SourceTree(child.name, child.resolve()))
+            # A name that is not UTF-8 comes with surrogate escapes, which no
+            # output file name or document can encode.
+            _need(not LONE_SURROGATE.search(child.name),
+                  f"services auto-discovery: directory {child.name!r} is not named in UTF-8")
+            trees.append(SourceTree(child.name, child.resolve(),
+                                    convention=SPRING_LIKE if java else LAAST_PASSTHROUGH))
     return trees
 
 

@@ -9,8 +9,6 @@ order, so identical systems always serialize to identical bytes.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from microweave.analysis import (
     CouplingReport,
     Finding,
@@ -18,7 +16,8 @@ from microweave.analysis import (
     SEV_INFO,
     SEV_WARNING,
 )
-from microweave.jsonio import array_chunks, canonical_bytes, join_chunks
+from microweave.jsonio import FLOAT, INT, STR, array, join_chunks, record, record_chunks, row
+from microweave.jsonio import canonical_bytes  # not called here; perfbench/tracer.py hooks it
 from microweave.weave import SystemIr
 
 VIEWS = ("services", "context", "full")
@@ -146,28 +145,23 @@ def _finding_line(finding: Finding) -> str:
     return line
 
 
-def finding_to_json_obj(finding: Finding) -> dict:
-    return {
-        "rule_id": finding.rule_id,
-        "severity": finding.severity,
-        "message": finding.message,
-        "subjects": [
-            {"service": s.service, "ref": s.ref, "file": s.file, "line": s.line}
-            for s in finding.subjects
-        ],
-    }
-
-
-def coupling_to_json_obj(metrics: CouplingReport) -> dict:
-    return {
-        "services": [
-            {"service": s.service, "ais": s.ais, "ads": s.ads, "instability": s.instability}
-            for s in metrics.services
-        ],
-        "total_services": metrics.total_services,
-        "total_pairs": metrics.total_pairs,
-        "mean_instability": metrics.mean_instability,
-    }
+#: The table of ``report.json``, written from ``(findings, metrics)``.
+REPORT_JSON = row(
+    ("findings", array(record(
+        ("rule_id", STR),
+        ("severity", STR),
+        ("message", STR),
+        ("subjects", array(record(("service", STR), ("ref", STR), ("file", STR), ("line", INT)))),
+    ))),
+    ("coupling", record(
+        ("services", array(record(
+            ("service", STR), ("ais", INT), ("ads", INT), ("instability", FLOAT),
+        ))),
+        ("total_services", INT),
+        ("total_pairs", INT),
+        ("mean_instability", FLOAT),
+    )),
+)
 
 
 def _text_report(findings: list[Finding], metrics: CouplingReport) -> str:
@@ -208,10 +202,7 @@ def export_report(
     """Serialize findings and coupling metrics as canonical JSON or as the
     grouped one-line-per-finding text form."""
     if fmt == "json":
-        return join_chunks(chain(
-            (b'{"findings":',), array_chunks(finding_to_json_obj(f) for f in findings),
-            (b',"coupling":', canonical_bytes(coupling_to_json_obj(metrics)), b"}"),
-        ))
+        return join_chunks(record_chunks(REPORT_JSON, (findings, metrics)))
     if fmt == "text":
         return _text_report(findings, metrics).encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}")

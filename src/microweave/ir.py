@@ -9,12 +9,11 @@ values serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
-from typing import Any, Callable, NamedTuple
 
 from microweave.errors import DuplicateServiceError, MalformedDocument, SchemaViolation
 from microweave.frontend import ExtractionReport
-from microweave.jsonio import array_chunks, canonical_bytes, join_chunks
+from microweave.jsonio import INT, STR, Codec, array, join_chunks, record, record_chunks, row
+from microweave.jsonio import canonical_bytes  # not called here; perfbench/tracer.py hooks it
 from microweave.laast import SourceSpan
 from microweave.matchers import (
     ROLE_ENTITY,
@@ -165,185 +164,95 @@ def derive_data_model(ir: ServiceIr) -> DataModel:
 
 
 # --------------------------------------------------------------------------
-# serialization
-#
-# Each record type has one field table: the JSON keys in their canonical
-# order, each with the codec of its value.  The writer and the strict reader
-# both walk these tables, so a key's name, order and type are stated once.
-
-
-class _Codec(NamedTuple):
-    dump: Callable[[Any], Any]
-    #: ``load(obj, path)`` checks one parsed JSON value and rebuilds it;
-    #: a violation raises SchemaViolation naming ``path``.
-    load: Callable[[Any, str], Any]
-    item: _Codec | None = None  # each element's codec, for an array
-    fields: tuple[tuple[str, _Codec], ...] | None = None  # the key table, for a record
-
-
-def _scalar(check: Callable[[Any], bool], what: str) -> _Codec:
-    def load(obj, path):
-        if not check(obj):
-            raise SchemaViolation(f"expected {what}", path=path)
-        return obj
-
-    return _Codec(lambda value: value, load)
-
-
-_STR = _scalar(lambda v: isinstance(v, str), "a string")
-_INT = _scalar(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+# serialization: the field tables of ``.ir.json``
 
 
 def _load_str_map(obj, path: str) -> dict[str, str]:
     if not isinstance(obj, dict):
         raise SchemaViolation("expected an object", path=path)
     for key, value in obj.items():
-        _STR.load(value, f"{path}.{key}")
+        STR.load(value, f"{path}.{key}")
     return dict(obj)
 
 
-_STR_MAP = _Codec(dict, _load_str_map)
-
-
-def _array(item: _Codec) -> _Codec:
-    def load(obj, path):
-        if not isinstance(obj, list):
-            raise SchemaViolation("expected an array", path=path)
-        return [item.load(value, f"{path}[{i}]") for i, value in enumerate(obj)]
-
-    return _Codec(lambda values: [item.dump(v) for v in values], load, item)
-
-
-def _load_fields(fields: tuple[tuple[str, _Codec], ...], obj, path: str) -> list:
-    """The values of an object that has exactly the table's keys, read in
-    table order."""
-    if not isinstance(obj, dict):
-        raise SchemaViolation("expected an object", path=path)
-    for key, _codec in fields:
-        if key not in obj:
-            raise SchemaViolation(f"missing key {key!r}", path=path)
-    if len(obj) != len(fields):
-        known = {key for key, _codec in fields}
-        extra = next(key for key in obj if key not in known)
-        raise SchemaViolation(f"unknown key {extra!r}", path=path)
-    return [codec.load(obj[key], f"{path}.{key}") for key, codec in fields]
-
-
-def _record(cls, *fields: tuple[str, _Codec]) -> _Codec:
-    """A record type whose fields are named like its JSON keys and are
-    taken by keyword."""
-
-    def dump(value):
-        return {key: codec.dump(getattr(value, key)) for key, codec in fields}
-
-    def load(obj, path):
-        values = _load_fields(fields, obj, path)
-        return cls(**{key: v for (key, _codec), v in zip(fields, values)})
-
-    return _Codec(dump, load, fields=fields)
-
-
-def _row(*fields: tuple[str, _Codec]) -> _Codec:
-    """A tuple written as an object, one key per position."""
-
-    def dump(value):
-        return {key: codec.dump(v) for (key, codec), v in zip(fields, value)}
-
-    return _Codec(dump, lambda obj, path: tuple(_load_fields(fields, obj, path)))
-
-
-_SPAN = _record(SourceSpan, ("file", _STR), ("line_start", _INT), ("line_end", _INT))
-_NAME_TYPE = _row(("name", _STR), ("declared_type", _STR))
-_ANNOTATIONS = _array(_row(("name", _STR), ("args", _STR_MAP)))
-_SIG = _record(
-    MethodSig,
-    ("name", _STR),
-    ("params", _array(_NAME_TYPE)),
-    ("return_type", _STR),
+_STR_MAP = Codec(dict, _load_str_map)
+_SPAN = record(("file", STR), ("line_start", INT), ("line_end", INT), cls=SourceSpan)
+NAME_TYPE = row(("name", STR), ("declared_type", STR))
+_ANNOTATIONS = array(row(("name", STR), ("args", _STR_MAP)))
+_SIG = record(
+    ("name", STR),
+    ("params", array(NAME_TYPE)),
+    ("return_type", STR),
     ("annotations", _ANNOTATIONS),
+    cls=MethodSig,
 )
-_COMPONENT = _record(
-    Component,
-    ("role", _STR),
-    ("name", _STR),
-    ("service", _STR),
-    ("fields", _array(_NAME_TYPE)),
-    ("methods", _array(_SIG)),
+_COMPONENT = record(
+    ("role", STR),
+    ("name", STR),
+    ("service", STR),
+    ("fields", array(NAME_TYPE)),
+    ("methods", array(_SIG)),
     ("annotations", _ANNOTATIONS),
     ("span", _SPAN),
+    cls=Component,
 )
-_ENDPOINT = _record(
-    Endpoint,
-    ("owner", _STR),
-    ("service", _STR),
-    ("http_method", _STR),
-    ("url_templates", _array(_STR)),
-    ("params", _array(_row(("name", _STR), ("kind", _STR), ("declared_type", _STR)))),
+_ENDPOINT = record(
+    ("owner", STR),
+    ("service", STR),
+    ("http_method", STR),
+    ("url_templates", array(STR)),
+    ("params", array(row(("name", STR), ("kind", STR), ("declared_type", STR)))),
     ("handler", _SIG),
     ("span", _SPAN),
+    cls=Endpoint,
 )
-_REMOTE_CALL = _record(
-    RemoteCall,
-    ("caller_service", _STR),
-    ("caller_component", _STR),
-    ("caller_method", _STR),
-    ("http_method", _STR),
-    ("url_template", _STR),
-    ("arg_count", _INT),
+_REMOTE_CALL = record(
+    ("caller_service", STR),
+    ("caller_component", STR),
+    ("caller_method", STR),
+    ("http_method", STR),
+    ("url_template", STR),
+    ("arg_count", INT),
     ("span", _SPAN),
+    cls=RemoteCall,
 )
-_EVENT_OP = _record(
-    EventOp,
-    ("direction", _STR),
-    ("topic", _STR),
-    ("service", _STR),
-    ("component", _STR),
-    ("method", _STR),
+_EVENT_OP = record(
+    ("direction", STR),
+    ("topic", STR),
+    ("service", STR),
+    ("component", STR),
+    ("method", STR),
     ("span", _SPAN),
+    cls=EventOp,
 )
-_METHOD_REF = _row(("component", _STR), ("method", _STR))
-_PLAIN_TYPE = _record(PlainType, ("name", _STR), ("service", _STR), ("span", _SPAN))
-_WARNINGS = _array(_row(("file", _STR), ("line", _INT), ("message", _STR)))
-_REPORT = _record(
-    ExtractionReport,
-    ("files_scanned", _INT),
-    ("files_skipped", _array(_row(("file", _STR), ("reason", _STR)))),
-    ("nodes_emitted", _INT),
+_METHOD_REF = row(("component", STR), ("method", STR))
+_PLAIN_TYPE = record(("name", STR), ("service", STR), ("span", _SPAN), cls=PlainType)
+_WARNINGS = array(row(("file", STR), ("line", INT), ("message", STR)))
+_REPORT = record(
+    ("files_scanned", INT),
+    ("files_skipped", array(row(("file", STR), ("reason", STR)))),
+    ("nodes_emitted", INT),
     ("warnings", _WARNINGS),
+    cls=ExtractionReport,
 )
-_SERVICE_IR = _record(
-    ServiceIr,
-    ("service_name", _STR),
-    ("components", _array(_COMPONENT)),
-    ("endpoints", _array(_ENDPOINT)),
-    ("remote_calls", _array(_REMOTE_CALL)),
-    ("event_ops", _array(_EVENT_OP)),
-    ("internal_calls", _array(_row(("caller", _METHOD_REF), ("callee", _METHOD_REF)))),
-    ("plain_types", _array(_PLAIN_TYPE)),
+#: The table of one ``.ir.json`` document.
+IR_JSON = record(
+    ("service_name", STR),
+    ("components", array(_COMPONENT)),
+    ("endpoints", array(_ENDPOINT)),
+    ("remote_calls", array(_REMOTE_CALL)),
+    ("event_ops", array(_EVENT_OP)),
+    ("internal_calls", array(row(("caller", _METHOD_REF), ("callee", _METHOD_REF)))),
+    ("plain_types", array(_PLAIN_TYPE)),
     ("extraction_report", _REPORT),
     ("warnings", _WARNINGS),
+    cls=ServiceIr,
 )
-
-
-def _record_chunks(fields: tuple[tuple[str, _Codec], ...], value) -> Iterator[bytes]:
-    """A record as chunks of its canonical encoding, each array one element
-    at a time; an element that is a record holding an array of records (a
-    component and its methods) is written the same way."""
-    for i, (key, codec) in enumerate(fields):
-        yield f'{"," if i else "{"}"{key}":'.encode()
-        item, values = codec.item, getattr(value, key)
-        if item is None:
-            yield canonical_bytes(codec.dump(values))
-        elif item.fields and any(c.item and c.item.fields for _key, c in item.fields):
-            yield from array_chunks(_record_chunks(item.fields, v) for v in values)
-        else:
-            yield from array_chunks(item.dump(v) for v in values)
-    yield b"}"
 
 
 def save_service_ir(ir: ServiceIr) -> bytes:
     """Canonical `.ir.json` bytes: equal IRs always give identical bytes."""
-    return join_chunks(_record_chunks(_SERVICE_IR.fields, ir))
+    return join_chunks(record_chunks(IR_JSON, ir))
 
 
 def load_service_ir(data: bytes | str) -> ServiceIr:
@@ -359,4 +268,4 @@ def load_service_ir(data: bytes | str) -> ServiceIr:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from None
-    return _SERVICE_IR.load(obj, "$")
+    return IR_JSON.load(obj, "$")

@@ -21,18 +21,13 @@ from microweave.errors import MicroweaveError
 from microweave.export import export_dot, export_report
 from microweave.frontend import SourceTree, extract, source_files
 from microweave.ir import IR_FILE_SUFFIX, ServiceIr, build_service_ir, save_service_ir
-from microweave.jsonio import array_chunks, atomic_write, canonical_bytes
+from microweave.jsonio import atomic_write, record_chunks
+from microweave.jsonio import canonical_bytes  # not called here; perfbench/tracer.py hooks it
 from microweave.laast import LaastNode, save_laast
 from microweave.matchers import MatcherRule, default_ruleset, run_matchers
 from microweave.similarity import load_taxonomy_file
 from microweave.topology import load_compose_file, merge_topologies
-from microweave.weave import (
-    SystemIr,
-    comm_edge_to_json_obj,
-    save_context_map,
-    system_to_json_obj,
-    weave,
-)
+from microweave.weave import SYSTEM_JSON, SystemIr, save_context_map, system_to_json_obj, weave
 
 OUTPUT_FORMATS = ("dot", "json", "text")
 
@@ -242,20 +237,8 @@ def build_system(config: RunConfig, log=None, on_service=None) -> SystemIr:
 def system_json_parts(system: SystemIr, ir_documents: Iterable,
                       context_map: bytes) -> list:
     """Canonical ``system.json`` as parts whose concatenation is the
-    document, each ``bytes`` or a generator of chunks.  Its ``services``
-    array is the services' ``.ir.json`` documents (``ir_documents``, in
-    ``system.services`` order, each ``bytes`` or a generator of chunks) and
-    its ``context_map`` member is the ``context-map.json`` bytes, each
-    spliced in as it is rather than encoded a second time; the comm edges
-    are encoded one at a time as the parts are drawn."""
-    rest = canonical_bytes(system_to_json_obj(system))
-    return [
-        b'{"services":', array_chunks(ir_documents),
-        b',"context_map":', context_map,
-        b',"comm_edges":', array_chunks(comm_edge_to_json_obj(e) for e in system.comm_edges),
-        # ``rest`` opens with the brace of its own object; the slice is a view.
-        b",", memoryview(rest)[1:],
-    ]
+    document, drawn one record at a time (see ``system_to_json_obj``)."""
+    return [record_chunks(SYSTEM_JSON, system_to_json_obj(system, ir_documents, context_map))]
 
 
 def _file_chunks(path: Path) -> Iterator[bytes]:

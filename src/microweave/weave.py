@@ -9,14 +9,17 @@ topology filtered down to analyzed services.
 from __future__ import annotations
 
 import re
-from itertools import chain, combinations
+from collections.abc import Iterable
+from itertools import combinations
 from typing import NamedTuple
 
 from microweave import __version__, similarity
 from microweave.errors import DuplicateServiceError
 from microweave.frontend import HTTP_UNKNOWN, URL_WILDCARD
-from microweave.ir import DataModel, ServiceIr, derive_data_model, unwrap_collection
-from microweave.jsonio import array_chunks, canonical_bytes, join_chunks
+from microweave.ir import NAME_TYPE, DataModel, ServiceIr, derive_data_model, unwrap_collection
+from microweave.jsonio import (
+    BOOL, ENCODED, FLOAT, INT, JSON, STR, array, join_chunks, record, record_chunks, row,
+)
 from microweave.matchers import (
     DIRECTION_PUBLISH,
     DIRECTION_SUBSCRIBE,
@@ -622,99 +625,78 @@ def weave(
     )
 
 
-def field_match_to_json_obj(match: FieldMatch) -> dict:
-    return {
-        "field_a": match.field_a,
-        "field_b": match.field_b,
-        "score": match.score,
-        "type_compatible": match.type_compatible,
-    }
+# --------------------------------------------------------------------------
+# serialization: the field tables of ``context-map.json`` and ``system.json``
 
-
-def entity_match_to_json_obj(match: EntityMatch) -> dict:
-    return {
-        "service_a": match.service_a,
-        "entity_a": match.entity_a,
-        "service_b": match.service_b,
-        "entity_b": match.entity_b,
-        "score": match.score,
-        "strategy": match.strategy,
-        "field_matches": [field_match_to_json_obj(f) for f in match.field_matches],
-    }
+_BOUNDED_CONTEXT = record(
+    ("service", STR, "service_name"),
+    ("entities", array(record(("name", STR), ("fields", array(NAME_TYPE))))),
+    ("relations", array(row(("from_entity", STR), ("field", STR), ("to_entity", STR)))),
+)
+_FIELD_MATCH = record(
+    ("field_a", STR), ("field_b", STR), ("score", FLOAT), ("type_compatible", BOOL),
+)
+_ENTITY_MATCH = record(
+    ("service_a", STR, "a.service"),
+    ("entity_a", STR, "a.name"),
+    ("service_b", STR, "b.service"),
+    ("entity_b", STR, "b.name"),
+    ("score", FLOAT),
+    ("strategy", STR),
+    ("field_matches", array(_FIELD_MATCH)),
+)
+#: The table of ``context-map.json``.
+CONTEXT_MAP_JSON = record(
+    ("bounded_contexts", array(_BOUNDED_CONTEXT)),
+    ("matches", array(_ENTITY_MATCH)),
+)
+_EDGE_CALL = record(
+    ("service", STR, "caller_service"),
+    ("component", STR, "caller_component"),
+    ("method", STR, "caller_method"),
+    ("http_method", STR),
+    ("url_template", STR),
+    ("file", STR, "span.file"),
+    ("line", INT, "span.line_start"),
+)
+_EDGE_ENDPOINT = record(
+    ("service", STR),
+    ("owner", STR),
+    ("handler", STR, "handler.name"),
+    ("http_method", STR),
+    ("file", STR, "span.file"),
+    ("line", INT, "span.line_start"),
+)
+_COMM_EDGE = record(
+    ("from_service", STR, "call.caller_service"),
+    ("to_service", STR, "endpoint.service"),
+    ("call", _EDGE_CALL),
+    ("endpoint", _EDGE_ENDPOINT),
+    ("matched_url_template", STR),
+    ("score", FLOAT),
+    ("confidence", FLOAT),
+    ("ambiguous", BOOL),
+)
+#: The table of ``system.json``, written from ``system_to_json_obj``'s values.
+SYSTEM_JSON = row(
+    ("services", array(ENCODED)),
+    ("context_map", ENCODED),
+    ("comm_edges", array(_COMM_EDGE)),
+    ("event_edges", array(row(("publisher", STR), ("subscriber", STR), ("topic", STR)))),
+    ("topology_edges", array(row(("from_service", STR), ("to_service", STR), ("origin", STR)))),
+    ("metadata", JSON),
+)
 
 
 def save_context_map(context_map: ContextMap) -> bytes:
     """Canonical ``context-map.json`` bytes."""
-    head = canonical_bytes({
-        "bounded_contexts": [
-            {
-                "service": model.service_name,
-                "entities": [
-                    {
-                        "name": entity.name,
-                        "fields": [
-                            {"name": name, "declared_type": declared}
-                            for name, declared in entity.fields
-                        ],
-                    }
-                    for entity in model.entities
-                ],
-                "relations": [
-                    {"from_entity": src, "field": field_name, "to_entity": dst}
-                    for src, field_name, dst in model.relations
-                ],
-            }
-            for model in context_map.bounded_contexts
-        ],
-    })
-    return join_chunks(chain(
-        (memoryview(head)[:-1], b',"matches":'),
-        array_chunks(entity_match_to_json_obj(m) for m in context_map.matches),
-        (b"}",),
-    ))
+    return join_chunks(record_chunks(CONTEXT_MAP_JSON, context_map))
 
 
-def comm_edge_to_json_obj(edge: CommEdge) -> dict:
-    call, endpoint = edge.call, edge.endpoint
-    return {
-        "from_service": edge.from_service,
-        "to_service": edge.to_service,
-        "call": {
-            "service": call.caller_service,
-            "component": call.caller_component,
-            "method": call.caller_method,
-            "http_method": call.http_method,
-            "url_template": call.url_template,
-            "file": call.span.file,
-            "line": call.span.line_start,
-        },
-        "endpoint": {
-            "service": endpoint.service,
-            "owner": endpoint.owner,
-            "handler": endpoint.handler.name,
-            "http_method": endpoint.http_method,
-            "file": endpoint.span.file,
-            "line": endpoint.span.line_start,
-        },
-        "matched_url_template": edge.matched_url_template,
-        "score": edge.score,
-        "confidence": edge.confidence,
-        "ambiguous": edge.ambiguous,
-    }
-
-
-def system_to_json_obj(system: SystemIr) -> dict:
-    """``system.json`` after its ``services`` array (each ``.ir.json``
-    document), ``context_map`` (the ``context-map.json`` document) and
-    ``comm_edges``, which are written apart."""
-    return {
-        "event_edges": [
-            {"publisher": pub, "subscriber": sub, "topic": topic}
-            for pub, sub, topic in system.event_edges
-        ],
-        "topology_edges": [
-            {"from_service": src, "to_service": dst, "origin": origin}
-            for src, dst, origin in system.topology_edges
-        ],
-        "metadata": system.metadata,
-    }
+def system_to_json_obj(system: SystemIr, ir_documents: Iterable, context_map: bytes) -> tuple:
+    """The values of ``SYSTEM_JSON``'s keys.  The ``.ir.json`` documents
+    (``ir_documents``, in ``system.services`` order, each ``bytes`` or a
+    generator of chunks) and the ``context-map.json`` bytes are spliced in as
+    they are, not encoded a second time."""
+    return (ir_documents, context_map, system.comm_edges, system.event_edges,
+            system.topology_edges, system.metadata)

@@ -37,9 +37,9 @@ from microweave.runner import build_system, load_config, system_json_parts
 from microweave.similarity import parse_taxonomy, wu_palmer
 from microweave.topology import Inventory
 from microweave.weave import (
+    SYSTEM_JSON,
     EndpointIndex,
     WeaveConfig,
-    comm_edge_to_json_obj,
     match_call_to_endpoints,
     save_context_map,
     system_to_json_obj,
@@ -735,22 +735,21 @@ def test_criterion_7_determinism_and_round_trips(tmp_path, capsys):
 
 def _whole_system_json(system) -> bytes:
     """``system.json`` as one canonical encoding of the whole document."""
-    return canonical_bytes(
-        {"services": [json.loads(save_service_ir(ir)) for ir in system.services],
-         "context_map": json.loads(save_context_map(system.context_map)),
-         "comm_edges": [comm_edge_to_json_obj(e) for e in system.comm_edges],
-         **system_to_json_obj(system)}
-    )
+    return canonical_bytes(SYSTEM_JSON.dump(system_to_json_obj(
+        system, [save_service_ir(ir) for ir in system.services],
+        save_context_map(system.context_map))))
+
+
+def _drawn(parts) -> list[bytes]:
+    """The chunks of an ``atomic_write`` data argument, in order."""
+    if isinstance(parts, bytes):
+        return [parts]
+    return [chunk for part in parts for chunk in ((part,) if isinstance(part, bytes) else part)]
 
 
 def _flatten(parts) -> bytes:
     """The document an ``atomic_write`` data argument stands for."""
-    if isinstance(parts, bytes):
-        return parts
-    return b"".join(
-        bytes(part) if isinstance(part, (bytes, memoryview)) else b"".join(part)
-        for part in parts
-    )
+    return b"".join(_drawn(parts))
 
 
 def test_system_json_splices_each_ir_encoding_into_one_canonical_document(fixture_run):
@@ -776,16 +775,16 @@ def test_each_output_is_encoded_once_and_system_json_is_written_in_chunks(
     shop, monkeypatch
 ):
     written = {}
-    flat = {}
+    drawn = {}
     real_write = runner.atomic_write
     encoded = []
     real_save = runner.save_service_ir
 
     def capture(path, data):
         written[path.name] = data
-        # Flattening draws the generator parts, so write what was drawn.
-        flat[path.name] = _flatten(data)
-        real_write(path, flat[path.name])
+        # This draws the generator parts, so write what was drawn.
+        drawn[path.name] = _drawn(data)
+        real_write(path, b"".join(drawn[path.name]))
 
     def save(ir):
         encoded.append(ir.service_name)
@@ -811,12 +810,12 @@ def test_each_output_is_encoded_once_and_system_json_is_written_in_chunks(
     assert all(isinstance(data, (bytes, list)) for data in written.values())
     system = build_system(config, log=io.StringIO())
     whole = _whole_system_json(system)
-    assert flat["system.json"] == whole
+    assert b"".join(drawn["system.json"]) == whole
     assert (shop / "out" / "system.json").read_bytes() == whole
     services = [name for name in written if name.endswith(".ir.json")]
     assert len(services) == len(system.services) == 3
     assert encoded == encoded_at_weave[0] == [ir.service_name for ir in system.services]
-    assert any(written["context-map.json"] is part for part in parts)
+    assert any(written["context-map.json"] is chunk for chunk in drawn["system.json"])
 
 
 def test_criterion_8_coupling_recount(fixture_run, capsys):

@@ -430,24 +430,31 @@ def test_internal_fault_exits_3_with_one_line(shop, capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("encoder", ["save_service_ir", "comm_edge_to_json_obj"])
+@pytest.mark.parametrize("encoder", ["save_service_ir", "comm_edge"])
 def test_failure_in_the_middle_of_the_write_leaves_no_temp_file(
     shop, capsys, monkeypatch, encoder
 ):
     """The second ``.ir.json`` fails before its write starts; the second comm
-    edge fails while ``system.json`` is being written."""
+    edge fails while ``system.json``'s table is being written."""
+    import microweave.jsonio
     import microweave.runner
 
-    real = getattr(microweave.runner, encoder)
+    if encoder == "save_service_ir":
+        module, counted = microweave.runner, lambda record: True
+    else:  # each comm edge is encoded on its own, as its table's object
+        module, encoder = microweave.jsonio, "canonical_bytes"
+        counted = lambda obj: isinstance(obj, dict) and "matched_url_template" in obj
+    real = getattr(module, encoder)
     calls = []
 
     def fail_second(record):
-        calls.append(record)
-        if len(calls) == 2:
-            raise ValueError("encoder\nfailed")
+        if counted(record):
+            calls.append(record)
+            if len(calls) == 2:
+                raise ValueError("encoder\nfailed")
         return real(record)
 
-    monkeypatch.setattr(microweave.runner, encoder, fail_second)
+    monkeypatch.setattr(module, encoder, fail_second)
     code = _run("--config", str(shop / "config.json"))
     captured = capsys.readouterr()
     assert code == 3
@@ -482,6 +489,17 @@ def _auto_with_backslash_dir(shop: Path) -> dict:
     discovery."""
     (shop / "a\\b").mkdir()
     (shop / "a\\b" / "Ctl.java").write_text(_CONTROLLER, encoding="utf-8")
+    return {"services": "auto"}
+
+
+def _auto_with_non_utf8_dir(shop: Path) -> dict:
+    """Gives the fixture a source directory named with the bytes ``ok\\xff``,
+    where the file system allows it, and turns on auto discovery."""
+    try:
+        os.mkdir(os.fsencode(shop) + b"/ok\xff")
+    except (OSError, ValueError) as exc:
+        pytest.skip(f"this file system refuses a name that is not UTF-8: {exc}")
+    (shop / "ok\udcff" / "Ctl.java").write_text(_CONTROLLER, encoding="utf-8")
     return {"services": "auto"}
 
 
@@ -539,6 +557,8 @@ def _auto_with_backslash_dir(shop: Path) -> dict:
         (_auto_with_backslash_dir, (),
          "services auto-discovery: directory 'a\\\\b' cannot be a service name, which "
          "must not be '.' or '..' or contain '/', '\\' or a NUL byte"),
+        (_auto_with_non_utf8_dir, (),
+         "services auto-discovery: directory 'ok\\udcff' is not named in UTF-8"),
         ({"services": [{"name": "users", "root_dir": "users", "include_globs": ["../*.java"]}]},
          (), "services[0].include_globs[0] must be a non-empty relative pattern with no "
          "'..' segment"),
@@ -557,7 +577,8 @@ def _auto_with_backslash_dir(shop: Path) -> dict:
          "rule_suffixes_string", "rule_priority_float", "rule_priority_string",
          "rule_priority_bool", "deep_nesting", "int_digit_limit", "tau_beyond_float",
          "root_dir_nul", "root_nul", "taxonomy_nul", "compose_nul", "output_dir_nul",
-         "name_traversal", "name_case", "name_dotdot", "auto_name_backslash", "glob_parent",
+         "name_traversal", "name_case", "name_dotdot", "auto_name_backslash",
+         "auto_name_not_utf8", "glob_parent",
          "glob_absolute", "glob_empty", "root_type"],
 )
 def test_configuration_error_line_names_field_once(shop, capsys, patch, argv, message):

@@ -16,6 +16,7 @@ from microweave.config import (
     _CHECKS, _CONFIG, _RULE, _SERVICE, _THRESHOLDS, load_config,
 )
 from microweave.errors import ConfigError
+from microweave.frontend import source_files
 
 DOCS = Path(__file__).parents[1] / "docs" / "config.md"
 
@@ -160,11 +161,18 @@ def test_null_reads_as_an_absent_key(project, field):
 
 
 def test_auto_discovery_reads_each_service_below_root(tmp_path):
-    (tmp_path / "services" / "alpha").mkdir(parents=True)
-    (tmp_path / "services" / "alpha" / "A.java").write_text("class A {}\n", encoding="utf-8")
+    """A directory with a ``.java`` file is a SpringLike service, and one
+    with only ``.laast.json`` files a passthrough service that reads them."""
+    files = {"alpha": ["A.java"], "beta": ["b/B.laast.json"], "gamma": ["C.java", "c.laast.json"]}
+    for name, paths in files.items():
+        for relative in paths:
+            (tmp_path / "services" / name / relative).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "services" / name / relative).write_text("{}", encoding="utf-8")
     (tmp_path / "config").mkdir()
     path = tmp_path / "config" / "config.json"
     path.write_text(json.dumps({"services": "auto", "root": "../services"}), encoding="utf-8")
-    [tree] = load_config(path).services
-    assert tree.service_name == "alpha"
-    assert tree.root_dir == (tmp_path / "services" / "alpha").resolve()
+    trees = load_config(path).services
+    assert [(tree.service_name, tree.convention) for tree in trees] == [
+        ("alpha", "SpringLike"), ("beta", "LaastPassthrough"), ("gamma", "SpringLike")]
+    assert trees[0].root_dir == (tmp_path / "services" / "alpha").resolve()
+    assert [path.name for path in source_files(trees[1])] == ["B.laast.json"]

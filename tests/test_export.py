@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +17,10 @@ from microweave.analysis import (
     coupling_metrics,
     run_checks,
 )
-from microweave.export import VIEWS, export_dot, export_report
+from microweave.export import REPORT_JSON, VIEWS, export_dot, export_report
 from microweave.ir import Component, Endpoint, RemoteCall, ServiceIr
 from microweave.matchers import MethodSig, ROLE_ENTITY, SourceSpan
-from microweave.weave import weave
+from microweave.weave import CONTEXT_MAP_JSON, SYSTEM_JSON, weave
 
 from dotutil import parse_dot
 
@@ -273,3 +275,36 @@ def test_report_reflects_severity_override():
     assert "ERRORS" not in text
     assert "WARNINGS (1)" in text
     assert "E01 warning" in text
+
+
+def _key_lists(codec, path: str = "$") -> dict[str, list[str]]:
+    """The keys of every object a table writes, by the path of the object
+    (``[i]`` for every element of an array)."""
+    if codec.item is not None:
+        return _key_lists(codec.item, f"{path}[i]")
+    lists = {}
+    if codec.fields is not None:
+        lists[path] = [key for key, _codec in codec.fields]
+        for key, member in codec.fields:
+            lists.update(_key_lists(member, key if path == "$" else f"{path}.{key}"))
+    return lists
+
+
+def _documented_key_lists(document: str) -> dict[str, list[str]]:
+    """The key lists that ``docs/formats.md`` gives in the section of
+    ``document``."""
+    docs = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    section = docs.split(f"(`{document}`)\n", 1)[1].split("\n## ", 1)[0]
+    return {
+        bullet.group(1): re.findall(r"`(\w+)`", bullet.group(2))
+        for bullet in re.finditer(r"^- `([^`]+)`: (.*)$", section, re.MULTILINE)
+    }
+
+
+@pytest.mark.parametrize(
+    "document, table",
+    [("context-map.json", CONTEXT_MAP_JSON), ("system.json", SYSTEM_JSON),
+     ("report.json", REPORT_JSON)],
+)
+def test_documented_keys_match_the_tables(document, table):
+    assert _documented_key_lists(document) == _key_lists(table)
