@@ -873,7 +873,8 @@ def extract(tree: SourceTree, files: list[Path] | None = None
     The root is a synthetic CompilationUnit named after the service, holding
     one CompilationUnit child per scanned file in sorted path order, so the
     result is deterministic for a given tree.  Bad files are skipped with a
-    warning; extraction itself never fails on file content.  ``files``, when
+    warning; extraction itself never fails on a file's name or content.  A
+    name that is not UTF-8 is reported with backslash escapes.  ``files``, when
     given, is ``source_files(tree)`` already listed.
     """
     if not tree.service_name:
@@ -886,27 +887,33 @@ def extract(tree: SourceTree, files: list[Path] | None = None
 
     report = ExtractionReport()
     root = LaastNode(kind=NodeKind.COMPILATION_UNIT, name=tree.service_name)
+
+    def skip(rel: str, reason: str) -> None:
+        report.files_skipped.append((rel, reason))
+        report.warnings.append((rel, 0, f"skipped: {reason}"))
+
     for path in source_files(tree) if files is None else files:
         rel = path.relative_to(root_dir).as_posix()
+        name = rel.encode("utf-8", "backslashreplace").decode("utf-8")
+        if name != rel:
+            skip(name, "file name is not utf-8")
+            continue
         try:
             data = path.read_bytes()
         except OSError as exc:
-            report.files_skipped.append((rel, f"io error: {exc}"))
-            report.warnings.append((rel, 0, f"skipped: io error: {exc}"))
+            skip(rel, f"io error: {exc}")
             continue
         if tree.convention == LAAST_PASSTHROUGH:
             try:
                 root.children.append(load_laast(data))
             except MicroweaveError as exc:
-                report.files_skipped.append((rel, f"invalid document: {exc}"))
-                report.warnings.append((rel, 0, f"skipped: invalid document: {exc}"))
+                skip(rel, f"invalid document: {exc}")
                 continue
         else:
             try:
                 text = data.decode("utf-8")
             except UnicodeDecodeError as exc:
-                report.files_skipped.append((rel, f"not utf-8: {exc}"))
-                report.warnings.append((rel, 0, f"skipped: not utf-8: {exc}"))
+                skip(rel, f"not utf-8: {exc}")
                 continue
             parser = _JavaLikeParser(text, rel)
             root.children.append(parser.parse())

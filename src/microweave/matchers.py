@@ -273,8 +273,6 @@ def join_path(prefix: str, path: str) -> str:
     tail = path.strip("/")
     if tail:
         combined = combined.rstrip("/") + "/" + tail
-    if combined != "/" and combined.endswith("/"):
-        combined = combined.rstrip("/") or "/"
     return combined
 
 

@@ -413,36 +413,16 @@ class EndpointIndex:
         return root
 
 
-def _path_matches(
-    call: RemoteCall, index: EndpointIndex, inventory: Inventory
-) -> tuple[list[tuple[Endpoint, float, str]], float]:
-    """Each endpoint the call may reach whose path scores above 0, as
-    (endpoint, best path score, first template reaching it) in index
-    order, and the call's host penalty.
+class CallDecision(NamedTuple):
+    """How weave resolves one remote call: its comm edges, or, when it has
+    none, the endpoint that only its HTTP method blocked (None when no
+    endpoint did).  True exactly when the call has an edge."""
 
-    A resolvable host restricts candidates to that service; an unresolvable
-    one widens to all services at half confidence; a relative URL widens
-    at full confidence.
-    """
-    host, path = split_host(call.url_template)
-    segs = _split_path(path)
-    service, penalty = None, 1.0
-    if host is not None:
-        service = inventory.get(host)
-        if service is None:
-            penalty = 0.5
-    matches: list[tuple[Endpoint, float, str]] = []
-    last = -1
-    for position, template_position in index.hits(segs, service):
-        endpoint, templates = index.entries[position]
-        template, ep_segs = templates[template_position]
-        score = _segment_score(segs, ep_segs)
-        if position != last:
-            matches.append((endpoint, score, template))
-            last = position
-        elif score > matches[-1][1]:
-            matches[-1] = (endpoint, score, template)
-    return matches, penalty
+    edges: list[CommEdge]
+    near_miss: Endpoint | None
+
+    def __bool__(self) -> bool:
+        return bool(self.edges)
 
 
 def match_call_to_endpoints(
@@ -450,25 +430,47 @@ def match_call_to_endpoints(
     index: EndpointIndex,
     inventory: Inventory,
     config: WeaveConfig,
-) -> list[CommEdge]:
-    """Match one remote call against the endpoint inventory.
+) -> CallDecision:
+    """Decide one remote call from one walk of the endpoint trie.
 
-    Each candidate endpoint scores by its best URL template times its
-    method factor; every endpoint tied at the best overall score gets an
-    edge, splitting the host penalty k ways as confidence.
+    A resolvable host restricts candidates to that service; an unresolvable
+    one widens to all services at half confidence; a relative URL widens
+    at full confidence.  Each candidate keeps its best path score and the
+    first template reaching it.  A candidate the call's method may reach
+    scores that times its method factor; every one tied at the best score
+    gets an edge if that score reaches the threshold, splitting the host
+    penalty k ways as confidence.  A call without an edge names as its near
+    miss the candidate blocked only by its method whose path score reaches
+    the threshold: best path score first, then service, file and line.
     """
-    matches, host_penalty = _path_matches(call, index, inventory)
+    host, path = split_host(call.url_template)
+    segs = _split_path(path)
+    service, host_penalty = None, 1.0
+    if host is not None:
+        service = inventory.get(host)
+        if service is None:
+            host_penalty = 0.5
+    paths: dict[int, tuple[float, str]] = {}
+    for position, template_position in index.hits(segs, service):
+        template, ep_segs = index.entries[position][1][template_position]
+        score = _segment_score(segs, ep_segs)
+        if position not in paths or score > paths[position][0]:
+            paths[position] = (score, template)
+
     scored: list[tuple[float, Endpoint, str]] = []
-    for endpoint, best, template in matches:
+    near_misses = []
+    for position, (score, template) in paths.items():
+        endpoint = index.entries[position][0]
         factor = _method_factor(call.http_method, endpoint.http_method)
         if factor is not None:
-            scored.append((best * factor, endpoint, template))
-
-    if not scored:
-        return []
-    top = max(score for score, _, _ in scored)
-    if top < config.path_threshold:
-        return []
+            scored.append((score * factor, endpoint, template))
+        elif score >= config.path_threshold:
+            span = endpoint.span
+            near_misses.append((-score, endpoint.service, span.file, span.line_start, position))
+    top = max((score for score, _, _ in scored), default=None)
+    if top is None or top < config.path_threshold:
+        near_miss = index.entries[min(near_misses)[-1]][0] if near_misses else None
+        return CallDecision([], near_miss)
     ties = [(endpoint, template) for score, endpoint, template in scored if score == top]
     edges = [
         CommEdge(
@@ -482,28 +484,7 @@ def match_call_to_endpoints(
         for endpoint, template in ties
     ]
     edges.sort(key=_edge_key)
-    return edges
-
-
-def _method_near_miss(
-    call: RemoteCall,
-    index: EndpointIndex,
-    inventory: Inventory,
-    config: WeaveConfig,
-) -> Endpoint | None:
-    """The candidate whose path matches at or above the threshold but whose
-    HTTP method blocks the call: best path score first, then service, file
-    and line."""
-    matches, _penalty = _path_matches(call, index, inventory)
-    near_misses = [
-        ((-score, endpoint.service, endpoint.span.file, endpoint.span.line_start), endpoint)
-        for endpoint, score, _template in matches
-        if score >= config.path_threshold
-        and _method_factor(call.http_method, endpoint.http_method) is None
-    ]
-    if not near_misses:
-        return None
-    return min(near_misses, key=lambda row: row[0])[1]
+    return CallDecision(edges, None)
 
 
 def _edge_key(edge: CommEdge):
@@ -583,12 +564,10 @@ def weave(
     unmatched_calls: list[tuple[RemoteCall, Endpoint | None]] = []
     for ir in ordered:
         for call in ir.remote_calls:
-            edges = match_call_to_endpoints(call, index, inventory, config)
-            if edges:
-                comm_edges.extend(edges)
-            else:
-                near_miss = _method_near_miss(call, index, inventory, config)
-                unmatched_calls.append((call, near_miss))
+            decision = match_call_to_endpoints(call, index, inventory, config)
+            comm_edges.extend(decision.edges)
+            if not decision:
+                unmatched_calls.append((call, decision.near_miss))
     comm_edges.sort(key=_edge_key)
 
     event_edges, event_warnings = match_events(ordered)

@@ -405,7 +405,7 @@ def test_criterion_4_endpoint_matching_oracle(capsys):
         calls, endpoints, inventory = _random_matching_instance(rng)
         index = EndpointIndex(endpoints)
         for call in calls:
-            edges = match_call_to_endpoints(call, index, inventory, config)
+            edges = match_call_to_endpoints(call, index, inventory, config).edges
             expected, penalty = _oracle_match(
                 call, endpoints, inventory, config.path_threshold
             )

@@ -484,6 +484,27 @@ def test_documented_example_ruleset_runs(tmp_path, capsys):
     assert len(system["comm_edges"]) == 1
 
 
+def test_source_file_named_in_bytes_that_are_not_utf8_is_skipped(tmp_path, capsys):
+    config = _write_project(
+        tmp_path,
+        {"alpha": {"src/Client.java": _CLIENT}, "beta": {"src/Ctl.java": _CONTROLLER}},
+    )
+    try:
+        (tmp_path / "beta" / "src" / "Old\udcff.java").write_text(_CONTROLLER, encoding="utf-8")
+    except (OSError, UnicodeEncodeError) as exc:
+        pytest.skip(f"this file system refuses a name that is not UTF-8: {exc}")
+    code = _run("--config", str(config))
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "internal error" not in captured.err
+    ir = json.loads((tmp_path / "out" / "beta.ir.json").read_bytes())
+    assert ir["extraction_report"]["files_skipped"] == [
+        {"file": "src/Old\\udcff.java", "reason": "file name is not utf-8"}]
+    assert ir["extraction_report"]["warnings"] == [
+        {"file": "src/Old\\udcff.java", "line": 0, "message": "skipped: file name is not utf-8"}]
+    assert len(json.loads((tmp_path / "out" / "system.json").read_bytes())["comm_edges"]) == 1
+
+
 def _auto_with_backslash_dir(shop: Path) -> dict:
     """Gives the fixture a source directory named ``a\\b`` and turns on auto
     discovery."""
@@ -515,6 +536,7 @@ def _auto_with_non_utf8_dir(shop: Path) -> dict:
         ({}, ("--services", "billing"), "--services names unknown service 'billing'"),
         ({}, ("--jobs", "2"), "unrecognized arguments: --jobs 2"),
         ({}, ("--format", "pdf"), "--format: unknown output family 'pdf'"),
+        ({}, ("--format", ","), "--format must select at least one output family"),
         ({"thresholds": {"tua": 0.5}}, (), "thresholds.tua: unknown field"),
         ({"services": [{"name": "users", "root_dir": "users", "extra": 1}]}, (),
          "services[0].extra: unknown field"),
@@ -571,7 +593,7 @@ def _auto_with_non_utf8_dir(shop: Path) -> dict:
          "'..' segment"),
         ({"root": 5}, (), "root must be a string"),
     ],
-    ids=["root_dir", "tau", "disable", "ruleset", "services", "jobs", "format",
+    ids=["root_dir", "tau", "disable", "ruleset", "services", "jobs", "format", "format_empty",
          "thresholds_key", "service_key", "top_level_key", "checks_key", "rule_key",
          "rule_role_type", "rule_annotations_string", "rule_annotations_item",
          "rule_suffixes_string", "rule_priority_float", "rule_priority_string",
@@ -597,6 +619,24 @@ def test_configuration_error_line_names_field_once(shop, capsys, patch, argv, me
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err == f"analyze: configuration error: {message}\n"
+
+
+def test_config_path_naming_a_directory_is_a_configuration_error(shop, capsys):
+    code = _run("--config", str(shop))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == (
+        f"analyze: configuration error: cannot read config file: "
+        f"[Errno 21] Is a directory: {str(shop)!r}\n")
+
+
+def test_out_path_naming_a_file_is_an_io_failure(shop, capsys):
+    (shop / "taken").write_text("", encoding="utf-8")
+    code = _run("--config", str(shop / "config.json"), "--out", str(shop / "taken"))
+    captured = capsys.readouterr()
+    assert code == 3
+    errors = [line for line in captured.err.splitlines() if not line.startswith("[analyze]")]
+    assert errors == [f"analyze: i/o failure: [Errno 17] File exists: {str(shop / 'taken')!r}"]
 
 
 # "\ud800" and "\udfff" are lone surrogates, which no UTF-8 encode accepts.

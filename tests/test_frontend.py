@@ -344,6 +344,18 @@ def test_extract_skips_unreadable_files(tmp_path):
     assert [u.name for u in tree_root.children] == ["src/ok.java"]
 
 
+def test_extract_skips_a_listed_file_that_fails_to_read(tmp_path):
+    root = _service_dir(tmp_path)
+    ok = _write(root, "src/Ok.java", "public class Ok {}\n")
+    tree_root, report = extract(SourceTree(service_name="svc", root_dir=root),
+                                files=[root / "src" / "Gone.java", ok])
+    assert [u.name for u in tree_root.children] == ["src/Ok.java"]
+    assert [rel for rel, _reason in report.files_skipped] == ["src/Gone.java"]
+    assert report.files_skipped[0][1].startswith("io error: ")
+    assert [(rel, line) for rel, line, _m in report.warnings] == [("src/Gone.java", 0)]
+    assert report.warnings[0][2].startswith("skipped: io error: ")
+
+
 def test_extract_missing_root_raises():
     with pytest.raises(MicroweaveError):
         extract(SourceTree(service_name="svc", root_dir="/nonexistent/nowhere"))
@@ -1833,3 +1845,39 @@ def test_line_breaks_and_comments_between_head_tokens_change_only_lines(
     shutil.copytree(root, copy)
     (copy / path.relative_to(root)).write_text(source, encoding="utf-8")
     assert _ir_without_lines(copy, convention) == _ir_without_lines(root, convention), source
+
+
+def test_type_head_ended_by_a_semicolon():
+    """A stray ``;`` before the body is passed over; a head whose ``;`` is
+    followed by another declaration or another ``;`` has no body."""
+    parser = _JavaLikeParser(
+        "public class A ; {\n    private String name;\n    public void go() {\n    }\n}\n",
+        "A.java")
+    (a,) = parser.parse().children
+    assert (a.name, [(m.kind, m.name) for m in a.children]) == (
+        "A", [(NodeKind.FIELD_DECL, "name"), (NodeKind.METHOD_DECL, "go")])
+    assert parser.warnings == []
+    for source in ("public class A restTemplate;\npublic class B {\n    private String name;\n}\n",
+                   "public class A;\n;\npublic class B {\n    private String name;\n}\n"):
+        parser = _JavaLikeParser(source, "A.java")
+        assert [t.name for t in parser.parse().children] == ["B"]
+        assert parser.warnings == [("A.java", 1, "type A has no body")]
+
+
+def test_type_head_extends_and_implements_become_attributes():
+    parser = _JavaLikeParser(
+        "class OrderController extends BaseController implements Api, Serializable {\n}\n",
+        "O.java")
+    (node,) = parser.parse().children
+    assert node.attributes == {
+        "type_kind": "class", "extends": "BaseController", "implements": "Api, Serializable"}
+
+
+def test_control_keywords_before_a_paren_are_not_local_calls(monkeypatch):
+    monkeypatch.setattr(_JavaLikeParser, "_resolve_local_calls", staticmethod(lambda node: None))
+    parser = _JavaLikeParser(
+        "public class W {\n    public int a() {\n        if (x) { b(); }\n"
+        "        return (c());\n    }\n}\n", "W.java")
+    (w,) = parser.parse().children
+    (a,) = w.children
+    assert [c.name for c in a.children if c.kind == NodeKind.CALL] == ["b", "c"]

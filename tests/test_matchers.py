@@ -283,6 +283,24 @@ public class BookResource {
     assert endpoint.params == [("isbn", "path", "String")]
 
 
+def test_jaxrs_parameter_without_annotation_is_a_body_parameter(tmp_path):
+    out = _extract(
+        tmp_path,
+        {
+            "src/A.java": """
+@Path("/api/notes")
+public class NoteResource {
+    @POST
+    public void add(String note) {
+    }
+}
+"""
+        },
+        convention="JaxRsLike",
+    )
+    assert [e.params for e in out.endpoints] == [[("note", "body", "String")]]
+
+
 def test_unbound_template_variable_warns(tmp_path):
     out = _extract(
         tmp_path,

@@ -187,6 +187,14 @@ services:
     assert ("worker", "api", ORIGIN_DEPENDS_ON) in merged.declared_edges
 
 
+def test_merge_topologies_takes_an_image_a_later_file_supplies():
+    base = parse_compose("services:\n  api:\n    depends_on: [db]\n  db:\n    image: pg\n")
+    override = parse_compose("services:\n  api:\n    image: api:2\n")
+    merged = merge_topologies([base, override])
+    assert _svc(merged, "api").image == "api:2"
+    assert merged.warnings == []
+
+
 def test_build_inventory_names_aliases_and_variants():
     topology = parse_compose(
         """
@@ -244,3 +252,9 @@ def test_build_inventory_without_topology():
     inventory = build_inventory(None, ["a", "b"])
     assert inventory["a"] == "a"
     assert inventory["b"] == "b"
+
+
+def test_build_inventory_reaches_an_underscored_service_by_its_hyphenated_host():
+    inventory = build_inventory(None, ["user_svc"])
+    assert inventory["user-svc"] == "user_svc"
+    assert inventory["user_svc"] == "user_svc"

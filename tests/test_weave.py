@@ -235,7 +235,7 @@ def test_match_call_resolvable_host_restricts_candidates():
         EndpointIndex(endpoints),
         inventory,
         CONFIG,
-    )
+    ).edges
     assert [e.to_service for e in edges] == ["users"]
     assert edges[0].confidence == 1.0
     assert edges[0].ambiguous is False
@@ -251,7 +251,7 @@ def test_match_call_unresolvable_host_halves_confidence():
         EndpointIndex(endpoints),
         inventory,
         CONFIG,
-    )
+    ).edges
     assert len(edges) == 1
     assert edges[0].confidence == 0.5
 
@@ -261,7 +261,7 @@ def test_match_call_relative_url_no_penalty():
     inventory = build_inventory(None, ["users"])
     edges = match_call_to_endpoints(
         _call("GET", "/api/users/{*}"), EndpointIndex(endpoints), inventory, CONFIG
-    )
+    ).edges
     assert len(edges) == 1
     assert edges[0].confidence == 1.0
 
@@ -274,13 +274,13 @@ def test_match_call_method_gate():
         EndpointIndex(endpoints),
         inventory,
         CONFIG,
-    ) == []
+    ).edges == []
     edges = match_call_to_endpoints(
         _call("UNKNOWN", "http://users/api/users"),
         EndpointIndex(endpoints),
         inventory,
         CONFIG,
-    )
+    ).edges
     assert len(edges) == 1
     assert edges[0].score == pytest.approx(0.9)
     any_endpoint = [_endpoint("users", "ANY", ["/api/users"])]
@@ -289,7 +289,7 @@ def test_match_call_method_gate():
         EndpointIndex(any_endpoint),
         inventory,
         CONFIG,
-    )
+    ).edges
     assert edges[0].score == pytest.approx(0.9)
 
 
@@ -301,7 +301,7 @@ def test_match_call_below_threshold_yields_nothing():
         EndpointIndex(endpoints),
         inventory,
         CONFIG,
-    )
+    ).edges
     assert edges == []
 
 
@@ -316,7 +316,7 @@ def test_match_call_tie_splits_confidence_and_flags_ambiguous():
         EndpointIndex(endpoints),
         inventory,
         CONFIG,
-    )
+    ).edges
     assert len(edges) == 2
     assert all(e.ambiguous for e in edges)
     assert all(e.confidence == pytest.approx(0.5) for e in edges)
@@ -333,10 +333,48 @@ def test_match_call_picks_best_template_per_endpoint():
         EndpointIndex(endpoints),
         inventory,
         CONFIG,
-    )
+    ).edges
     assert len(edges) == 1
     assert edges[0].matched_url_template == "/api/users/email/{email}"
     assert edges[0].score == pytest.approx(3.5 / 4)
+
+
+def test_match_call_decision_is_true_exactly_when_it_draws_an_edge():
+    endpoints = [_endpoint("users", "GET", ["/api/users"])]
+    index = EndpointIndex(endpoints)
+    inventory = build_inventory(None, ["users"])
+    matched = match_call_to_endpoints(_call("GET", "/api/users"), index, inventory, CONFIG)
+    near = match_call_to_endpoints(_call("POST", "/api/users"), index, inventory, CONFIG)
+    dangling = match_call_to_endpoints(_call("GET", "/api/orders"), index, inventory, CONFIG)
+    assert bool(matched) and matched.near_miss is None
+    assert not near and near.edges == [] and near.near_miss is endpoints[0]
+    assert not dangling and dangling == ([], None)
+    for decision in (matched, near, dangling):
+        assert bool(decision) == bool(decision.edges)
+
+
+def test_weave_walks_the_endpoint_trie_once_per_remote_call(monkeypatch):
+    walks = []
+    hits = EndpointIndex.hits
+
+    def counted(self, segs, service):
+        walks.append(segs)
+        return hits(self, segs, service)
+
+    monkeypatch.setattr(EndpointIndex, "hits", counted)
+    calls = [
+        _call("GET", "http://users/api/users", line=1),
+        _call("GET", "http://users/api/orders", line=2),
+        _call("POST", "http://users/api/users", line=3),
+    ]
+    system = weave([
+        ServiceIr(service_name="caller", remote_calls=calls),
+        ServiceIr(service_name="users", endpoints=[_endpoint("users", "GET", ["/api/users"])]),
+    ])
+    assert [edge.call for edge in system.comm_edges] == calls[:1]
+    assert [(call, near is not None) for call, near in system.unmatched_calls] == [
+        (calls[1], False), (calls[2], True)]
+    assert len(walks) == len(calls)
 
 
 def _oracle_candidates(call, index, inventory):
@@ -460,10 +498,11 @@ def test_trie_matching_equals_linear_scan(endpoint_rows, call_rows, threshold):
             ]
     for host, method, path in call_rows:
         call = _call(method, path if host is None else f"http://{host}/{path}")
-        assert match_call_to_endpoints(call, index, inventory, config) == _oracle_match(
-            call, index, inventory, config)
-        assert weave_module._method_near_miss(call, index, inventory, config) is \
-            _oracle_near_miss(call, index, inventory, config)
+        decision = match_call_to_endpoints(call, index, inventory, config)
+        assert decision.edges == _oracle_match(call, index, inventory, config)
+        assert bool(decision) == bool(decision.edges)
+        assert decision.near_miss is (
+            None if decision.edges else _oracle_near_miss(call, index, inventory, config))
 
 
 def _event_ir(service, direction, topic, component="Comp", method="m"):
