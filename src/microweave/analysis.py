@@ -13,7 +13,7 @@ from collections import Counter, deque
 from collections.abc import Callable
 from typing import NamedTuple
 
-from microweave.matchers import PARAM_BODY, PARAM_PATH, Endpoint, RemoteCall
+from microweave.matchers import PARAM_BODY, PARAM_PATH, Component, Endpoint, RemoteCall
 from microweave.record import Record
 from microweave.weave import CommEdge, SystemIr
 
@@ -146,6 +146,15 @@ def _call_subject(call: RemoteCall) -> Subject:
     )
 
 
+def _entity_subject(entity: Component) -> Subject:
+    return Subject(
+        service=entity.service,
+        ref=entity.name,
+        file=entity.span.file,
+        line=entity.span.line_start,
+    )
+
+
 def _endpoint_subject(endpoint: Endpoint) -> Subject:
     return Subject(
         service=endpoint.service,
@@ -232,8 +241,8 @@ def _check_entity_drift(system: SystemIr, emit: Emit):
             f"entities {match.service_a}.{match.entity_a} and "
             f"{match.service_b}.{match.entity_b} match at score "
             f"{match.score:.3f} but their fields drift: " + "; ".join(parts),
-            Subject(service=match.service_a, ref=match.entity_a),
-            Subject(service=match.service_b, ref=match.entity_b),
+            _entity_subject(match.a),
+            _entity_subject(match.b),
         )
 
 

@@ -62,9 +62,11 @@ def _process_count(files: list[list[Path]]) -> int:
     return processes if source_bytes >= FORK_MIN_SOURCE_BYTES else 1
 
 
-def _build_service(tree: SourceTree, files: list[Path], ruleset: list[MatcherRule] | None,
+def _build_service(job: tuple[SourceTree, list[Path]], ruleset: list[MatcherRule] | None,
                    on_service) -> tuple[str, ServiceIr]:
-    """Extract, match and lift one service: its progress line and its IR."""
+    """Extract, match and lift one service from its tree and source files:
+    its progress line and its IR."""
+    tree, files = job
     root, report = extract(tree, files=files)
     name = tree.service_name
     ruleset = ruleset if ruleset is not None else default_ruleset(tree.convention)
@@ -76,17 +78,17 @@ def _build_service(tree: SourceTree, files: list[Path], ruleset: list[MatcherRul
             f"{len(report.warnings)} extraction warning(s)"), ir
 
 
-def _share(jobs: list, first: int, step: int) -> Iterator[tuple[int, object]]:
-    """``(index, result)`` for services ``first``, ``first + step``, ...,
-    ending with ``(index, error)`` at the first that raises."""
+def _share(fn, jobs: list, first: int, step: int) -> Iterator[tuple[int, object]]:
+    """``(index, fn(job))`` for jobs ``first``, ``first + step``, ..., ending
+    with ``(index, error)`` at the first that raises."""
     for index in range(first, len(jobs), step):
         try:
-            result = _build_service(*jobs[index])
+            result = fn(jobs[index])
         except Exception as exc:
             yield index, exc
             return
         yield index, result
-        del result  # not held while the next service is built
+        del result  # not held while the next job runs
 
 
 def _portable(error: Exception) -> Exception:
@@ -104,53 +106,28 @@ def _portable(error: Exception) -> Exception:
     return MicroweaveError(f"internal error: {type(error).__name__}: {detail}")
 
 
-def _serve_share(jobs: list, first: int, step: int, pipe_fd: int) -> None:
-    """Body of a forked worker: build its share, keeping each result
-    pickled, and only then send them all, so it never waits on the parent
-    while the parent builds its own share.  Leaves through ``os._exit``."""
-    import pickle
-
-    status = 1
-    try:
-        blobs = []
-        for index, outcome in _share(jobs, first, step):
-            if isinstance(outcome, Exception):
-                outcome = _portable(outcome)
-            blobs.append(pickle.dumps((index, outcome), pickle.HIGHEST_PROTOCOL))
-            del outcome  # not held while the next service is built
-        with open(pipe_fd, "wb") as pipe:
-            pipe.writelines(blobs)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _received(pipe, outcomes: dict) -> None:
-    """Add the ``(index, outcome)`` pairs a worker sent to ``outcomes``."""
+def _received(pipe) -> Iterator[tuple[int, object]]:
+    """The ``(index, outcome)`` pairs a worker sent, up to where it ended."""
     import pickle
 
     try:
-        while pipe.peek(1):
-            index, outcome = pickle.load(pipe)
-            outcomes[index] = outcome
-    except (EOFError, pickle.UnpicklingError):  # it died while sending
-        pass
+        while True:
+            yield pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):  # all read, or it died while sending
+        return
 
 
-def _exit_reason(wait_status: int) -> str:
-    code = os.waitstatus_to_exitcode(wait_status)
-    return f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-
-
-def _build_in_processes(jobs: list, processes: int) -> tuple[list, Exception | None]:
-    """Build the services of ``jobs`` in ``processes`` processes, this one
-    among them: it takes services 0, n, 2n, ... and each forked child one
-    other stride.  Returns, once every child is reaped, the results of the
-    services before the first that failed, in order, and that failure (None
-    if every service was built)."""
+def fork_map(fn, jobs: list, processes: int, name) -> tuple[list, Exception | None]:
+    """``fn(job)`` for each of ``jobs`` in ``processes`` processes, this one
+    among them: it takes jobs 0, n, 2n, ... and each forked child one other
+    stride, which it runs whole, keeping each outcome pickled, before it
+    sends any, so it never waits on this process.  Returns, once every child
+    is reaped, the results of the jobs before the first that failed, in
+    order, and that failure (None if every job ran).  ``name(job)`` names
+    the jobs of a child that ended without sending them."""
     children = []  # pid and the read end of its pipe, in stride order
     outcomes: dict[int, object] = {}
-    statuses: list[int] = []  # wait status of each child reaped so far
+    codes: list[int] = []  # exit code of each child reaped so far
     try:
         for first in range(1, processes):
             read_fd, write_fd = os.pipe()
@@ -160,28 +137,42 @@ def _build_in_processes(jobs: list, processes: int) -> tuple[list, Exception | N
                 os.close(read_fd)
                 os.close(write_fd)
                 raise
-            if pid == 0:
-                os.close(read_fd)
-                for _pid, pipe in children:
-                    pipe.close()
-                _serve_share(jobs, first, processes, write_fd)
+            if pid == 0:  # the child; it leaves through ``os._exit``
+                status = 1
+                try:
+                    import pickle
+
+                    os.close(read_fd)
+                    for _pid, pipe in children:
+                        pipe.close()
+                    blobs = []
+                    for index, outcome in _share(fn, jobs, first, processes):
+                        if isinstance(outcome, Exception):
+                            outcome = _portable(outcome)
+                        blobs.append(pickle.dumps((index, outcome), pickle.HIGHEST_PROTOCOL))
+                        del outcome  # not held while the next job runs
+                    with open(write_fd, "wb") as pipe:
+                        pipe.writelines(blobs)
+                    status = 0
+                finally:
+                    os._exit(status)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        outcomes.update(_share(jobs, 0, processes))
+        outcomes.update(_share(fn, jobs, 0, processes))
         for pid, pipe in children:
-            _received(pipe, outcomes)
+            outcomes.update(_received(pipe))
             pipe.close()
-            statuses.append(os.waitpid(pid, 0)[1])
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     finally:
-        for pid, pipe in children[len(statuses):]:  # only after a fault here
+        for pid, pipe in children[len(codes):]:  # only after a fault here
             pipe.close()
             os.waitpid(pid, 0)
     results = []
     for index in range(len(jobs)):
-        if index not in outcomes:
-            lost = ", ".join(repr(jobs[i][0].service_name)
-                             for i in range(index, len(jobs), processes))
-            reason = _exit_reason(statuses[index % processes - 1])
+        if index not in outcomes:  # never one of this process's own jobs
+            code = codes[index % processes - 1]
+            reason = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            lost = ", ".join(repr(name(job)) for job in jobs[index::processes])
             return results, MicroweaveError(
                 f"a worker process ended ({reason}) without sending the results of "
                 f"services {lost}")
@@ -192,31 +183,27 @@ def _build_in_processes(jobs: list, processes: int) -> tuple[list, Exception | N
     return results, None
 
 
+def _progress(log, message: str) -> None:
+    """Print one progress line to ``log``, or to stderr when it is None."""
+    print(f"[analyze] {message}", file=log if log is not None else sys.stderr)
+
+
 def build_system(config: RunConfig, log=None, on_service=None) -> SystemIr:
     """Extract, match, and weave per ``config``; no files are written.
 
     ``on_service(name, tree, ir)``, when given, receives each service's
     syntax tree and IR once that service is built, in the process that
-    built it; the tree is dropped on its return.  Services are built in
-    forked processes where ``_process_count`` allows, with the same result
-    and progress lines as one after another."""
-    log = log if log is not None else sys.stderr
-
-    def progress(message: str):
-        print(f"[analyze] {message}", file=log)
-
-    progress(f"extracting {len(config.services)} service(s)")
-    files = [source_files(tree) for tree in config.services]
-    jobs = [(tree, paths, config.ruleset, on_service)
-            for tree, paths in zip(config.services, files)]
-    processes = _process_count(files)
-    if processes > 1:
-        results, failure = _build_in_processes(jobs, processes)
-    else:
-        results, failure = (_build_service(*job) for job in jobs), None
+    built it; the tree is dropped on its return.  The services are built
+    through ``fork_map``, in as many processes as ``_process_count``
+    allows; their progress lines follow once every service is built."""
+    _progress(log, f"extracting {len(config.services)} service(s)")
+    jobs = [(tree, source_files(tree)) for tree in config.services]
+    build = partial(_build_service, ruleset=config.ruleset, on_service=on_service)
+    results, failure = fork_map(build, jobs, _process_count([files for _tree, files in jobs]),
+                                name=lambda job: job[0].service_name)
     irs = []
     for line, ir in results:
-        progress(line)
+        _progress(log, line)
         irs.append(ir)
     if failure is not None:
         raise failure
@@ -230,7 +217,7 @@ def build_system(config: RunConfig, log=None, on_service=None) -> SystemIr:
             [load_compose_file(p) for p in config.compose_paths]
         )
 
-    progress("weaving system model")
+    _progress(log, "weaving system model")
     return weave(irs, taxonomy=taxonomy, topology=topology, config=config.weave)
 
 
@@ -262,11 +249,6 @@ def run(config: RunConfig, formats: set[str] | None = None, log=None) -> int:
     1 findings without errors, 2 errors present (3, tool failure, is
     raised as an exception and mapped by the command-line wrapper)."""
     formats = set(OUTPUT_FORMATS) if formats is None else formats
-    log = log if log is not None else sys.stderr
-
-    def progress(message: str):
-        print(f"[analyze] {message}", file=log)
-
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
@@ -278,7 +260,7 @@ def run(config: RunConfig, formats: set[str] | None = None, log=None) -> int:
                           on_service=write_service if "json" in formats else None)
     findings = run_checks(system, config.checks)
     metrics = coupling_metrics(system)
-    progress(f"analysis: {len(findings)} finding(s)")
+    _progress(log, f"analysis: {len(findings)} finding(s)")
 
     if "json" in formats:
         _write_json_outputs(out, system)
@@ -290,7 +272,7 @@ def run(config: RunConfig, formats: set[str] | None = None, log=None) -> int:
             )
     if "text" in formats:
         atomic_write(out / "report.txt", export_report(findings, metrics, "text"))
-    progress(f"outputs written to {out}")
+    _progress(log, f"outputs written to {out}")
 
     if any(f.severity == SEV_ERROR for f in findings):
         return 2

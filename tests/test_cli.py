@@ -294,12 +294,13 @@ def _entity_source(package: str, fields: list[str]) -> str:
 
 def test_entity_drift_compares_each_match_own_entities(tmp_path, capsys):
     # alpha holds two entities named User; each pairs with beta.User, and
-    # W01 must read the fields of the User in that match, not the other one.
+    # W01 must read the fields of the User in that match, not the other one,
+    # and say which file that User is in.
     config = _write_project(
         tmp_path,
         {
             "alpha": {
-                "src/a/User.java": _entity_source("a", ["id", "name"]),
+                "src/a/User.java": _entity_source("a", ["id", "name", "nickname"]),
                 "src/b/User.java": _entity_source("b", ["id", "email", "phone"]),
             },
             "beta": {"src/User.java": _entity_source("beta", ["id", "name"])},
@@ -316,8 +317,11 @@ def test_entity_drift_compares_each_match_own_entities(tmp_path, capsys):
     w01 = [line for line in text.splitlines() if line.startswith("W01 ")]
     assert w01 == [
         "W01 warning alpha, beta: entities alpha.User and beta.User match at score "
+        "1.000 but their fields drift: alpha.User has unmatched field(s) nickname "
+        "(src/a/User.java:4)",
+        "W01 warning alpha, beta: entities alpha.User and beta.User match at score "
         "1.000 but their fields drift: alpha.User has unmatched field(s) email, phone; "
-        "beta.User has unmatched field(s) name"
+        "beta.User has unmatched field(s) name (src/b/User.java:4)",
     ]
 
 

@@ -4,6 +4,7 @@ fork where forking is unsafe or would not pay."""
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -224,6 +225,53 @@ def test_a_child_that_dies_ends_the_run_with_exit_3(
     errors = [line for line in err.splitlines() if not line.startswith("[analyze]")]
     assert errors == [f"analyze: a worker process ended ({reason}) without sending the "
                       "results of services 'svc1', 'svc4'"]
+
+
+def test_a_fork_that_fails_ends_the_run_with_exit_3(tmp_path, capsys, monkeypatch, forks):
+    config = _inputs(tmp_path, "generated")
+    forking = os.fork  # the fixture's, which records each child
+
+    def fork():
+        if forks:  # the second child
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return forking()
+
+    monkeypatch.setattr(os, "fork", fork)
+    code, err, files = _analyze(config, tmp_path / "out", capsys)
+    assert len(forks) == 1
+    assert code == 3
+    errors = [line for line in err.splitlines() if not line.startswith("[analyze]")]
+    assert errors == ["analyze: i/o failure: [Errno 11] Resource temporarily unavailable"]
+    assert not [name for name in files if name.endswith(".tmp")]
+
+
+def _square(n: int) -> int:
+    return n * n
+
+
+def _square_failing_at_5(n: int) -> int:
+    if n == 5:
+        raise ValueError("job 5")
+    return n * n
+
+
+def _square_killed_at_4(n: int) -> int:
+    if n == 4:  # in the first child's stride (1, 4, 7), never in this process
+        os.kill(os.getpid(), signal.SIGKILL)
+    return n * n
+
+
+@pytest.mark.parametrize("fn, done, failure", [
+    (_square, 10, None),
+    (_square_failing_at_5, 5, (ValueError, "job 5")),
+    (_square_killed_at_4, 1, (MicroweaveError, "a worker process ended (killed by signal 9) "
+                              "without sending the results of services '1', '4', '7'")),
+])
+def test_fork_map_returns_results_in_job_order_up_to_the_first_failure(forks, fn, done, failure):
+    results, error = runner.fork_map(fn, list(range(10)), PROCESSES, name=str)
+    assert len(forks) == PROCESSES - 1
+    assert results == [n * n for n in range(done)]
+    assert (error if error is None else (type(error), str(error))) == failure
 
 
 def _no_fork():
