@@ -68,39 +68,14 @@ class Finding(NamedTuple):
 class ServiceCoupling(Record):
     __slots__ = ("service", "ais", "ads", "instability")
 
-    def __init__(self, service: str, ais: int, ads: int, instability: float):
-        self.service = service
-        self.ais = ais
-        self.ads = ads
-        self.instability = instability
-
 
 class CouplingReport(Record):
     __slots__ = ("services", "total_services", "total_pairs", "mean_instability")
 
-    def __init__(
-        self,
-        services: list[ServiceCoupling],
-        total_services: int,
-        total_pairs: int,
-        mean_instability: float,
-    ):
-        self.services = services
-        self.total_services = total_services
-        self.total_pairs = total_pairs
-        self.mean_instability = mean_instability
-
 
 class CheckSettings(Record):
     __slots__ = ("disabled_rules", "severity_overrides")
-
-    def __init__(
-        self,
-        disabled_rules: frozenset[str] = frozenset(),
-        severity_overrides: dict[str, str] | None = None,
-    ):
-        self.disabled_rules = disabled_rules
-        self.severity_overrides = {} if severity_overrides is None else severity_overrides
+    _defaults = {"disabled_rules": frozenset, "severity_overrides": dict}
 
     def severity(self, rule_id: str) -> str:
         return self.severity_overrides.get(rule_id, DEFAULT_SEVERITIES[rule_id])

@@ -59,8 +59,10 @@ def main(argv: list[str] | None = None) -> int:
         if not formats:
             raise ConfigError("--format must select at least one output family")
         services_filter = None
-        if args.services:
+        if args.services is not None:
             services_filter = [s.strip() for s in args.services.split(",") if s.strip()]
+            if not services_filter:
+                raise ConfigError("--services must name at least one service")
         config = load_config(args.config, services_filter=services_filter,
                              output_override=args.out)
         return run(config, formats=formats)

@@ -49,18 +49,7 @@ class SourceTree(Record):
     """One microservice codebase to extract."""
 
     __slots__ = ("service_name", "root_dir", "include_globs", "convention")
-
-    def __init__(
-        self,
-        service_name: str,
-        root_dir: str | Path,
-        include_globs: tuple[str, ...] = DEFAULT_INCLUDE_GLOBS,
-        convention: str = SPRING_LIKE,
-    ):
-        self.service_name = service_name
-        self.root_dir = root_dir
-        self.include_globs = include_globs
-        self.convention = convention
+    _defaults = {"include_globs": DEFAULT_INCLUDE_GLOBS, "convention": SPRING_LIKE}
 
 
 class _ClientIdiom(NamedTuple):
@@ -119,18 +108,7 @@ class ExtractionReport(Record):
     """What the extractor did for one service tree."""
 
     __slots__ = ("files_scanned", "files_skipped", "nodes_emitted", "warnings")
-
-    def __init__(
-        self,
-        files_scanned: int = 0,
-        files_skipped: list[tuple[str, str]] | None = None,
-        nodes_emitted: int = 0,
-        warnings: list[tuple[str, int, str]] | None = None,
-    ):
-        self.files_scanned = files_scanned
-        self.files_skipped = [] if files_skipped is None else files_skipped
-        self.nodes_emitted = nodes_emitted
-        self.warnings = [] if warnings is None else warnings
+    _defaults = {"files_scanned": 0, "files_skipped": list, "nodes_emitted": 0, "warnings": list}
 
 
 # --------------------------------------------------------------------------

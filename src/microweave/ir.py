@@ -34,50 +34,18 @@ _COLLECTION_SHELLS = ("List", "Set", "Collection", "Optional")
 
 
 class ServiceIr(Record):
+    #: internal_calls: ((caller component, caller method), (callee component, callee method))
     __slots__ = (
         "service_name", "components", "endpoints", "remote_calls", "event_ops",
         "internal_calls", "plain_types", "extraction_report", "warnings",
     )
-
-    def __init__(
-        self,
-        service_name: str,
-        components: list[Component] | None = None,
-        endpoints: list[Endpoint] | None = None,
-        remote_calls: list[RemoteCall] | None = None,
-        event_ops: list[EventOp] | None = None,
-        internal_calls: list[tuple[tuple[str, str], tuple[str, str]]] | None = None,
-        plain_types: list[PlainType] | None = None,
-        extraction_report: ExtractionReport | None = None,
-        warnings: list[tuple[str, int, str]] | None = None,
-    ):
-        self.service_name = service_name
-        self.components = [] if components is None else components
-        self.endpoints = [] if endpoints is None else endpoints
-        self.remote_calls = [] if remote_calls is None else remote_calls
-        self.event_ops = [] if event_ops is None else event_ops
-        #: ((caller component, caller method), (callee component, callee method))
-        self.internal_calls = [] if internal_calls is None else internal_calls
-        self.plain_types = [] if plain_types is None else plain_types
-        self.extraction_report = (
-            ExtractionReport() if extraction_report is None else extraction_report
-        )
-        self.warnings = [] if warnings is None else warnings
+    _defaults = {**dict.fromkeys(__slots__[1:], list), "extraction_report": ExtractionReport}
 
 
 class DataModel(Record):
+    #: relations: (entity name, field name, entity name)
     __slots__ = ("service_name", "entities", "relations")
-
-    def __init__(
-        self,
-        service_name: str,
-        entities: list[Component] | None = None,
-        relations: list[tuple[str, str, str]] | None = None,
-    ):
-        self.service_name = service_name
-        self.entities = [] if entities is None else entities
-        #: (entity name, field name, entity name)
-        self.relations = [] if relations is None else relations
+    _defaults = {"entities": list, "relations": list}
 
 
 def unwrap_collection(declared_type: str) -> str:

@@ -25,33 +25,13 @@ _ENV_URL_RE = re.compile(r"https?://([A-Za-z0-9_.-]+)(?::\d+)?")
 
 class TopologyService(Record):
     __slots__ = ("name", "image", "aliases", "env")
-
-    def __init__(
-        self,
-        name: str,
-        image: str = "",
-        aliases: list[str] | None = None,
-        env: dict[str, str] | None = None,
-    ):
-        self.name = name
-        self.image = image
-        self.aliases = [] if aliases is None else aliases
-        self.env = {} if env is None else env
+    _defaults = {"image": "", "aliases": list, "env": dict}
 
 
 class TopologyModel(Record):
+    #: declared_edges: (from service, to service, origin)
     __slots__ = ("services", "declared_edges", "warnings")
-
-    def __init__(
-        self,
-        services: list[TopologyService] | None = None,
-        declared_edges: list[tuple[str, str, str]] | None = None,
-        warnings: list[str] | None = None,
-    ):
-        self.services = [] if services is None else services
-        #: (from service, to service, origin)
-        self.declared_edges = [] if declared_edges is None else declared_edges
-        self.warnings = [] if warnings is None else warnings
+    _defaults = dict.fromkeys(__slots__, list)
 
 
 def _as_str(value) -> str:
@@ -148,13 +128,17 @@ def parse_compose(data: bytes | str, source: str = "<compose>") -> TopologyModel
     if not isinstance(raw_services, dict):
         raise MalformedDocument(f"{source}: 'services' must be a mapping")
 
+    # A key that is no string names the service its text spells, as a
+    # depends_on entry naming it does: ``1:`` is service "1".
+    bodies: dict[str, dict] = {}
     parsed: dict[str, TopologyService] = {}
-    for name in raw_services:
-        body = raw_services[name] or {}
+    for key, body in raw_services.items():
+        name, body = _as_str(key), body or {}
         if not isinstance(body, dict):
-            raise MalformedDocument(f"{source}: service {name!r} must be a mapping")
-        parsed[_as_str(name)] = TopologyService(
-            name=_as_str(name),
+            raise MalformedDocument(f"{source}: service {key!r} must be a mapping")
+        bodies[name] = body
+        parsed[name] = TopologyService(
+            name=name,
             image=_as_str(body.get("image", "")),
             aliases=sorted(set(_network_aliases(body.get("networks")))),
             env=dict(sorted(_env_map(body.get("environment")).items())),
@@ -163,7 +147,7 @@ def parse_compose(data: bytes | str, source: str = "<compose>") -> TopologyModel
     known = set(parsed)
     edges: set[tuple[str, str, str]] = _env_url_edges(parsed)
     for name in sorted(parsed):
-        body = raw_services[name] or {}
+        body = bodies[name]
         for target in _dependency_names(body.get("depends_on")):
             if target in known:
                 edges.add((name, target, ORIGIN_DEPENDS_ON))

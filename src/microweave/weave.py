@@ -91,12 +91,8 @@ class EntityMatch(NamedTuple):
 
 
 class ContextMap(Record):
+    #: bounded_contexts: one per-service data model, sorted by service name
     __slots__ = ("bounded_contexts", "matches")
-
-    def __init__(self, bounded_contexts: list[DataModel], matches: list[EntityMatch]):
-        #: one per-service data model, sorted by service name
-        self.bounded_contexts = bounded_contexts
-        self.matches = matches
 
 
 class CommEdge(NamedTuple):
@@ -117,32 +113,15 @@ class CommEdge(NamedTuple):
 
 
 class SystemIr(Record):
+    #: event_edges: (publisher service, subscriber service, topic)
+    #: topology_edges: (from service, to service, origin), analyzed services only
+    #: unmatched_calls: (call, method near-miss endpoint or None) for each call
+    #: without an edge; read by the checks, never serialized
     __slots__ = (
         "services", "context_map", "comm_edges", "event_edges", "topology_edges", "metadata",
         "unmatched_calls",
     )
-
-    def __init__(
-        self,
-        services: list[ServiceIr],
-        context_map: ContextMap,
-        comm_edges: list[CommEdge],
-        event_edges: list[tuple[str, str, str]],
-        topology_edges: list[tuple[str, str, str]],
-        metadata: dict | None = None,
-        unmatched_calls: list[tuple[RemoteCall, Endpoint | None]] | None = None,
-    ):
-        self.services = services
-        self.context_map = context_map
-        self.comm_edges = comm_edges
-        #: (publisher service, subscriber service, topic)
-        self.event_edges = event_edges
-        #: (from service, to service, origin), analyzed services only
-        self.topology_edges = topology_edges
-        self.metadata = {} if metadata is None else metadata
-        #: (call, method near-miss endpoint or None) for each call without an
-        #: edge; read by the checks, never serialized
-        self.unmatched_calls = [] if unmatched_calls is None else unmatched_calls
+    _defaults = {"metadata": dict, "unmatched_calls": list}
 
 
 def canonical_type(declared_type: str) -> str:

@@ -391,6 +391,34 @@ def test_self_calls_are_written_but_are_no_dependency(tmp_path, capsys):
     ]
 
 
+_NON_STRING_KEYS_COMPOSE = """
+services:
+  a:
+    image: test/a:1
+  b:
+    depends_on: [a, 1]
+  1:
+    image: test/one:1
+  ~:
+    image: x
+"""
+
+
+def test_compose_service_keys_that_are_no_strings_are_read_as_their_text(tmp_path, capsys):
+    (tmp_path / "docker-compose.yml").write_text(_NON_STRING_KEYS_COMPOSE, encoding="utf-8")
+    config = _write_project(
+        tmp_path,
+        {"a": {"src/Items.java": _SELF_CALLER}, "b": {"src/Ctl.java": _CONTROLLER}},
+        compose_paths=["docker-compose.yml"],
+    )
+    assert _run("--config", str(config)) == 1
+    capsys.readouterr()
+    system = json.loads((tmp_path / "out" / "system.json").read_bytes())
+    assert [(e["from_service"], e["to_service"]) for e in system["topology_edges"]] == [
+        ("b", "a")
+    ]
+
+
 def test_bad_arg_count_in_passthrough_document_is_skipped(tmp_path, capsys):
     from microweave.frontend import SourceTree, extract
     from microweave.laast import save_laast
@@ -538,6 +566,9 @@ def _auto_with_non_utf8_dir(shop: Path) -> dict:
         ({"ruleset": [{"role": "wizard", "annotations": ["X"]}]}, (),
          "ruleset: rule 0: unknown role 'wizard'"),
         ({}, ("--services", "billing"), "--services names unknown service 'billing'"),
+        ({}, ("--services", ","), "--services must name at least one service"),
+        ({}, ("--services", ""), "--services must name at least one service"),
+        ({}, ("--services", " , "), "--services must name at least one service"),
         ({}, ("--jobs", "2"), "unrecognized arguments: --jobs 2"),
         ({}, ("--format", "pdf"), "--format: unknown output family 'pdf'"),
         ({}, ("--format", ","), "--format must select at least one output family"),
@@ -597,7 +628,8 @@ def _auto_with_non_utf8_dir(shop: Path) -> dict:
          "'..' segment"),
         ({"root": 5}, (), "root must be a string"),
     ],
-    ids=["root_dir", "tau", "disable", "ruleset", "services", "jobs", "format", "format_empty",
+    ids=["root_dir", "tau", "disable", "ruleset", "services", "services_comma",
+         "services_empty", "services_blank", "jobs", "format", "format_empty",
          "thresholds_key", "service_key", "top_level_key", "checks_key", "rule_key",
          "rule_role_type", "rule_annotations_string", "rule_annotations_item",
          "rule_suffixes_string", "rule_priority_float", "rule_priority_string",

@@ -126,6 +126,29 @@ services:
     assert any("phantom" in w for w in model.warnings)
 
 
+def test_service_key_that_is_no_string_names_the_service_its_text_spells():
+    model = parse_compose(
+        """
+services:
+  1:
+    image: x
+    depends_on: [~]
+  ~:
+    links: ["1"]
+  api:
+    depends_on: [1]
+"""
+    )
+    assert [s.name for s in model.services] == ["", "1", "api"]
+    assert _svc(model, "1").image == "x"
+    assert model.declared_edges == [
+        ("", "1", ORIGIN_LINKS),
+        ("1", "", ORIGIN_DEPENDS_ON),
+        ("api", "1", ORIGIN_DEPENDS_ON),
+    ]
+    assert model.warnings == []
+
+
 def test_version_warning_only_for_unexpected_values():
     ok = parse_compose("version: '3.8'\nservices:\n  a:\n    image: x\n")
     assert ok.warnings == []
